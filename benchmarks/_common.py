@@ -57,17 +57,6 @@ if BENCH_ENGINE not in ("compiled", "interpreted", "both"):
     )
 #: The engine ordinary (non-ablation) measurements run under.
 BENCH_PRIMARY_ENGINE = "compiled" if BENCH_ENGINE == "both" else BENCH_ENGINE
-#: ``REPRO_BENCH_SAT`` selects the SAT-pool ablation axis, mirroring
-#: ``REPRO_BENCH_ENGINE``: ``pooled`` or ``fresh`` pins every solve-bound
-#: measurement to one mode, ``both`` (default) makes the sat-ablation
-#: benchmarks emit pooled-vs-fresh pairs.
-BENCH_SAT = os.environ.get("REPRO_BENCH_SAT", "both")
-if BENCH_SAT not in ("pooled", "fresh", "both"):
-    raise ValueError(
-        f"REPRO_BENCH_SAT={BENCH_SAT!r}: expected pooled, fresh or both"
-    )
-#: The SAT mode ordinary (non-ablation) measurements run under.
-BENCH_PRIMARY_SAT = "pooled" if BENCH_SAT == "both" else BENCH_SAT
 
 _CACHE: Dict[Tuple[str, str, bool, int, str], DatabaseRun] = {}
 
@@ -77,13 +66,6 @@ def engines_under_test() -> List[str]:
     if BENCH_ENGINE == "both":
         return ["compiled", "interpreted"]
     return [BENCH_ENGINE]
-
-
-def sat_modes_under_test() -> List[str]:
-    """The SAT pool modes the sat-ablation benchmarks should measure."""
-    if BENCH_SAT == "both":
-        return ["pooled", "fresh"]
-    return [BENCH_SAT]
 
 
 def git_commit() -> Optional[str]:
@@ -199,8 +181,6 @@ def write_bench_json(name: str, payload: Dict) -> str:
             "workers": BENCH_WORKERS,
             "engine": BENCH_ENGINE,
             "primary_engine": BENCH_PRIMARY_ENGINE,
-            "sat": BENCH_SAT,
-            "primary_sat": BENCH_PRIMARY_SAT,
         },
         "data": payload,
     }

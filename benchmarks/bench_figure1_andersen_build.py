@@ -23,14 +23,10 @@ from repro.core.enumerator import WhyProvenanceEnumerator
 from repro.scenarios import get_scenario
 
 from _common import (
-    BENCH_MEMBERS,
-    BENCH_TIMEOUT,
-    BENCH_TUPLES,
     engines_under_test,
     print_banner,
     run_once,
     run_payload,
-    sat_modes_under_test,
     scenario_runs,
     write_bench_json,
 )
@@ -161,88 +157,6 @@ def test_compiled_vs_interpreted_evaluation(benchmark, capsys):
         assert total_compiled <= total_interpreted, (
             f"compiled evaluation ({total_compiled:.3f}s) slower than "
             f"interpreted ({total_interpreted:.3f}s) on the Andersen build"
-        )
-
-
-def test_sat_pool_ablation(benchmark, capsys):
-    """SAT-pool ablation on the Figure 1 solve input: Andersen batches.
-
-    Runs ``explain_batch`` over the same sampled tuples per database,
-    once per SAT mode (``REPRO_BENCH_SAT``): ``pooled`` shares one warm
-    incremental solver across the per-fact solves, ``fresh`` is the
-    seed's solver-per-fact path. The metric is total per-fact solve
-    seconds (closure/encoding cached equally on both sides), emitted as
-    before/after pairs into ``BENCH_figure1_sat_ablation.json``.
-    """
-    scenario = get_scenario("Andersen")
-    query = scenario.query()
-    modes = sat_modes_under_test()
-
-    def measure():
-        rows = []
-        for name in scenario.database_names():
-            database = scenario.database(name).restrict(query.program.edb)
-            row = {"database": name, "facts": len(database), "seconds": {}}
-            for mode in modes:
-                session = ProvenanceSession(query, database, sat_mode=mode)
-                tuples = sample_answer_tuples(
-                    query, database, count=BENCH_TUPLES, seed=7,
-                    evaluation=session.evaluation,
-                )
-                started = time.perf_counter()
-                batch = session.explain_batch(
-                    tuples, workers=1, limit=BENCH_MEMBERS,
-                    timeout_seconds=BENCH_TIMEOUT,
-                )
-                row["seconds"][mode] = time.perf_counter() - started
-                row["fact_seconds_" + mode] = sum(
-                    r.seconds for r in batch.results
-                )
-                row["members"] = sum(len(r.members) for r in batch.results)
-                if mode == "pooled":
-                    row["pool"] = {
-                        "hits": session.stats.sat_pool_hits,
-                        "misses": session.stats.sat_pool_misses,
-                        "verdicts": session.stats.sat_pooled_verdicts,
-                        "learned_shared": session.stats.sat_learned_shared,
-                    }
-            if len(row["seconds"]) == 2:
-                row["speedup"] = (
-                    row["seconds"]["fresh"] / row["seconds"]["pooled"]
-                    if row["seconds"]["pooled"]
-                    else 0.0
-                )
-            rows.append(row)
-        return rows
-
-    rows = run_once(benchmark, measure)
-    with capsys.disabled():
-        print_banner("SAT pool ablation (Andersen explain_batch)")
-        header = f"{'db':>4} {'facts':>7} {'members':>8}"
-        for mode in modes:
-            header += f" {mode + ' (s)':>12}"
-        if len(modes) == 2:
-            header += f" {'speedup':>8}"
-        print(header)
-        for row in rows:
-            line = f"{row['database']:>4} {row['facts']:>7} {row['members']:>8}"
-            for mode in modes:
-                line += f" {row['seconds'][mode]:>12.3f}"
-            if "speedup" in row:
-                line += f" {row['speedup']:>7.2f}x"
-            print(line)
-        path = write_bench_json(
-            "figure1_sat_ablation", {"sat_modes": modes, "rows": rows}
-        )
-        print(f"machine-readable record: {path}")
-    if len(modes) == 2:
-        total_pooled = sum(r["seconds"]["pooled"] for r in rows)
-        total_fresh = sum(r["seconds"]["fresh"] for r in rows)
-        # Noise-proof in-test bar; the headline pooled-vs-fresh margin is
-        # tracked through the emitted JSON.
-        assert total_pooled <= total_fresh * 1.25, (
-            f"pooled batches ({total_pooled:.3f}s) materially slower than "
-            f"fresh ({total_fresh:.3f}s) on the Andersen solve path"
         )
 
 

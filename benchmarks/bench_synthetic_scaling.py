@@ -39,10 +39,9 @@ from _common import (
     engines_under_test,
     print_banner,
     run_once,
-    sat_modes_under_test,
     write_bench_json,
 )
-from repro.harness.runner import run_database, sample_answer_tuples
+from repro.harness.runner import run_database
 
 SYN_FAMILIES = [
     part.strip()
@@ -91,29 +90,6 @@ def _run_curves():
                     record_instances=True, engine=engine,
                 )
                 seconds_by_engine[engine] = time.perf_counter() - started
-            # SAT-pool ablation at this rung: the same ``explain_batch``
-            # over the same sampled tuples per mode — ``pooled`` hands
-            # hard solves to the session's warm incremental solver,
-            # ``fresh`` is the solver-per-fact seed path.
-            solve_seconds_by_sat_mode = {}
-            for sat_mode in sat_modes_under_test():
-                mode_session = ProvenanceSession(
-                    instance.query, instance.database.copy(),
-                    engine=BENCH_PRIMARY_ENGINE, sat_mode=sat_mode,
-                )
-                tuples = sample_answer_tuples(
-                    instance.query, instance.database,
-                    count=BENCH_TUPLES, seed=7,
-                    evaluation=mode_session.evaluation,
-                )
-                started = time.perf_counter()
-                mode_session.explain_batch(
-                    tuples, workers=1, limit=BENCH_MEMBERS,
-                    timeout_seconds=BENCH_TIMEOUT,
-                )
-                solve_seconds_by_sat_mode[sat_mode] = (
-                    time.perf_counter() - started
-                )
             run = run_database(
                 scenario,
                 "gen",
@@ -141,14 +117,6 @@ def _run_curves():
                     "build_seconds": run.build_times(),
                     "mean_delay": (sum(delays) / len(delays)) if delays else None,
                     "members": sum(r.members for r in run.tuple_runs),
-                    "solve_seconds_by_sat_mode": solve_seconds_by_sat_mode,
-                    "sat_speedup": (
-                        solve_seconds_by_sat_mode["fresh"]
-                        / solve_seconds_by_sat_mode["pooled"]
-                        if len(solve_seconds_by_sat_mode) == 2
-                        and solve_seconds_by_sat_mode["pooled"]
-                        else None
-                    ),
                 }
             )
         curves[family] = rows
@@ -159,8 +127,7 @@ def _print_curves(curves) -> None:
     print_banner("Synthetic workload scaling (build / delay vs family size)")
     header = (
         f"{'family':>9} {'size':>5} {'facts':>6} {'model':>6} {'answers':>7} "
-        f"{'eval(s)':>8} {'build(s)':>9} {'delay(ms)':>10} {'eng-spd':>8} "
-        f"{'sat-spd':>8}"
+        f"{'eval(s)':>8} {'build(s)':>9} {'delay(ms)':>10} {'eng-spd':>8}"
     )
     print(header)
     for family, rows in curves.items():
@@ -169,14 +136,12 @@ def _print_curves(curves) -> None:
             mean_build = sum(builds) / len(builds) if builds else 0.0
             delay = row["mean_delay"]
             speedup = row.get("engine_speedup")
-            sat_speedup = row.get("sat_speedup")
             print(
                 f"{family:>9} {row['size']:>5} {row['fact_count']:>6} "
                 f"{row['model_facts']:>6} {row['answers']:>7} "
                 f"{row['evaluation_seconds']:>8.3f} {mean_build:>9.3f} "
                 f"{(delay * 1000 if delay is not None else float('nan')):>10.2f} "
-                f"{(f'{speedup:.2f}x' if speedup is not None else '-'):>8} "
-                f"{(f'{sat_speedup:.2f}x' if sat_speedup is not None else '-'):>8}"
+                f"{(f'{speedup:.2f}x' if speedup is not None else '-'):>8}"
             )
 
 
@@ -195,25 +160,6 @@ def test_synthetic_scaling(benchmark):
     print(f"\nwrote {path}")
     for rows in curves.values():
         assert all(row["fact_count"] > 0 for row in rows)
-    # The join-heavy family is where warm cross-fact learning should pay;
-    # pooled solves must never be materially slower than fresh there
-    # (1.25x slack for timer noise on sub-second rungs).
-    widejoin = curves.get("widejoin", [])
-    if widejoin and all(
-        len(row["solve_seconds_by_sat_mode"]) == 2 for row in widejoin
-    ):
-        pooled = sum(
-            row["solve_seconds_by_sat_mode"]["pooled"] for row in widejoin
-        )
-        fresh = sum(
-            row["solve_seconds_by_sat_mode"]["fresh"] for row in widejoin
-        )
-        # Additive term: the default rungs solve in milliseconds, where a
-        # pure ratio bar would amplify scheduler noise into flakes.
-        assert pooled <= fresh * 1.25 + 0.05, (
-            f"pooled widejoin solves ({pooled:.3f}s) materially slower "
-            f"than fresh ({fresh:.3f}s)"
-        )
 
 
 if __name__ == "__main__":

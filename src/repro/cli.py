@@ -104,6 +104,18 @@ def parse_tuple(text: str) -> Tuple:
     return tuple(values)
 
 
+def _load_tuple(args: argparse.Namespace, query: DatalogQuery) -> Tuple:
+    """``--tuple``, parsed and checked against the answer predicate's arity."""
+    tup = parse_tuple(args.tuple)
+    arity = query.answer_arity
+    if len(tup) != arity:
+        raise SystemExit(
+            f"--tuple {args.tuple!r}: {query.answer_predicate}/{arity} "
+            f"takes {arity} values, got {len(tup)}"
+        )
+    return tup
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     query, database = _load_query(args)
     result = sorted(answers(query, database))
@@ -116,7 +128,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_why(args: argparse.Namespace) -> int:
     query, database = _load_query(args)
-    tup = parse_tuple(args.tuple)
+    tup = _load_tuple(args, query)
     if args.order == "size":
         from .core.minimal import members_by_size
 
@@ -297,7 +309,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     query, database = _load_query(args)
-    tup = parse_tuple(args.tuple)
+    tup = _load_tuple(args, query)
     subset = parse_database(_read(args.subset))
     verdict = decide_membership(query, database, tup, subset, args.tree_class)
     print("MEMBER" if verdict else "NOT-MEMBER")
@@ -306,7 +318,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 def _cmd_dimacs(args: argparse.Namespace) -> int:
     query, database = _load_query(args)
-    tup = parse_tuple(args.tuple)
+    tup = _load_tuple(args, query)
     try:
         encoding = encode_why_provenance(
             query, database, tup, acyclicity=args.acyclicity
@@ -326,7 +338,7 @@ def _format_member(member) -> str:
 
 def _cmd_minimal(args: argparse.Namespace) -> int:
     query, database = _load_query(args)
-    tup = parse_tuple(args.tuple)
+    tup = _load_tuple(args, query)
     smallest = smallest_member(query, database, tup)
     if smallest is None:
         print("% tuple is not an answer: empty why-provenance", file=sys.stderr)
@@ -341,7 +353,7 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
 
 def _cmd_semiring(args: argparse.Namespace) -> int:
     query, database = _load_query(args)
-    tup = parse_tuple(args.tuple)
+    tup = _load_tuple(args, query)
     semiring = get_semiring(args.semiring)
     value = semiring_provenance(query, database, tup, semiring)
     if args.semiring in ("why", "min-why"):
@@ -360,7 +372,7 @@ def _cmd_semiring(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     query, database = _load_query(args)
-    tup = parse_tuple(args.tuple)
+    tup = _load_tuple(args, query)
     tree = explain_answer(query, database, tup)
     if tree is None:
         print("% tuple is not an answer: nothing to explain", file=sys.stderr)

@@ -110,15 +110,6 @@ def decide_why_unambiguous(
         assumptions = encoding.membership_assumptions(facts)
         if assumptions is None:
             return False
-        pool = session.sat_pool()
-        if pool is not None:
-            # Warm pooled verdict: shares the root's residual group (and
-            # every learned clause) with the enumerators and with other
-            # membership checks of the session. Falls through when the
-            # encoding is not poolable.
-            verdict = pool.decide(encoding, facts)
-            if verdict is not None:
-                return verdict
         solver = session.decision_solver(tup, acyclicity=acyclicity)
         return bool(solver.solve(assumptions=assumptions))
     try:

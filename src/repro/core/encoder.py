@@ -97,15 +97,6 @@ class WhyProvenanceEncoding:
         self.instance_vars: Dict[Tuple[NodeKey, int], int] = {}
         self.edge_vars: Dict[Tuple[NodeKey, NodeKey], int] = {}
         self.database_fact_vars: Dict[Atom, int] = {}
-        #: ``section -> (start, end)`` clause index spans of :attr:`cnf`,
-        #: recorded by :meth:`_build` in emission order: ``"graph"``
-        #: (phi_graph), ``"root"`` (phi_root), ``"proof"`` (phi_proof),
-        #: ``"acyclic"`` (phi_acyclic). The incremental solver pool uses
-        #: the split: graph/proof clauses are per-node structure shared
-        #: verbatim by every encoding whose closure contains the node
-        #: (downward closures agree on their common nodes), while
-        #: root/acyclic clauses are specific to this root fact.
-        self.clause_sections: Dict[str, Tuple[int, int]] = {}
         self.stats: Optional[EncodingStats] = None
         self._build()
 
@@ -155,8 +146,6 @@ class WhyProvenanceEncoding:
         for (src, dst), z in self.edge_vars.items():
             self.cnf.implies(z, self.node_vars[src])
             self.cnf.implies(z, self.node_vars[dst])
-        mark = len(self.cnf.clauses)
-        self.clause_sections["graph"] = (0, mark)
 
         # phi_root: the root node is in, has no incoming edge; every other
         # selected node has at least one incoming edge.
@@ -167,15 +156,11 @@ class WhyProvenanceEncoding:
             if node == root:
                 continue
             self.cnf.add_clause((-x, *incoming[node]))
-        self.clause_sections["root"] = (mark, len(self.cnf.clauses))
-        mark = len(self.cnf.clauses)
 
         if self.copies == 1:
             self._emit_proof_set_semantics()
         else:
             self._emit_proof_instance_semantics()
-        self.clause_sections["proof"] = (mark, len(self.cnf.clauses))
-        mark = len(self.cnf.clauses)
 
         # phi_acyclic over the z-guarded arc graph.
         arc_vars = {
@@ -190,7 +175,6 @@ class WhyProvenanceEncoding:
             acyc = AcyclicityStats("none", len(nodes), len(arc_vars), 0, 0)
         else:
             raise ValueError(f"unknown acyclicity method {self.acyclicity_method!r}")
-        self.clause_sections["acyclic"] = (mark, len(self.cnf.clauses))
 
         self.stats = EncodingStats(
             closure_nodes=len(closure.nodes),
@@ -321,41 +305,6 @@ class WhyProvenanceEncoding:
                 self.cnf.implies(
                     self.node_vars[(fact, i)], self.node_vars[(fact, i - 1)]
                 )
-
-    # -- clause sections (incremental solver pool) ---------------------------
-
-    def shared_core_clauses(self) -> List[Tuple[int, ...]]:
-        """The clauses shareable across encodings: phi_graph + phi_proof.
-
-        Both sections are unions of per-node clause groups, and a node's
-        group is a function of the node's own hyperedges and database
-        membership only. Downward closures are downward-closed, so two
-        encodings containing the same node carry *identical* groups for
-        it — the :class:`~repro.sat.incremental.SolverPool` adds each
-        group to its warm solver once, unguarded, and every clause stays
-        inert for encodings missing the node (each carries a negative
-        literal on a node-local variable, so the all-false extension
-        satisfies it).
-        """
-        clauses: List[Tuple[int, ...]] = []
-        for section in ("graph", "proof"):
-            lo, hi = self.clause_sections[section]
-            clauses.extend(self.cnf.clauses[lo:hi])
-        return clauses
-
-    def residual_clauses(self) -> List[Tuple[int, ...]]:
-        """The root-specific clauses: phi_root + phi_acyclic.
-
-        These mention the root choice and the closure-relative incoming
-        edge sets (phi_root) or anonymous auxiliary variables
-        (phi_acyclic), so they differ between encodings and must be
-        activation-literal-guarded when loaded into a shared solver.
-        """
-        clauses: List[Tuple[int, ...]] = []
-        for section in ("root", "acyclic"):
-            lo, hi = self.clause_sections[section]
-            clauses.extend(self.cnf.clauses[lo:hi])
-        return clauses
 
     # -- model decoding ---------------------------------------------------------
 

@@ -24,7 +24,7 @@ from ..datalog.database import Database
 from ..datalog.engine import EvaluationResult, evaluate
 from ..datalog.program import DatalogQuery
 from ..provenance.grounding import DownwardClosure, FactNotDerivable, downward_closure
-from ..sat.incremental import conflict_handoff, new_sat_solver
+from ..sat.solver import CDCLSolver
 from .encoder import WhyProvenanceEncoding, encode_why_provenance
 
 
@@ -117,34 +117,13 @@ class WhyProvenanceEnumerator:
             )
         self.formula_seconds = time.perf_counter() - start
 
-        self._solver = new_sat_solver(
-            session.sat_backend if session is not None else None
-        )
+        self._solver = CDCLSolver()
         self._solver.add_cnf(self.encoding.cnf)
         if evaluation is not None:
             # Warm start: seed the phases with a minimal-rank derivation.
             self._solver.set_phases(self.encoding.phase_hints(evaluation.ranks))
         self._exhausted = False
         self._count = 0
-        # Pooled verdict handoff: past a small conflict budget, ask the
-        # session's warm incremental solver whether any model is left at
-        # all, so this solver never pays the final UNSAT refutation (or
-        # a hard intermediate one) alone. Verdicts are model-independent,
-        # so consulting the pool cannot change which member comes next —
-        # the enumeration stays byte-identical with pooling off.
-        # Admission is lazy: facts whose solves stay under the budget
-        # never touch the pool at all (no interning, no clause loading);
-        # the blocking projections are kept so a late acquisition can be
-        # brought up to date.
-        self._handoff = (
-            conflict_handoff()
-            if session is not None and session.sat_mode == "pooled"
-            else 0
-        )
-        self._session = session if self._handoff > 0 else None
-        self._acyclicity = acyclicity
-        self._pool = None
-        self._blocked_projections: List[dict] = []
 
     # -- enumeration -----------------------------------------------------------
 
@@ -179,7 +158,7 @@ class WhyProvenanceEnumerator:
 
     def _next_member(self, solve_timeout: Optional[float] = None) -> Optional[MemberRecord]:
         before = time.perf_counter()
-        satisfiable = self._solve_step(solve_timeout)
+        satisfiable = self._solver.solve(timeout_seconds=solve_timeout)
         delay = time.perf_counter() - before
         if satisfiable is None:
             # Budget exhausted mid-solve: not exhausted, just out of time.
@@ -198,72 +177,7 @@ class WhyProvenanceEnumerator:
         ]
         if not blocking or not self._solver.add_clause(blocking):
             self._exhausted = True
-        if self._handoff > 0:
-            # Keep the projection so the pooled context — acquired now
-            # or later — keeps answering "is any *unseen* model left".
-            projection = {
-                fact: model[var]
-                for fact, var in self.encoding.database_fact_vars.items()
-            }
-            self._blocked_projections.append(projection)
-            if self._pool is not None:
-                self._pool.block(projection)
         return record
-
-    def _acquire_pool(self):
-        """Admit this fact into the session pool, replaying past blocks."""
-        if self._pool is None and self._session is not None:
-            self._pool = self._session.pool_context(
-                self.tup, acyclicity=self._acyclicity
-            )
-            if self._pool is None:
-                # Unpoolable encoding: give up on the handoff for good.
-                self._handoff = 0
-                self._session = None
-            else:
-                for projection in self._blocked_projections:
-                    self._pool.block(projection)
-        return self._pool
-
-    def _solve_step(self, solve_timeout: Optional[float]) -> Optional[bool]:
-        """One SAT call, with the pooled conflict-budget handoff.
-
-        Without a pooled session this is a plain (timeout-bounded)
-        solve. With one, the enumeration solver first spends a small
-        conflict budget; if that doesn't settle the question, the warm
-        pooled solver answers the SAT/UNSAT verdict — UNSAT means this
-        solver never pays the refutation, SAT means it resumes uncapped
-        knowing a model exists (and the budget doubles, so a stream of
-        hard satisfiable steps stops re-consulting). ``None`` is
-        returned only on wall-clock timeout.
-        """
-        if self._handoff <= 0:
-            return self._solver.solve(timeout_seconds=solve_timeout)
-        start = time.perf_counter()
-        capped = self._solver.solve(
-            conflict_limit=self._handoff, timeout_seconds=solve_timeout
-        )
-        if capped is not None:
-            return capped
-        remaining = None
-        if solve_timeout is not None:
-            remaining = solve_timeout - (time.perf_counter() - start)
-            if remaining <= 0:
-                return None  # ran out of wall clock, not conflicts
-        pool = self._acquire_pool()
-        if pool is None:
-            return self._solver.solve(timeout_seconds=remaining)
-        verdict = pool.verdict(timeout_seconds=remaining)
-        if verdict is None:
-            return None  # the pooled solver ran out of the budget too
-        if verdict is False:
-            return False
-        self._handoff *= 2
-        if solve_timeout is not None:
-            remaining = solve_timeout - (time.perf_counter() - start)
-            if remaining <= 0:
-                return None
-        return self._solver.solve(timeout_seconds=remaining)
 
     # -- conveniences -------------------------------------------------------------
 

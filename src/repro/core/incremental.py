@@ -115,12 +115,7 @@ def update_session(session: "ProvenanceSession", delta: Delta) -> SessionUpdate:
     session that has never evaluated only applies the delta and bumps its
     version (there is nothing to maintain — the first evaluation will see
     the updated database), and an update whose effective delta is empty
-    returns immediately with every cache and the version untouched. A
-    session evaluated *without* an instance trace
-    (``record_instances=False``) has nothing to patch, so an effective
-    update falls back to applying the delta plus a full
-    :meth:`~repro.core.session.ProvenanceSession.invalidate` — correct,
-    just not incremental.
+    returns immediately with every cache and the version untouched.
     """
     started = time.perf_counter()
     if not isinstance(delta, Delta):
@@ -143,32 +138,6 @@ def update_session(session: "ProvenanceSession", delta: Delta) -> SessionUpdate:
         return SessionUpdate(
             requested=delta,
             effective=effective,
-            version=session.version,
-            seconds=time.perf_counter() - started,
-        )
-
-    if session._evaluation.instances is None:
-        # No recorded trace to maintain (the record_instances=False foil
-        # mode): stay correct by falling back to full invalidation. The
-        # check runs *before* the database mutates, so a session is never
-        # left half-updated.
-        effective = session.database.apply(delta)
-        if not effective:
-            return SessionUpdate(
-                requested=delta,
-                effective=effective,
-                retained_closures=len(session._closures),
-                version=session.version,
-                seconds=time.perf_counter() - started,
-            )
-        invalidated = len(session._closures)
-        session.stats.updates += 1
-        session.stats.closure_invalidations += invalidated
-        session.invalidate()  # bumps the version, drops the snapshot blob
-        return SessionUpdate(
-            requested=delta,
-            effective=effective,
-            invalidated_closures=invalidated,
             version=session.version,
             seconds=time.perf_counter() - started,
         )
@@ -200,12 +169,6 @@ def update_session(session: "ProvenanceSession", delta: Delta) -> SessionUpdate:
     dirty = _dirty_facts(effective, result)
     invalidated, retained = _invalidate_stale_caches(session, dirty)
     session.stats.closure_invalidations += invalidated
-    # Warm SAT-pool entries follow the same retention rule as closures:
-    # an entry whose loaded core the dirty set misses cannot contain a
-    # stale clause, so its solver — learned clauses included — survives
-    # the update.
-    if session._sat_pool is not None:
-        session._sat_pool.invalidate(dirty)
 
     # The GRI maps are pure functions of the (patched) instance set; if
     # the session had built them, refresh them now from the new trace —

@@ -189,20 +189,12 @@ class EvaluationSnapshot:
         method: str = "seminaive",
         acyclicity: str = "vertex-elimination",
         version: int = 0,
-        sat_mode: Optional[str] = None,
-        sat_backend: Optional[str] = None,
     ):
         self.query = query
         self.database = database
         self.evaluation = evaluation
         self.method = method
         self.acyclicity = acyclicity
-        #: SAT knobs of the parent session, replayed into workers so a
-        #: forked pool solves exactly like the serial path. ``None``
-        #: (absent in pre-1.7 pickled snapshots) means "resolve from the
-        #: environment", which restores the old behavior.
-        self.sat_mode = sat_mode
-        self.sat_backend = sat_backend
         #: The parent session's :attr:`~repro.core.session.ProvenanceSession.version`
         #: at capture time. Chunks carry the version they were scheduled
         #: against, so a worker holding an older snapshot can detect it
@@ -230,8 +222,6 @@ class EvaluationSnapshot:
             method=session.method,
             acyclicity=session.acyclicity,
             version=session.version,
-            sat_mode=session.sat_mode,
-            sat_backend=session.sat_backend,
         )
 
     def restore(self) -> ProvenanceSession:
@@ -240,10 +230,7 @@ class EvaluationSnapshot:
             self.query,
             self.database,
             method=self.method,
-            record_instances=self.evaluation.instances is not None,
             acyclicity=self.acyclicity,
-            sat_mode=getattr(self, "sat_mode", None),
-            sat_backend=getattr(self, "sat_backend", None),
         )
         session._evaluation = self.evaluation
         session.version = self.version

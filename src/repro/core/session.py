@@ -42,7 +42,7 @@ into the shared caches.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom
@@ -57,13 +57,6 @@ from ..provenance.grounding import (
     RuleInstance,
     _gri_maps,
     _restrict_to_reachable,
-    downward_closure,
-)
-from ..sat.incremental import (
-    PooledFactContext,
-    SolverPool,
-    resolve_sat_backend,
-    resolve_sat_pool,
 )
 from ..sat.solver import CDCLSolver
 from .encoder import WhyProvenanceEncoding, encode_why_provenance
@@ -93,36 +86,10 @@ class SessionStats:
     #: across :meth:`ProvenanceSession.update` maintenance rounds.
     plans_compiled: int = 0
     plan_reuses: int = 0
-    #: Incremental SAT-pool gauges (zero in ``fresh`` mode): residual-group
-    #: admissions that found their root warm vs. had to load it, verdict
-    #: solves answered by pooled solvers, entries dropped by updates, and
-    #: learned clauses currently shared across the warm pool solvers.
-    sat_pool_hits: int = 0
-    sat_pool_misses: int = 0
-    sat_pooled_verdicts: int = 0
-    sat_pool_invalidations: int = 0
-    sat_learned_shared: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dict (for reports and assertions)."""
-        return {
-            "evaluations": self.evaluations,
-            "gri_builds": self.gri_builds,
-            "closure_builds": self.closure_builds,
-            "closure_hits": self.closure_hits,
-            "encoding_builds": self.encoding_builds,
-            "encoding_hits": self.encoding_hits,
-            "sat_solver_builds": self.sat_solver_builds,
-            "updates": self.updates,
-            "closure_invalidations": self.closure_invalidations,
-            "plans_compiled": self.plans_compiled,
-            "plan_reuses": self.plan_reuses,
-            "sat_pool_hits": self.sat_pool_hits,
-            "sat_pool_misses": self.sat_pool_misses,
-            "sat_pooled_verdicts": self.sat_pooled_verdicts,
-            "sat_pool_invalidations": self.sat_pool_invalidations,
-            "sat_learned_shared": self.sat_learned_shared,
-        }
+        return asdict(self)
 
 
 class ProvenanceSession:
@@ -137,10 +104,6 @@ class ProvenanceSession:
     method:
         Evaluation strategy forwarded to the engine (``"seminaive"`` or
         ``"naive"``).
-    record_instances:
-        Keep the engine's instance trace (default). Turning it off makes
-        closures fall back to demand-driven top-down grounding — useful
-        as a foil when measuring the instrumented path.
     acyclicity:
         Default acyclicity encoding for CNF compilations.
     engine:
@@ -152,15 +115,12 @@ class ProvenanceSession:
         by its initial evaluation and every :meth:`update`, dropped by
         :meth:`invalidate` along with the other caches.
     sat_mode:
-        ``"pooled"`` (default) keeps a
-        :class:`~repro.sat.incremental.SolverPool` of warm incremental
-        solvers shared across the per-fact solves; ``"fresh"`` disables
-        it (the ablation foil). ``None`` consults ``REPRO_SAT_POOL``.
-        Resolved once at construction, like ``engine``.
-    sat_backend:
-        SAT engine for pooled/enumeration solvers: ``"pure"`` (the
-        in-tree CDCL, default), ``"pysat"`` (an installed `python-sat`
-        binding), or ``"auto"``. ``None`` consults ``REPRO_SAT_BACKEND``.
+        Only ``"fresh"`` is accepted — every tuple is solved by its own
+        :class:`~repro.sat.solver.CDCLSolver`, the one solving path.
+        Any other value raises :class:`ValueError`. The keyword remains
+        for the request-list generators of ``perfbench/workloads.py``,
+        which still pass ``sat_mode="fresh"``; the next change to that
+        benchmark drops the argument there and this keyword with it.
     """
 
     def __init__(
@@ -168,22 +128,18 @@ class ProvenanceSession:
         query: DatalogQuery,
         database: Database,
         method: str = "seminaive",
-        record_instances: bool = True,
         acyclicity: str = "vertex-elimination",
         engine: Optional[str] = None,
-        sat_mode: Optional[str] = None,
-        sat_backend: Optional[str] = None,
+        sat_mode: str = "fresh",
     ):
+        if sat_mode != "fresh":
+            raise ValueError(f"unknown SAT mode {sat_mode!r}: only 'fresh' exists")
         check_over_schema(database, query.program.edb)
         self.query = query
         self.database = database
         self.method = method
-        self.record_instances = record_instances
         self.acyclicity = acyclicity
         self.engine = resolve_engine(engine)
-        self.sat_mode = resolve_sat_pool(sat_mode)
-        self.sat_backend = resolve_sat_backend(sat_backend)
-        self._sat_pool: Optional[SolverPool] = None
         self._plan_context: Optional[PlanContext] = None
         self.stats = SessionStats()
         #: Monotonic database-state counter: bumped by every effective
@@ -227,7 +183,7 @@ class ProvenanceSession:
                 self.query.program,
                 self.database,
                 method=self.method,
-                record_instances=self.record_instances,
+                record_instances=True,
                 engine=self.engine,
                 plan_context=self.plan_context(),
             )
@@ -323,17 +279,8 @@ class ProvenanceSession:
             self._closures[fact] = None
             return None
         self.stats.closure_builds += 1
-        if self.evaluation.instances is None:
-            # No recorded trace (record_instances=False): stay on the
-            # demand-driven top-down grounding so the session-as-foil
-            # really measures the seed's algorithm, not a full-GRI
-            # re-matching hybrid.
-            closure = downward_closure(
-                self.query.program, self.database, fact, evaluation=self.evaluation
-            )
-        else:
-            edges, instances = self._gri_views()
-            closure = _restrict_to_reachable(fact, edges, self.database, instances)
+        edges, instances = self._gri_views()
+        closure = _restrict_to_reachable(fact, edges, self.database, instances)
         self._closures[fact] = closure
         return closure
 
@@ -413,41 +360,6 @@ class ProvenanceSession:
             solver.add_cnf(encoding.cnf)
             self._decision_solvers[key] = solver
         return solver
-
-    def sat_pool(self) -> Optional[SolverPool]:
-        """The session's warm incremental solver pool (``None`` when fresh).
-
-        Created lazily on the first pooled query; every per-fact decider
-        and enumerator of the session funnels verdict solves through it,
-        so learned clauses carry across the facts of a batch. Entries
-        are invalidated per-update by dirty-set intersection (see
-        :meth:`update`) and wholesale by :meth:`invalidate`.
-        """
-        if self.sat_mode != "pooled":
-            return None
-        if self._sat_pool is None:
-            self._sat_pool = SolverPool(
-                backend=self.sat_backend, stats_sink=self.stats
-            )
-        return self._sat_pool
-
-    def pool_context(
-        self, tup: Tuple, acyclicity: Optional[str] = None
-    ) -> Optional[PooledFactContext]:
-        """A pooled verdict context for ``phi_(t, D, Q)``, or ``None``.
-
-        ``None`` when pooling is off (``sat_mode == "fresh"``), the tuple
-        is not an answer, or the encoding is not poolable. The context is
-        acquisition-scoped: its blocking clauses are private, so distinct
-        enumerations of the same tuple never interfere.
-        """
-        pool = self.sat_pool()
-        if pool is None:
-            return None
-        encoding = self.encoding_or_none(tup, acyclicity=acyclicity)
-        if encoding is None:
-            return None
-        return pool.context(encoding)
 
     # -- enumeration layer --------------------------------------------------
 
@@ -647,8 +559,6 @@ class ProvenanceSession:
         self._encodings.clear()
         self._decision_solvers.clear()
         self._enumerators.clear()
-        if self._sat_pool is not None:
-            self._sat_pool.clear()
 
     def fork(self, database: Optional[Database] = None) -> "ProvenanceSession":
         """A fresh session over the same query (optionally a new database).
@@ -660,11 +570,8 @@ class ProvenanceSession:
             self.query,
             self.database if database is None else database,
             method=self.method,
-            record_instances=self.record_instances,
             acyclicity=self.acyclicity,
             engine=self.engine,
-            sat_mode=self.sat_mode,
-            sat_backend=self.sat_backend,
         )
 
     def __repr__(self) -> str:

@@ -12,21 +12,6 @@ from .cardinality import Totalizer, add_at_least_k, add_at_most_k, add_exactly_k
 from .cnf import CNF, VariablePool
 from .dpll import DPLLBudgetExceeded, enumerate_models_dpll, solve_dpll
 from .enumeration import EnumerationRecord, all_models, count_models, enumerate_models
-from .incremental import (
-    SAT_BACKENDS,
-    SAT_POOL_MODES,
-    FormulaPool,
-    PooledFactContext,
-    PoolStats,
-    PySATSolver,
-    SolverPool,
-    VariableInterner,
-    conflict_handoff,
-    native_backend_available,
-    new_sat_solver,
-    resolve_sat_backend,
-    resolve_sat_pool,
-)
 from .preprocessing import PreprocessResult, preprocess, preprocess_stats_summary
 from .solver import CDCLSolver, SolverStatistics, solve_cnf
 
@@ -36,23 +21,10 @@ __all__ = [
     "CNF",
     "DPLLBudgetExceeded",
     "EnumerationRecord",
-    "FormulaPool",
-    "PooledFactContext",
-    "PoolStats",
     "PreprocessResult",
-    "PySATSolver",
-    "SAT_BACKENDS",
-    "SAT_POOL_MODES",
-    "SolverPool",
     "SolverStatistics",
     "Totalizer",
-    "VariableInterner",
     "VariablePool",
-    "conflict_handoff",
-    "native_backend_available",
-    "new_sat_solver",
-    "resolve_sat_backend",
-    "resolve_sat_pool",
     "add_at_least_k",
     "add_at_most_k",
     "add_exactly_k",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cnf import CNF
-from .incremental import new_sat_solver
 from .solver import CDCLSolver
 
 
@@ -47,12 +46,11 @@ def enumerate_models(
         Stop once the total elapsed time exceeds this bound (the paper uses
         5 minutes).
     solver:
-        An existing solver to reuse; a new one of the configured
-        ``REPRO_SAT_BACKEND`` is built from *cnf* if absent (in that
-        case *cnf* is not mutated — clauses go to the solver).
+        An existing solver to reuse; a new one is built from *cnf* if absent
+        (in that case *cnf* is not mutated — clauses go to the solver).
     """
     if solver is None:
-        solver = new_sat_solver()
+        solver = CDCLSolver()
         solver.add_cnf(cnf)
     variables = list(projection) if projection is not None else list(range(1, cnf.num_vars + 1))
     start = time.perf_counter()

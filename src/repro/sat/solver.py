@@ -431,29 +431,6 @@ class CDCLSolver:
             except ValueError:
                 pass
 
-    def prune_learned(self, max_lbd: int = 2) -> int:
-        """Drop learned clauses with LBD above *max_lbd*; return the count.
-
-        The retention filter of the incremental solver pool: low-LBD
-        clauses are the transferable conflict knowledge worth keeping
-        across per-fact solves, everything else is search-local noise.
-        Clauses currently locked as a reason on the trail are kept
-        regardless. Safe to call between ``solve`` calls.
-        """
-        self._backtrack(0)
-        locked = {id(reason) for reason in self._reason if reason is not None}
-        kept: List[_Clause] = []
-        dropped = 0
-        for clause in self._learned:
-            if clause.lbd > max_lbd and id(clause) not in locked:
-                self._detach(clause)
-                self.stats.removed += 1
-                dropped += 1
-            else:
-                kept.append(clause)
-        self._learned = kept
-        return dropped
-
     def solve(
         self,
         assumptions: Sequence[int] = (),

@@ -53,10 +53,10 @@ A sharded daemon (``serve --workers N``) points every worker at the
 router's consistent-hash ring gives each content digest exactly one
 owning worker at a time — a single writer per digest directory — and
 every cross-digest operation here is already atomic (temp file +
-``os.replace``; ``makedirs(exist_ok=True)``). The store doubles as the
-restart handoff: when the supervisor respawns a crashed worker, the
-replacement rehydrates the digests it owns from disk instead of
-re-evaluating (see :mod:`repro.service.shard` and
+``os.replace``; ``makedirs(exist_ok=True)``). The store also carries
+warm state across restarts: when the supervisor respawns a crashed
+worker, the replacement rehydrates the digests it owns from disk instead
+of re-evaluating (see :mod:`repro.service.shard` and
 ``tests/test_shard_chaos.py``).
 
 Fault injection

@@ -31,6 +31,19 @@ class TestParseTuple:
         assert parse_tuple(" a , 7 ") == ("a", 7)
 
 
+@pytest.mark.parametrize(
+    "command", ["why", "decide", "dimacs", "minimal", "semiring", "explain"]
+)
+def test_wrong_arity_tuple_exits_with_one_line(files, command):
+    program, database = files
+    argv = [command, program, database, "--answer", "tc", "--tuple", "a"]
+    if command == "decide":
+        argv += ["--subset", database]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == "--tuple 'a': tc/2 takes 2 values, got 1"
+
+
 class TestEval:
     def test_lists_answers(self, files, capsys):
         program, database = files

@@ -351,28 +351,6 @@ class TestSessionUpdate:
         assert session.version == version
         assert session.closure_for(("a", "c")) is closure
 
-    def test_update_without_trace_falls_back_to_invalidate(self):
-        # The record_instances=False foil has no trace to maintain: an
-        # effective update must stay correct (apply + invalidate), never
-        # leave the database and the caches out of sync.
-        session = ProvenanceSession(
-            TC_QUERY,
-            Database(parse_database("e(a, b). e(b, c).")),
-            record_instances=False,
-        )
-        session.why(("a", "c"))
-        assert session.stats.evaluations == 1
-        receipt = session.update(Delta.insert(edge("c", "d")))
-        assert receipt.changed() and receipt.invalidated_closures >= 1
-        assert session.answers() == ProvenanceSession(
-            TC_QUERY, session.database.copy()
-        ).answers()
-        assert session.stats.evaluations == 2  # fell back to re-evaluation
-        # And the no-op variant keeps the caches.
-        receipt = session.update(Delta.insert(edge("c", "d")))
-        assert not receipt.changed()
-        assert session.stats.evaluations == 2
-
     def test_rejected_update_leaves_session_untouched(self):
         session = tc_session("e(a, b).")
         session.answers()

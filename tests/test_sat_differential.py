@@ -1,31 +1,20 @@
-"""Solver differential-test battery (ISSUE 9's `test`-archetype core).
+"""Solver differential-test battery.
 
-Every solving path the pipeline can take — fresh CDCL, the DPLL
-reference, the pooled incremental solver (:class:`FormulaPool`, the
-raw-CNF analogue of the session's :class:`SolverPool`), and an installed
-native backend — must agree on SAT/UNSAT for every formula, and every
-SAT answer must come with a genuine model. The inputs are the classic
-hard families: uniform random 3-SAT near the phase transition,
-pigeonhole, and random-graph coloring (generators in
-``tests/strategies.py``), exercised both on fixed seed grids (failures
-reproducible from the test id) and through Hypothesis.
-
-The pooled verdicts run through one *shared* warm solver per test class
-scope where noted — interleaved guarded formulas, exactly the usage
-pattern ``explain_batch`` puts the session pool through.
+Every way the pipeline reaches a SAT verdict must agree with the DPLL
+reference on SAT/UNSAT for every formula, and every SAT answer must come
+with a genuine model: one uninterrupted CDCL solve, and the same solver
+resumed after a one-conflict budget runs out, again and again, until it
+answers. The inputs are the classic hard families: uniform random 3-SAT
+near the phase transition, pigeonhole, and random-graph coloring
+(generators in ``tests/strategies.py``), exercised both on fixed seed
+grids (failures reproducible from the test id) and through Hypothesis.
 """
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF
 from repro.sat.dpll import solve_dpll
-from repro.sat.incremental import (
-    FormulaPool,
-    native_backend_available,
-    new_sat_solver,
-)
 from repro.sat.preprocessing import preprocess
 from repro.sat.solver import CDCLSolver
 
@@ -36,9 +25,10 @@ from strategies import (
     random_3sat,
 )
 
-#: Backends under differential test: the pure engine always, the native
-#: binding when the container has it (the CI `native-sat` job does).
-BACKENDS = ["pure"] + (["pysat"] if native_backend_available() else [])
+#: How the CDCL reaches its verdict: ``pure`` is one uninterrupted
+#: ``solve``; ``sliced`` calls ``solve(conflict_limit=1)`` until it
+#: answers, the resume path a conflict or wall-clock budget cuts into.
+SOLVE_MODES = ["pure", "sliced"]
 
 #: Fixed 3-SAT grid: seeds near the phase transition (ratio ~4.26).
 PHASE_SEEDS = list(range(20))
@@ -68,61 +58,54 @@ def assert_valid_model(cnf: CNF, model) -> None:
     assert cnf.evaluate(full), "claimed model does not satisfy the formula"
 
 
-def check_agreement(cnf: CNF, backend: str, pool: FormulaPool) -> bool:
-    """All four paths agree on *cnf*; returns the shared verdict."""
-    expected = dpll_verdict(cnf)
+def solve(solver: CDCLSolver, mode: str, assumptions=()) -> bool:
+    """The verdict of *solver*, reached the way *mode* names."""
+    if mode == "pure":
+        return solver.solve(assumptions=assumptions)
+    while True:
+        verdict = solver.solve(assumptions=assumptions, conflict_limit=1)
+        if verdict is not None:
+            return verdict
 
-    fresh = new_sat_solver(backend)
-    fresh.add_cnf(cnf)
-    fresh_verdict = fresh.solve()
-    assert fresh_verdict is expected, f"fresh {backend} disagrees with DPLL"
-    if fresh_verdict:
-        assert_valid_model(cnf, fresh.model())
 
-    handle = pool.add(cnf)
-    pooled_verdict = pool.solve(handle)
-    assert pooled_verdict is expected, f"pooled {backend} disagrees with DPLL"
-    if pooled_verdict:
-        assert_valid_model(cnf, pool.model(handle, cnf.num_vars))
-    return expected
+def check_agreement(cnf: CNF, mode: str):
+    """CDCL under *mode* agrees with DPLL on *cnf*; returns its model or None."""
+    solver = CDCLSolver()
+    solver.add_cnf(cnf)
+    verdict = solve(solver, mode)
+    assert verdict is dpll_verdict(cnf), f"{mode} CDCL disagrees with DPLL"
+    if not verdict:
+        return None
+    model = solver.model()
+    assert_valid_model(cnf, model)
+    return model
 
 
 class TestRandom3SATGrid:
-    """20 phase-transition seeds x every backend, one warm pool each."""
-
-    @pytest.fixture(scope="class", params=BACKENDS)
-    def warm_pool(self, request):
-        """One FormulaPool shared by the whole grid of a backend."""
-        return request.param, FormulaPool(request.param)
+    """20 phase-transition seeds x every solve mode."""
 
     @pytest.mark.parametrize("seed", PHASE_SEEDS)
-    def test_verdicts_agree(self, seed, warm_pool):
-        backend, pool = warm_pool
-        cnf = random_3sat(num_vars=8, num_clauses=34, seed=seed)
-        check_agreement(cnf, backend, pool)
+    @pytest.mark.parametrize("mode", SOLVE_MODES)
+    def test_verdicts_agree(self, seed, mode):
+        check_agreement(random_3sat(num_vars=8, num_clauses=34, seed=seed), mode)
 
 
 class TestPigeonhole:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", SOLVE_MODES)
     @pytest.mark.parametrize("pigeons,holes", PHP_SHAPES)
-    def test_verdict_matches_principle(self, pigeons, holes, backend):
-        cnf = pigeonhole(pigeons, holes)
-        verdict = check_agreement(cnf, backend, FormulaPool(backend))
-        assert verdict is (pigeons <= holes)
+    def test_verdict_matches_principle(self, pigeons, holes, mode):
+        model = check_agreement(pigeonhole(pigeons, holes), mode)
+        assert (model is not None) is (pigeons <= holes)
 
 
 class TestGraphColoring:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", SOLVE_MODES)
     @pytest.mark.parametrize("shape", COLORING_SHAPES, ids=str)
-    def test_verdicts_agree_and_decode(self, shape, backend):
+    def test_verdicts_agree_and_decode(self, shape, mode):
         nodes, prob, colors, seed = shape
         cnf, edges = graph_coloring(nodes, prob, colors, seed)
-        verdict = check_agreement(cnf, backend, FormulaPool(backend))
-        if verdict:
-            solver = new_sat_solver(backend)
-            solver.add_cnf(cnf)
-            assert solver.solve() is True
-            model = solver.model()
+        model = check_agreement(cnf, mode)
+        if model is not None:
             coloring = {
                 n: next(
                     c for c in range(1, colors + 1)
@@ -149,82 +132,21 @@ class TestAssumptionDifferential:
         for lit in assumptions:
             strengthened.add_clause([lit])
         expected = dpll_verdict(strengthened)
-        for backend in BACKENDS:
-            solver = new_sat_solver(backend)
+        for mode in SOLVE_MODES:
+            solver = CDCLSolver()
             solver.add_cnf(cnf)
-            assert solver.solve(assumptions=list(assumptions)) is expected
+            assert solve(solver, mode, list(assumptions)) is expected
             # The solver must be reusable after an assumption solve:
             # the unconstrained question is unchanged.
-            assert solver.solve() is dpll_verdict(cnf)
-            pool = FormulaPool(backend)
-            handle = pool.add(cnf)
-            assert pool.solve(handle, assumptions) is expected
+            assert solve(solver, mode) is dpll_verdict(cnf)
 
 
 class TestIncrementalInterleaving:
-    """One warm pool, many formulas, adversarial interleavings."""
-
-    def test_sat_unsat_alternation(self):
-        pool = FormulaPool()
-        cases = []
-        for seed in range(10):
-            cnf = random_3sat(num_vars=6, num_clauses=26, seed=seed)
-            cases.append((pool.add(cnf), cnf, dpll_verdict(cnf)))
-        # Two passes in opposite orders: verdicts must be stable however
-        # much learned state the interleaved solves deposit.
-        for handle, cnf, expected in cases + cases[::-1]:
-            assert pool.solve(handle) is expected
-            if expected:
-                assert_valid_model(cnf, pool.model(handle, cnf.num_vars))
-
-    def test_unsat_core_does_not_poison_sat_neighbors(self):
-        pool = FormulaPool()
-        php = pigeonhole(4, 3)
-        sat_cnf = random_3sat(num_vars=5, num_clauses=10, seed=1)
-        assert dpll_verdict(sat_cnf) is True
-        php_handle = pool.add(php)
-        sat_handle = pool.add(sat_cnf)
-        for _ in range(3):
-            assert pool.solve(php_handle) is False
-            assert pool.solve(sat_handle) is True
-
-    def test_growing_pool_keeps_old_answers(self):
-        pool = FormulaPool()
-        first = pigeonhole(3, 3)
-        first_handle = pool.add(first)
-        assert pool.solve(first_handle) is True
-        for pigeons in range(2, 6):
-            handle = pool.add(pigeonhole(pigeons, pigeons - 1))
-            assert pool.solve(handle) is False
-            assert pool.solve(first_handle) is True
-
-    def test_assumption_reset_inside_pool(self):
-        pool = FormulaPool()
-        cnf = random_3sat(num_vars=6, num_clauses=18, seed=3)
-        handle = pool.add(cnf)
-        base = pool.solve(handle)
-        assert base is dpll_verdict(cnf)
-        for lit in (1, -1, 2, -2):
-            strengthened = cnf.copy()
-            strengthened.add_clause([lit])
-            assert pool.solve(handle, [lit]) is dpll_verdict(strengthened)
-            assert pool.solve(handle) is base
-
-    def test_pool_matches_fresh_on_every_family(self):
-        pool = FormulaPool()
-        formulas = [
-            random_3sat(num_vars=7, num_clauses=30, seed=11),
-            pigeonhole(4, 3),
-            graph_coloring(5, 0.6, 2, 12)[0],
-            pigeonhole(3, 3),
-            random_3sat(num_vars=5, num_clauses=21, seed=13),
-        ]
-        for cnf in formulas:
-            check_agreement(cnf, "pure", pool)
+    """One solver, interrupted by its conflict budget and resumed."""
 
     def test_conflict_limited_pool_solver_resumes(self):
-        # The session's handoff pattern: a capped solve may return None,
-        # but the question's answer must survive the interruption.
+        # A capped solve may return None, but the question's answer
+        # must survive the interruption.
         solver = CDCLSolver()
         php = pigeonhole(5, 4)
         solver.add_cnf(php)
@@ -248,9 +170,8 @@ class TestExhaustiveSmall:
             )
             for mask in range(1 << cnf.num_vars)
         )
-        for backend in BACKENDS:
-            pool = FormulaPool(backend)
-            assert check_agreement(cnf, backend, pool) is brute
+        for mode in SOLVE_MODES:
+            assert (check_agreement(cnf, mode) is not None) is brute
 
 
 class TestHypothesisProperties:
@@ -268,16 +189,6 @@ class TestHypothesisProperties:
 
     @given(cnf=cnf_formulas)
     @settings(max_examples=40, deadline=None)
-    def test_pooled_matches_dpll(self, cnf):
-        pool = FormulaPool()
-        handle = pool.add(cnf)
-        verdict = pool.solve(handle)
-        assert verdict is dpll_verdict(cnf)
-        if verdict:
-            assert_valid_model(cnf, pool.model(handle, cnf.num_vars))
-
-    @given(cnf=cnf_formulas)
-    @settings(max_examples=40, deadline=None)
     def test_preprocess_preserves_verdict(self, cnf):
         result = preprocess(cnf)
         if result.unsat:
@@ -291,14 +202,3 @@ class TestHypothesisProperties:
             model = result.extend_model(solver.model())
             assert_valid_model(cnf, model)
 
-
-@pytest.mark.skipif(
-    native_backend_available(), reason="native backend installed"
-)
-def test_requesting_missing_native_backend_raises():
-    """Explicit pysat selection must fail loudly, never silently degrade."""
-    from repro.sat.incremental import resolve_sat_backend
-
-    with pytest.raises(RuntimeError):
-        resolve_sat_backend("pysat")
-    assert resolve_sat_backend("auto") == "pure"

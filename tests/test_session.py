@@ -155,22 +155,6 @@ class TestSessionClosures:
             session.closure(parse_atom("a(zzz)"))
         assert session.closure_or_none(parse_atom("a(zzz)")) is None
 
-    def test_foil_session_uses_demand_driven_grounding(self):
-        # record_instances=False is the documented foil: closures must come
-        # from the demand-driven path (no trace, no full-GRI materialization)
-        # and still agree with the instrumented ones.
-        foil = ProvenanceSession(TC_QUERY, TC_DB, record_instances=False)
-        instrumented = ProvenanceSession(TC_QUERY, TC_DB)
-        assert foil.evaluation.instances is None
-        for tup in instrumented.answers():
-            fact = instrumented.answer_fact(tup)
-            a, b = foil.closure(fact), instrumented.closure(fact)
-            assert a.nodes == b.nodes
-            assert {h: frozenset(e) for h, e in a.hyperedges_by_head.items()} == {
-                h: frozenset(e) for h, e in b.hyperedges_by_head.items()
-            }
-        assert foil._gri is None  # the foil never built the full GRI
-
     def test_decide_default_matches_free_function(self):
         # session.decide without a tree class must agree with the
         # decide_membership default ("arbitrary"), not silently use whyUN.
@@ -231,6 +215,11 @@ class TestSessionEvaluatesOnce:
         fork.why(("d",))
         assert fork.stats.evaluations == 1
         assert session.stats.evaluations == 1
+
+    def test_fresh_is_the_only_sat_mode(self):
+        assert ProvenanceSession(QUERY, DB, sat_mode="fresh").why(("d",))
+        with pytest.raises(ValueError, match="pooled"):
+            ProvenanceSession(QUERY, DB, sat_mode="pooled")
 
 
 class TestSessionAgreesWithFreeFunctions:

@@ -6,6 +6,7 @@ statistics bookkeeping.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -167,31 +168,6 @@ class TestStatistics:
         assert solver.stats.learned > 0
 
 
-# -- incremental SAT core (ISSUE 9) ------------------------------------------
-
-from array import array
-
-from repro.core.session import ProvenanceSession
-from repro.datalog.database import Database, Delta
-from repro.datalog.parser import parse_atom, parse_database, parse_program
-from repro.datalog.program import DatalogQuery
-from repro.sat.incremental import SolverPool, VariableInterner
-
-TC = parse_program(
-    """
-    tc(X, Y) :- e(X, Y).
-    tc(X, Z) :- tc(X, Y), e(Y, Z).
-    """
-)
-TC_DB = Database(parse_database("e(a, b). e(b, c). e(c, d). e(a, c)."))
-TC_QUERY = DatalogQuery(TC, "tc")
-
-
-def pooled_session(db=TC_DB, **kwargs):
-    kwargs.setdefault("sat_mode", "pooled")
-    return ProvenanceSession(TC_QUERY, db, **kwargs)
-
-
 def assert_watch_invariant(solver):
     """Every multi-literal clause is watched at exactly literals[0:2]."""
     live = {}
@@ -255,212 +231,3 @@ class TestTypedArrays:
             if not solver.add_clause(blocking):
                 break
         assert_watch_invariant(solver)
-
-
-class TestPruneLearned:
-    def _php(self, pigeons, holes):
-        cnf = CNF(pigeons * holes)
-        for p in range(pigeons):
-            cnf.add_clause(tuple(p * holes + h + 1 for h in range(holes)))
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    cnf.add_clause((-(p1 * holes + h + 1), -(p2 * holes + h + 1)))
-        return cnf
-
-    def test_prune_preserves_unsat_verdict(self):
-        solver = CDCLSolver()
-        solver.add_cnf(self._php(6, 5))
-        assert solver.solve() is False
-        solver.prune_learned(max_lbd=2)
-        assert solver.stats.removed >= 0
-        assert solver.solve() is False
-        assert_watch_invariant(solver)
-
-    def test_prune_preserves_sat_verdict_and_models(self):
-        cnf = random_cnf(12, 44, seed=7)
-        expected = solve_dpll(cnf) is not None
-        solver = CDCLSolver()
-        solver.add_cnf(cnf)
-        assert bool(solver.solve()) == expected
-        dropped = solver.prune_learned(max_lbd=1)
-        assert dropped >= 0
-        got = solver.solve()
-        assert bool(got) == expected
-        if got:
-            assert cnf.evaluate(solver.model())
-        assert_watch_invariant(solver)
-
-
-class TestVariableInterner:
-    def test_interning_is_stable_and_injective(self):
-        solver = CDCLSolver()
-        interner = VariableInterner(solver)
-        x = interner.var(("x", "fact-1", 0))
-        y = interner.var(("y", "fact-2", 0, "edge"))
-        assert interner.var(("x", "fact-1", 0)) == x
-        assert x != y
-        assert interner.get(("x", "fact-1", 0)) == x
-        assert interner.get("never-seen") is None
-        assert len(interner) == 2
-
-    def test_translate_maps_overlapping_encodings_consistently(self):
-        # Two overlapping closures (a->c direct and via b; a->d extends
-        # a->c): shared nodes must land on identical pooled variables.
-        session = pooled_session()
-        pool = session.sat_pool()
-        enc_ac = session.encoding(("a", "c"))
-        enc_ad = session.encoding(("a", "d"))
-        ctx1 = pool.context(enc_ac)
-        ctx2 = pool.context(enc_ad)
-        assert ctx1 is not None and ctx2 is not None
-        entry = pool._entries[(1, session.acyclicity)]
-        map_ac = {key: entry.interner.get(key) for key, _ in enc_ac.pool.items()}
-        map_ad = {key: entry.interner.get(key) for key, _ in enc_ad.pool.items()}
-        shared = set(map_ac) & set(map_ad)
-        assert shared, "overlapping closures must share keyed variables"
-        for key in shared:
-            assert map_ac[key] == map_ad[key]
-
-
-class TestPoolLifecycle:
-    def test_entry_reuse_and_residual_hit(self):
-        session = pooled_session()
-        pool = session.sat_pool()
-        enc = session.encoding(("a", "c"))
-        pool.context(enc)
-        pool.context(enc)
-        assert pool.stats.solver_builds == 1
-        assert pool.stats.misses == 1 and pool.stats.hits == 1
-
-    def test_eviction_rebuilds_past_context_cap(self):
-        session = pooled_session()
-        pool = SolverPool(max_contexts=1, stats_sink=session.stats)
-        enc = session.encoding(("a", "c"))
-        pool.context(enc)
-        pool.context(enc)
-        assert pool.stats.evictions == 1
-        assert pool.stats.solver_builds == 2
-
-    def test_invalidate_is_dirty_set_precise(self):
-        session = pooled_session()
-        pool = session.sat_pool()
-        pool.context(session.encoding(("a", "c")))
-        assert pool.invalidate({parse_atom("e(z, w)")}) == 0
-        assert len(pool._entries) == 1
-        assert pool.invalidate({parse_atom("e(a, b)")}) == 1
-        assert len(pool._entries) == 0
-        assert session.stats.sat_pool_invalidations == 1
-
-    def test_clear_drops_everything(self):
-        session = pooled_session()
-        pool = session.sat_pool()
-        pool.context(session.encoding(("a", "c")))
-        assert pool.clear() == 1
-        assert pool.entries() == []
-
-    def test_session_invalidate_clears_pool(self):
-        session = pooled_session()
-        session.why(("a", "c"))
-        pool = session.sat_pool()
-        assert len(pool._entries) >= 0
-        session.invalidate()
-        assert pool._entries == {}
-
-    def test_fresh_mode_has_no_pool(self):
-        session = pooled_session(sat_mode="fresh")
-        assert session.sat_pool() is None
-        assert session.pool_context(("a", "c")) is None
-        # Everything still answers without the pool.
-        assert session.why(("a", "c"))
-
-
-class TestPooledVerdicts:
-    def test_pooled_decide_matches_fresh_sessions(self):
-        import itertools
-
-        pooled = pooled_session()
-        fresh = pooled_session(sat_mode="fresh")
-        closure_facts = sorted(
-            pooled.encoding(("a", "d")).database_fact_vars, key=str
-        )
-        for r in range(len(closure_facts) + 1):
-            for subset in itertools.combinations(closure_facts, r):
-                want = fresh.decide(("a", "d"), subset, tree_class="unambiguous")
-                got = pooled.decide(("a", "d"), subset, tree_class="unambiguous")
-                assert got == want, subset
-        assert pooled.stats.sat_pooled_verdicts > 0
-
-    def test_context_verdict_repeats_and_isolates_blocks(self):
-        db = Database(parse_database("e(a, b). e(b, c)."))
-        session = pooled_session(db)
-        ctx = session.pool_context(("a", "c"))
-        assert ctx is not None
-        assert ctx.verdict() is True
-        assert ctx.verdict() is True  # assumption reset: repeatable
-        witness = {parse_atom("e(a, b)"): True, parse_atom("e(b, c)"): True}
-        ctx.block(witness)
-        assert ctx.verdict() is False  # the only member is blocked
-        other = session.pool_context(("a", "c"))
-        assert other.verdict() is True  # blocks are per-acquisition
-
-    def test_membership_assumptions_translate(self):
-        session = pooled_session()
-        ctx = session.pool_context(("a", "c"))
-        facts = frozenset({parse_atom("e(a, c)")})
-        lits = ctx.membership_assumptions(facts)
-        assert lits is not None
-        assert ctx.verdict(extra_assumptions=lits) is True
-        assert ctx.membership_assumptions(
-            frozenset({parse_atom("e(z, z)")})
-        ) is None
-
-    def test_stats_flow_into_session(self):
-        session = pooled_session()
-        session.why(("a", "d"))
-        session.decide(("a", "d"), [parse_atom("e(a, c)"), parse_atom("e(c, d)")],
-                       tree_class="unambiguous")
-        stats = session.stats.as_dict()
-        assert stats["sat_pool_misses"] >= 1
-        assert stats["sat_pooled_verdicts"] >= 1
-        assert "sat_learned_shared" in stats
-
-
-class TestPoolRetention:
-    """ISSUE 9 satellite fix: update() must not drop untouched pool entries."""
-
-    TWO_COMPONENTS = Database(parse_database(
-        "e(a, b). e(b, c). e(x, y). e(y, z)."
-    ))
-
-    def test_update_storm_keeps_disjoint_entries_warm(self):
-        session = pooled_session(self.TWO_COMPONENTS)
-        baseline = session.why(("a", "c"))
-        assert baseline
-        # Admit the fact explicitly (enumeration only consults the pool
-        # past the conflict handoff, which these tiny solves never hit).
-        assert session.pool_context(("a", "c")) is not None
-        pool = session.sat_pool()
-        assert pool.stats.solver_builds == 1
-        # Storm component {x, y, z, w}: the a-c closure is never dirty.
-        for round_no in range(6):
-            fact = parse_atom(f"e(w{round_no}, x)")
-            assert session.update(Delta(inserted=frozenset((fact,)))).changed()
-            assert session.why(("a", "c")) == baseline
-            assert session.update(Delta(deleted=frozenset((fact,)))).changed()
-            assert session.why(("a", "c")) == baseline
-        assert pool.stats.solver_builds == 1, (
-            "update storm must not rebuild the untouched pool entry"
-        )
-        assert pool.stats.invalidations == 0
-
-    def test_update_touching_core_does_invalidate(self):
-        session = pooled_session(self.TWO_COMPONENTS)
-        session.why(("a", "c"))
-        assert session.pool_context(("a", "c")) is not None
-        pool = session.sat_pool()
-        delta = Delta(deleted=frozenset((parse_atom("e(b, c)"),)))
-        assert session.update(delta).changed()
-        assert pool.stats.invalidations == 1
-        # The fact is gone; a fresh pooled answer must reflect that.
-        assert session.why(("a", "c")) == []
