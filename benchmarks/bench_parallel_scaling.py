@@ -58,9 +58,9 @@ def _run_curve():
     for workers in SCALING_WORKERS:
         # A fresh session per round: cold per-fact caches for serial and
         # parallel alike, so the timed region is the same work everywhere.
-        # capture/restore (no pickling) also re-wraps the evaluation —
-        # grounding memoizes its GRI maps on the evaluation object, and
-        # sharing that across rounds would hand later rounds a warm cache.
+        # capture/restore (no pickling) starts each round without a GRI
+        # index: the index lives on the session, and sharing it across
+        # rounds would hand later rounds a warm cache.
         round_session = EvaluationSnapshot.capture(session).restore()
         batch = round_session.explain_batch(
             tuples,

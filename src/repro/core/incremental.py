@@ -30,16 +30,20 @@ Datalog engines maintain materialized views incrementally.
    set (plus cached "not derivable" verdicts for facts that became
    derivable), and with them the dependent encodings, decision solvers
    and enumerators — everything else survives byte-identical;
-5. bumps the session version so pickled evaluation snapshots (the
+5. patches the session's :class:`~repro.provenance.grounding.GriIndex`
+   with the removed and added instances, dropping the canonical views
+   of the touched heads only;
+6. bumps the session version so pickled evaluation snapshots (the
    parallel batch path) are recognizably stale and get rebuilt.
 
-The correctness of step 4 rests on the canonical ordering of the GRI maps
-(:func:`~repro.provenance.grounding.gri_maps_from_instances`): since the
-maps depend only on the instance *set*, a retained closure is not merely
-semantically equal to what a cold session would build — it is
-structurally identical, so member enumeration order is preserved too.
-``tests/test_incremental.py`` asserts exactly that, against cold sessions,
-over random update sequences.
+Steps 4 and 5 rest on the canonical per-head order of the GRI
+(:func:`~repro.provenance.grounding.gri_maps_from_instances`): since a
+head's views depend only on the *set* of its instances, a retained
+closure, and a head re-sorted after a patch, are not merely semantically
+equal to what a cold session would build — they are structurally
+identical, so member enumeration order is preserved too.
+``tests/test_incremental.py`` asserts exactly that, against cold sessions
+and cold GRIs, over random update sequences.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ class SessionUpdate:
 def update_session(session: "ProvenanceSession", delta: Delta) -> SessionUpdate:
     """Apply *delta* to *session*, keeping every cache the update misses.
 
-    See the module docstring for the five steps. Two fast paths: a
+    See the module docstring for the six steps. Two fast paths: a
     session that has never evaluated only applies the delta and bumps its
     version (there is nothing to maintain — the first evaluation will see
     the updated database), and an update whose effective delta is empty
@@ -170,12 +174,11 @@ def update_session(session: "ProvenanceSession", delta: Delta) -> SessionUpdate:
     invalidated, retained = _invalidate_stale_caches(session, dirty)
     session.stats.closure_invalidations += invalidated
 
-    # The GRI maps are pure functions of the (patched) instance set; if
-    # the session had built them, refresh them now from the new trace —
-    # an O(|gri| log |gri|) canonical rebuild, never a re-matching pass.
+    # The GRI index follows the trace: patch only the heads whose
+    # instances left or entered, removals first (one instance may do
+    # both in one update). Those heads are re-sorted on their next read.
     if session._gri is not None:
-        session._gri = None
-        session._gri_views()
+        session._gri.patch(result.removed_instances, result.added_instances)
 
     return SessionUpdate(
         requested=delta,

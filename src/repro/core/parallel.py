@@ -177,7 +177,7 @@ class EvaluationSnapshot:
     :class:`~repro.datalog.engine.EvaluationResult` — model, ranks, and
     the recorded instance trace that lets workers build downward closures
     in ``O(|closure|)`` without re-matching rule bodies. Derived caches
-    (GRI maps, closures, encodings, solvers) are deliberately *not*
+    (GRI index, closures, encodings, solvers) are deliberately *not*
     captured: they are cheap to rebuild per fact and expensive to ship.
     """
 
@@ -205,9 +205,9 @@ class EvaluationSnapshot:
     def capture(cls, session: ProvenanceSession) -> "EvaluationSnapshot":
         """Snapshot a session, forcing its one-time evaluation if needed."""
         evaluation = session.evaluation
-        # Re-wrap to shed the GRI maps memoized on the evaluation object
-        # (they roughly double the payload and are re-derivable from the
-        # instance trace in linear time).
+        # Re-wrap without the engine name and plan-cache counters: they
+        # are this process's bookkeeping, not state a restored session
+        # needs.
         pruned = EvaluationResult(
             model=evaluation.model,
             ranks=evaluation.ranks,

@@ -14,8 +14,8 @@ dozens of facts shared one ``(D, Sigma)``.
 * the :class:`~repro.datalog.engine.EvaluationResult`, computed **exactly
   once** with ``record_instances=True`` so the engine's own firings feed
   the GRI (no second matching pass);
-* the full graph of rule instances, built in ``O(|gri|)`` from the
-  recorded trace;
+* the graph of rule instances, grouped by head in ``O(|gri|)`` from the
+  recorded trace, each head sorted canonically on first use;
 * per-fact downward closures (reachability restriction of the cached GRI);
 * per-fact CNF encodings, plus warm incremental SAT solvers — one
   assumption-only solver per encoding for membership decisions, and one
@@ -53,9 +53,10 @@ from ..datalog.program import DatalogQuery, Program
 from ..provenance.grounding import (
     DownwardClosure,
     FactNotDerivable,
+    GriIndex,
     HyperEdge,
     RuleInstance,
-    _gri_maps,
+    _gri_index,
     _restrict_to_reachable,
 )
 from ..sat.solver import CDCLSolver
@@ -157,9 +158,7 @@ class ProvenanceSession:
         self.lock = threading.RLock()
         self._snapshot_cache: Optional[Tuple[int, bytes]] = None
         self._evaluation: Optional[EvaluationResult] = None
-        self._gri: Optional[
-            Tuple[Dict[Atom, List[HyperEdge]], Dict[Atom, List[RuleInstance]]]
-        ] = None
+        self._gri: Optional[GriIndex] = None
         self._closures: Dict[Atom, Optional[DownwardClosure]] = {}
         self._encodings: Dict[Tuple[Atom, int, str], Optional[WhyProvenanceEncoding]] = {}
         self._decision_solvers: Dict[Tuple[Atom, int, str], CDCLSolver] = {}
@@ -244,21 +243,20 @@ class ProvenanceSession:
 
     # -- grounding layer ----------------------------------------------------
 
-    def _gri_views(
-        self,
-    ) -> Tuple[Dict[Atom, List[HyperEdge]], Dict[Atom, List[RuleInstance]]]:
+    def gri_index(self) -> GriIndex:
+        """The head-indexed GRI, built once and patched by :meth:`update`."""
         if self._gri is None:
             self.stats.gri_builds += 1
-            self._gri = _gri_maps(self.query.program, self.database, self.evaluation)
+            self._gri = _gri_index(self.query.program, self.evaluation)
         return self._gri
 
     def gri(self) -> Dict[Atom, List[HyperEdge]]:
         """The full graph of rule instances ``gri(D, Sigma)`` (hyperedge view)."""
-        return self._gri_views()[0]
+        return self.gri_index().edge_map()
 
     def gri_instances(self) -> Dict[Atom, List[RuleInstance]]:
         """The full GRI in the multiset (rule-instance) view."""
-        return self._gri_views()[1]
+        return self.gri_index().instance_map()
 
     def closure(self, fact: Atom) -> DownwardClosure:
         """``down(D, Sigma, fact)``, restricted from the cached GRI.
@@ -279,8 +277,8 @@ class ProvenanceSession:
             self._closures[fact] = None
             return None
         self.stats.closure_builds += 1
-        edges, instances = self._gri_views()
-        closure = _restrict_to_reachable(fact, edges, self.database, instances)
+        index = self.gri_index()
+        closure = _restrict_to_reachable(fact, index.edges, self.database, index.instances)
         self._closures[fact] = closure
         return closure
 

@@ -21,7 +21,7 @@ Two constructions are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
@@ -130,50 +130,129 @@ class FactNotDerivable(ValueError):
     """Raised when the target fact is not in the least model."""
 
 
-def gri_maps_from_instances(
-    ground_rules: Iterable[GroundRule],
-) -> Tuple[Dict[Atom, List[HyperEdge]], Dict[Atom, List[RuleInstance]]]:
-    """Both views of ``gri(D, Sigma)`` from an explicit instance stream.
+class GriIndex:
+    """``gri(D, Sigma)`` indexed by head, made canonical one head at a time.
+
+    Building the index only groups the ground rules by head, in
+    ``O(|gri|)`` and without string keys. A head's canonical views — its
+    hyperedges and its rule instances, in the order documented on
+    :func:`gri_maps_from_instances` — are built the first time someone
+    asks for that head, and cached until :meth:`patch` touches the head.
+    So a closure pays only for the heads it reaches, and an update only
+    for the heads its instances touch, never for the whole trace.
+    """
+
+    __slots__ = ("_rules", "_views")
+
+    def __init__(self, ground_rules: Iterable[GroundRule]):
+        #: head -> its ground rules in trace order (a dict used as an
+        #: insertion-ordered set, so removal is O(1)).
+        self._rules: Dict[Atom, Dict[GroundRule, None]] = {}
+        #: head -> (hyperedges, instances), canonical, built on first use.
+        self._views: Dict[Atom, Tuple[Tuple[HyperEdge, ...], Tuple[RuleInstance, ...]]] = {}
+        self.patch((), ground_rules)
+
+    def patch(
+        self, removed: Iterable[GroundRule], added: Iterable[GroundRule]
+    ) -> None:
+        """Follow one trace update: drop *removed*, then append *added*.
+
+        Removals go first because an instance can leave and re-enter the
+        trace in one update; it then ends up last among its head's rules,
+        where the patched trace puts it too. Only the touched heads lose
+        their cached views, and a head left without rules is deleted.
+        """
+        rules, views = self._rules, self._views
+        for ground in removed:
+            head = ground.head
+            head_rules = rules[head]
+            del head_rules[ground]
+            if not head_rules:
+                del rules[head]
+            views.pop(head, None)
+        for ground in added:
+            head = ground.head
+            head_rules = rules.get(head)
+            if head_rules is None:
+                rules[head] = {ground: None}
+            else:
+                head_rules[ground] = None
+            views.pop(head, None)
+
+    def _head_views(
+        self, head: Atom
+    ) -> Tuple[Tuple[HyperEdge, ...], Tuple[RuleInstance, ...]]:
+        """*head*'s canonical ``(hyperedges, instances)``; empty for leaves."""
+        view = self._views.get(head)
+        if view is None:
+            head_rules = self._rules.get(head)
+            if head_rules is None:
+                return (), ()
+            view = self._views[head] = _canonical_views(head_rules)
+        return view
+
+    def edges(self, head: Atom) -> Tuple[HyperEdge, ...]:
+        """The hyperedges with *head* as head, in canonical order."""
+        return self._head_views(head)[0]
+
+    def instances(self, head: Atom) -> Tuple[RuleInstance, ...]:
+        """The rule instances with *head* as head, in canonical order."""
+        return self._head_views(head)[1]
+
+    def edge_map(self) -> Dict[Atom, List[HyperEdge]]:
+        """The whole hyperedge view, every head made canonical."""
+        return {head: list(self.edges(head)) for head in self._rules}
+
+    def instance_map(self) -> Dict[Atom, List[RuleInstance]]:
+        """The whole rule-instance view, every head made canonical."""
+        return {head: list(self.instances(head)) for head in self._rules}
+
+
+def gri_maps_from_instances(ground_rules: Iterable[GroundRule]) -> GriIndex:
+    """The :class:`GriIndex` of ``gri(D, Sigma)`` for an instance stream.
 
     Accepts either the recorded trace of ``evaluate(...,
     record_instances=True)`` or the output of :func:`ground_instances`;
     the two are interchangeable (the engine records every instance the
-    round after its last body fact appears). Cost is ``O(|gri| log |gri|)``
-    — no body re-matching against the model.
+    round after its last body fact appears). Cost is ``O(|gri|)``: the
+    stream is grouped by head, with no body re-matching against the model
+    and no sorting until a head is first read.
 
-    The per-head hyperedge and instance lists are returned in a
-    *canonical* order (sorted by string key), and the deduplication of
-    multiset-equal instances keeps a canonical representative, so the
-    maps — and everything derived from them: closures, CNF variable
-    numbering, member discovery order — depend only on the *set* of
-    ground instances, never on the order the engine happened to fire
-    them. This is what lets an incrementally maintained trace (see
-    :mod:`repro.core.incremental`), whose instances arrive in update
-    order rather than fixpoint-round order, reproduce a cold session
-    bit for bit.
+    Each head's hyperedges are sorted by ``str`` and its rule instances
+    by the ``repr`` of their body atoms, and of several multiset-equal
+    instances the one with the least such key is kept. So the views —
+    and everything derived from them: closures, CNF variable numbering,
+    member discovery order — depend only on the *set* of ground
+    instances, never on the order the engine happened to fire them. This
+    is what lets an incrementally maintained session (see
+    :mod:`repro.core.incremental`), which patches its index per head
+    instead of rebuilding it, reproduce a cold session bit for bit.
+
+    ``perfbench/launcher.py`` times each cold build by wrapping this
+    module attribute, so callers reach it through the module.
     """
-    edges_by_key: Dict[Atom, Dict[FrozenSet[Atom], HyperEdge]] = {}
-    instances_by_key: Dict[Atom, Dict[Tuple[Atom, ...], RuleInstance]] = {}
+    return GriIndex(ground_rules)
+
+
+def _canonical_views(
+    ground_rules: Iterable[GroundRule],
+) -> Tuple[Tuple[HyperEdge, ...], Tuple[RuleInstance, ...]]:
+    """One head's deduplicated hyperedges and instances, canonically sorted."""
+    edges: Dict[FrozenSet[Atom], HyperEdge] = {}
+    instances: Dict[Tuple[Atom, ...], RuleInstance] = {}
     for ground in ground_rules:
         targets = ground.body_set()
-        head_edges = edges_by_key.setdefault(ground.head, {})
-        if targets not in head_edges:
-            head_edges[targets] = HyperEdge(ground.head, targets)
+        if targets not in edges:
+            edges[targets] = HyperEdge(ground.head, targets)
         instance = RuleInstance(ground.head, ground.body)
-        head_instances = instances_by_key.setdefault(ground.head, {})
         key = instance.multiset_key()
-        previous = head_instances.get(key)
+        previous = instances.get(key)
         if previous is None or _instance_body_key(instance) < _instance_body_key(previous):
-            head_instances[key] = instance
-    edges = {
-        head: sorted(head_edges.values(), key=str)
-        for head, head_edges in edges_by_key.items()
-    }
-    instances = {
-        head: sorted(head_instances.values(), key=_instance_body_key)
-        for head, head_instances in instances_by_key.items()
-    }
-    return edges, instances
+            instances[key] = instance
+    return (
+        tuple(sorted(edges.values(), key=str)),
+        tuple(sorted(instances.values(), key=_instance_body_key)),
+    )
 
 
 def _instance_body_key(instance: RuleInstance) -> Tuple[str, ...]:
@@ -181,27 +260,12 @@ def _instance_body_key(instance: RuleInstance) -> Tuple[str, ...]:
     return tuple(map(repr, instance.body))
 
 
-def _gri_maps(
-    program: Program,
-    database: Database,
-    evaluation: EvaluationResult,
-) -> Tuple[Dict[Atom, List[HyperEdge]], Dict[Atom, List[RuleInstance]]]:
-    """Both views of ``gri(D, Sigma)``: set hyperedges + multiset instances.
-
-    Prefers the instrumented trace when the evaluation carries one
-    (``O(|gri|)``); falls back to re-enumerating every ground instance
-    over the model otherwise. The maps are cached on the evaluation
-    object so that per-fact closures share one construction.
-    """
-    cached = getattr(evaluation, "_gri_maps_cache", None)
-    if cached is not None:
-        return cached
-    if evaluation.instances is not None:
-        maps = gri_maps_from_instances(evaluation.instances)
-    else:
-        maps = gri_maps_from_instances(ground_instances(program, evaluation.model))
-    evaluation._gri_maps_cache = maps
-    return maps
+def _gri_index(program: Program, evaluation: EvaluationResult) -> GriIndex:
+    """The GRI of *evaluation*: from its trace, else by re-grounding its model."""
+    instances = evaluation.instances
+    if instances is None:
+        instances = ground_instances(program, evaluation.model)
+    return gri_maps_from_instances(instances)
 
 
 def rule_instance_graph(
@@ -217,8 +281,7 @@ def rule_instance_graph(
     """
     if evaluation is None:
         evaluation = evaluate(program, database, record_instances=True)
-    edges, _ = _gri_maps(program, database, evaluation)
-    return edges
+    return _gri_index(program, evaluation).edge_map()
 
 
 def downward_closure(
@@ -232,11 +295,11 @@ def downward_closure(
     Two construction strategies, picked automatically:
 
     * the evaluation carries an instrumented instance trace
-      (``record_instances=True``) — build the full GRI maps once (cached
-      on the evaluation, ``O(|gri|)``, no re-matching) and restrict to the
-      part reachable from the target; amortizes perfectly when many facts
-      share one evaluation, which is how
-      :class:`~repro.core.session.ProvenanceSession` drives it;
+      (``record_instances=True``) — group it by head (``O(|gri|)``, no
+      re-matching) and restrict to the part reachable from the target,
+      sorting only the heads the closure reaches;
+      :class:`~repro.core.session.ProvenanceSession` keeps one such
+      :class:`GriIndex` for all its facts instead of regrouping per call;
     * no trace — ground rule instances top-down, only for facts already
       known to be reachable from the target; the closure is usually a
       small fragment of the model, so this avoids materializing the GRI.
@@ -250,8 +313,8 @@ def downward_closure(
         raise FactNotDerivable(f"{fact} is not derivable; its closure is empty")
 
     if evaluation.instances is not None:
-        edges, instances = _gri_maps(program, database, evaluation)
-        return _restrict_to_reachable(fact, edges, database, instances)
+        index = _gri_index(program, evaluation)
+        return _restrict_to_reachable(fact, index.edges, database, index.instances)
 
     from ..datalog.unify import match_atom, match_body
 
@@ -302,30 +365,26 @@ def downward_closure(
 
 def _restrict_to_reachable(
     fact: Atom,
-    gri: Dict[Atom, List[HyperEdge]],
+    edges_of: Callable[[Atom], Sequence[HyperEdge]],
     database: Database,
-    instances: Optional[Dict[Atom, List[RuleInstance]]] = None,
+    instances_of: Optional[Callable[[Atom], Sequence[RuleInstance]]] = None,
 ) -> DownwardClosure:
+    """The closure of *fact* in the GRI whose per-head lists the callables give."""
     reachable: Set[Atom] = {fact}
     frontier: List[Atom] = [fact]
     while frontier:
         node = frontier.pop()
-        for edge in gri.get(node, ()):
+        for edge in edges_of(node):
             for target in edge.targets:
                 if target not in reachable:
                     reachable.add(target)
                     frontier.append(target)
-    by_head = {
-        node: tuple(gri.get(node, ()))
-        for node in reachable
-    }
+    by_head = {node: tuple(edges_of(node)) for node in reachable}
     db_nodes = frozenset(node for node in reachable if node in database)
-    if instances is None:
+    if instances_of is None:
         instance_map: Dict[Atom, Tuple[RuleInstance, ...]] = {}
     else:
-        instance_map = {
-            node: tuple(instances.get(node, ())) for node in reachable
-        }
+        instance_map = {node: tuple(instances_of(node)) for node in reachable}
     return DownwardClosure(
         root=fact,
         nodes=frozenset(reachable),
@@ -438,7 +497,7 @@ def downward_closure_via_rewriting(
         by_head.setdefault(head, []).append(HyperEdge(head, frozenset(targets)))
     # Assemble nodes from heads and targets, then re-restrict from the root
     # (CurNode seeding already restricts, but dedupe keeps this cheap).
-    return _restrict_to_reachable(fact, by_head, database)
+    return _restrict_to_reachable(fact, lambda node: by_head.get(node, ()), database)
 
 
 def min_dag_depth(

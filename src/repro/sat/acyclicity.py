@@ -22,6 +22,7 @@ Both functions mutate the given CNF in place and return an
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -141,6 +142,20 @@ def encode_vertex_elimination(
     def degree(v: Node) -> int:
         return len((out_nbrs[v] | in_nbrs[v]) & remaining)
 
+    # Min-degree order from a lazy heap keyed (degree, str, position): an
+    # entry is live while its node remains and its degree is current.
+    # Eliminating v changes the degrees of v's remaining neighbours only,
+    # so only they are re-pushed.
+    tiebreak: Dict[Node, Tuple[str, int]] = {}
+    degrees: Dict[Node, int] = {}
+    heap: List[Tuple[int, Tuple[str, int], Node]] = []
+    if order is None:
+        tiebreak = {v: (str(v), index) for index, v in enumerate(node_list)}
+        for v in remaining:
+            degrees[v] = degree(v)
+            heap.append((degrees[v], tiebreak[v], v))
+        heapq.heapify(heap)
+
     step = 0
     while remaining:
         if order is not None:
@@ -149,11 +164,15 @@ def encode_vertex_elimination(
             if v not in remaining:
                 continue
         else:
-            v = min(remaining, key=lambda n: (degree(n), str(n)))
+            d, _, v = heapq.heappop(heap)
+            if v not in remaining or d != degrees[v]:
+                continue
         remaining.discard(v)
         ins = [u for u in in_nbrs[v] if u in remaining]
         outs = [w for w in out_nbrs[v] if w in remaining]
-        width = max(width, len(set(ins) | set(outs)))
+        neighbours = set(ins)
+        neighbours.update(outs)
+        width = max(width, len(neighbours))
         for u in ins:
             a_uv = arcs[(u, v)]
             for w in outs:
@@ -170,6 +189,12 @@ def encode_vertex_elimination(
                     out_nbrs[u].add(w)
                     in_nbrs[w].add(u)
                 cnf.add_clause((-a_uv, -a_vw, existing))
+        if order is None:
+            for n in neighbours:
+                d = degree(n)
+                if d != degrees[n]:
+                    degrees[n] = d
+                    heapq.heappush(heap, (d, tiebreak[n], n))
     return AcyclicityStats(
         method="vertex-elimination",
         nodes=len(node_list),

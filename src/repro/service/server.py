@@ -67,6 +67,11 @@ DEFAULT_DISPATCH_THREADS = 8
 #: batches are rejected with ``bad-request`` and the client splits them.
 DEFAULT_MAX_BATCH_TUPLES = 10_000
 
+#: Poll interval of :meth:`TCPServiceServer.serve_in_thread`'s accept
+#: loop. ``shutdown()`` waits up to one interval, so this bounds every
+#: in-process teardown (``local_service``).
+THREAD_POLL_SECONDS = 0.05
+
 
 def _preload_handler_modules() -> None:
     """Import everything the handlers and forked workers load lazily.
@@ -584,7 +589,10 @@ class TCPServiceServer(socketserver.ThreadingTCPServer):
     def serve_in_thread(self) -> threading.Thread:
         """Run the accept loop on a daemon thread; returns the thread."""
         thread = threading.Thread(
-            target=self.serve_forever, name="repro-service-accept", daemon=True
+            target=self.serve_forever,
+            kwargs={"poll_interval": THREAD_POLL_SECONDS},
+            name="repro-service-accept",
+            daemon=True,
         )
         thread.start()
         return thread

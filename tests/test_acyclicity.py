@@ -4,15 +4,21 @@ The correctness statement is the same for both encodings: for every
 assignment of the guarded arc variables, the formula (restricted to that
 assignment) is satisfiable iff the selected arcs form an acyclic graph.
 Both encodings are checked against a Kahn's-algorithm oracle on all arc
-subsets of small graphs and against each other on random graphs.
+subsets of small graphs and against each other on random graphs. The
+vertex-elimination encoder, which draws its min-degree order from a
+heap, is checked clause for clause against a reference that scans every
+vertex at every step.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sat.acyclicity import (
+    _node_list,
     arcs_are_acyclic,
     encode_transitive_closure,
     encode_vertex_elimination,
@@ -132,3 +138,76 @@ class TestArcsAreAcyclic:
         assert not arcs_are_acyclic([("a", "b"), ("b", "a")])
         assert not arcs_are_acyclic([("a", "a")])
         assert arcs_are_acyclic([])
+
+
+def scan_vertex_elimination(cnf, arc_vars, nodes=None):
+    """Reference: vertex elimination that scans for the min-degree vertex.
+
+    Every step re-keys every remaining vertex by ``(degree, str)`` and
+    takes the minimum — quadratic, but obviously the min-degree order.
+    Otherwise the same construction as :func:`encode_vertex_elimination`.
+    """
+    node_list = _node_list(arc_vars, nodes)
+    arcs = {}
+    for (u, v), z in arc_vars.items():
+        if u == v:
+            cnf.add_clause((-z,))
+            continue
+        a = arcs.get((u, v))
+        if a is None:
+            a = cnf.new_var()
+            arcs[(u, v)] = a
+        cnf.implies(z, a)
+    out_nbrs = {v: set() for v in node_list}
+    in_nbrs = {v: set() for v in node_list}
+    for (u, v) in arcs:
+        out_nbrs[u].add(v)
+        in_nbrs[v].add(u)
+    remaining = set(node_list)
+
+    def degree(v):
+        return len((out_nbrs[v] | in_nbrs[v]) & remaining)
+
+    while remaining:
+        v = min(remaining, key=lambda n: (degree(n), str(n)))
+        remaining.discard(v)
+        ins = [u for u in in_nbrs[v] if u in remaining]
+        outs = [w for w in out_nbrs[v] if w in remaining]
+        for u in ins:
+            a_uv = arcs[(u, v)]
+            for w in outs:
+                a_vw = arcs[(v, w)]
+                if u == w:
+                    cnf.add_clause((-a_uv, -a_vw))
+                    continue
+                existing = arcs.get((u, w))
+                if existing is None:
+                    existing = cnf.new_var()
+                    arcs[(u, w)] = existing
+                    out_nbrs[u].add(w)
+                    in_nbrs[w].add(u)
+                cnf.add_clause((-a_uv, -a_vw, existing))
+
+
+NODES = st.integers(min_value=0, max_value=11)
+
+
+class TestHeapOrderMatchesScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arcs=st.lists(st.tuples(NODES, NODES), max_size=40, unique=True),
+        isolated=st.lists(NODES, max_size=3),
+    )
+    @example(arcs=[(0, 1), (1, 0)], isolated=[])
+    @example(arcs=[(0, 0), (0, 1), (1, 2), (2, 0)], isolated=[])
+    @example(arcs=[(2, 10), (10, 2), (10, 1), (1, 1)], isolated=[5])
+    def test_same_clauses_as_scan(self, arcs, isolated):
+        nodes = _node_list({arc: 0 for arc in arcs}, None)
+        nodes += [v for v in isolated if v not in nodes]
+        results = []
+        for encoder in (encode_vertex_elimination, scan_vertex_elimination):
+            cnf = CNF()
+            arc_vars = {arc: cnf.new_var() for arc in arcs}
+            encoder(cnf, arc_vars, nodes)
+            results.append((cnf.num_vars, cnf.clauses))
+        assert results[0] == results[1]

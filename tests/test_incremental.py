@@ -39,7 +39,9 @@ from repro.datalog.engine import (
 )
 from repro.datalog.parser import parse_database, parse_program
 from repro.datalog.program import DatalogQuery
+from repro.provenance.grounding import gri_maps_from_instances
 from repro.scenarios import get_scenario
+from repro.scenarios.synthetic import generate_instance
 
 TC_PROGRAM = parse_program(
     """
@@ -467,6 +469,79 @@ def test_random_update_sequences_match_cold_sessions(scenario_name):
             ground_instances(query.program, session.model)
         ), f"step {step}"
     assert session.stats.evaluations == 1
+
+
+# ---------------------------------------------------------------------------
+# The GRI index: patched per dirty head, equal to a cold build
+# ---------------------------------------------------------------------------
+
+
+def assert_gri_equals_cold(session):
+    """The patched index holds exactly the cold maps of the patched trace."""
+    built = gri_maps_from_instances(session.evaluation.instances)
+    edges, instances = session.gri(), session.gri_instances()
+    # Dict equality compares heads and lists, list order included.
+    assert edges == built.edge_map()
+    assert instances == built.instance_map()
+    assert all(edges.values()) and all(instances.values())
+    cold = ProvenanceSession(session.query, session.database.copy())
+    assert edges == cold.gri()
+    assert instances == cold.gri_instances()
+
+
+def _update_stream(scenario, seed):
+    """A query, a database and four deltas for one drawn scenario."""
+    if scenario == "deps":
+        instance = generate_instance("deps", size=14, seed=seed, delta_rounds=4)
+        return instance.query, instance.database.copy(), list(instance.deltas)
+    rng = random.Random(seed)
+    query, database = _scenario_database(scenario, rng)
+    shadow = database.copy()
+    deltas = []
+    for _ in range(4):
+        delta = _random_scenario_delta(query, shadow, rng)
+        shadow.apply(delta)
+        deltas.append(delta)
+    return query, database, deltas
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    scenario=st.sampled_from(["TransClosure", "Andersen", "deps"]),
+    seed=st.integers(0, 10 ** 6),
+)
+def test_patched_gri_matches_cold_build(scenario, seed):
+    query, database, deltas = _update_stream(scenario, seed)
+    session = ProvenanceSession(query, database)
+    session.gri_index()
+    # Sort only some heads before the first update, so patching meets
+    # both cached and never-built views.
+    for tup in session.answers()[:2]:
+        session.why(tup, limit=2)
+    for delta in deltas:
+        session.update(delta)
+        assert_gri_equals_cold(session)
+        for tup in session.answers()[-2:]:
+            session.why(tup, limit=2)
+    assert session.stats.gri_builds == 1
+
+
+def test_instance_leaving_and_reentering_in_one_update():
+    # Deleting e(a, b) retracts tc(a, b) and with it the instance
+    # tc(a, c) :- tc(a, b), e(b, c); inserting a detour a -> x -> b
+    # derives tc(a, b) again, and the same instance re-enters.
+    session = tc_session("e(a, b). e(b, c).")
+    assert session.why(("a", "c"))
+    delta = Delta(inserted={edge("a", "x"), edge("x", "b")}, deleted={edge("a", "b")})
+    database = session.database.copy()
+    receipt = maintain_evaluation(
+        TC_PROGRAM, database, session.evaluation, database.apply(delta)
+    )
+    assert set(receipt.removed_instances) & set(receipt.added_instances)
+    session.update(delta)
+    assert_gri_equals_cold(session)
+    detour = frozenset({edge("a", "x"), edge("x", "b"), edge("b", "c")})
+    assert session.why(("a", "c")) == [detour]
 
 
 # ---------------------------------------------------------------------------

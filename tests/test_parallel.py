@@ -86,10 +86,12 @@ class TestPickling:
 
     def test_snapshot_sheds_gri_cache(self):
         session = ProvenanceSession(TC_QUERY, TC_DB)
-        session.gri()  # memoize the GRI maps on the evaluation object
+        before = EvaluationSnapshot.capture(session).to_bytes()
+        session.gri()  # build the session's GRI index, every head sorted
         snapshot = EvaluationSnapshot.capture(session)
-        assert not hasattr(snapshot.evaluation, "_gri_maps_cache")
         blob = snapshot.to_bytes()
+        assert blob == before
+        assert b"GriIndex" not in blob
         restored = EvaluationSnapshot.from_bytes(blob).restore()
         assert restored.stats.evaluations == 0  # evaluation came pre-installed
         for tup in session.answers():

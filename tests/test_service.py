@@ -841,6 +841,15 @@ class TestErrorPaths:
             assert client.ping()["ok"]
 
 
+def test_local_service_teardown_is_prompt():
+    # The accept loop notices shutdown() within one poll interval, so
+    # leaving the context must not wait out socketserver's 0.5 s default.
+    with local_service() as client:
+        assert client.ping()["ok"]
+        started = time.perf_counter()
+    assert time.perf_counter() - started < 0.3
+
+
 class TestDurableService:
     """The durable warm-state tier as seen over the wire.
 

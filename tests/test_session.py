@@ -21,7 +21,7 @@ from repro.core.enumerator import why_provenance_unambiguous
 from repro.core.minimal import minimal_members, smallest_member
 from repro.core.session import ProvenanceSession
 from repro.datalog.atoms import Atom
-from repro.datalog.database import Database
+from repro.datalog.database import Database, Delta
 from repro.datalog.engine import evaluate, ground_instances
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import DatalogQuery, Program
@@ -198,6 +198,21 @@ class TestSessionEvaluatesOnce:
             assert session.decide(tup, member, "unambiguous")
         assert calls["n"] == 1
         assert session.stats.evaluations == 1
+        assert session.stats.gri_builds == 1
+
+    def test_gri_built_once_across_updates(self):
+        # An update patches the GRI index per touched head; it never
+        # rebuilds it from the trace.
+        session = ProvenanceSession(TC_QUERY, TC_DB.copy())
+        session.why(("a", "d"))
+        for delta in (
+            Delta.insert(parse_atom("e(d, e)")),
+            Delta.delete(parse_atom("e(b, c)")),
+            Delta(inserted={parse_atom("e(b, c)")}, deleted={parse_atom("e(a, c)")}),
+        ):
+            session.update(delta)
+            session.why(("a", "d"))
+        assert session.stats.updates == 3
         assert session.stats.gri_builds == 1
 
     def test_invalidate_forces_reevaluation(self):
