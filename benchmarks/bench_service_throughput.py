@@ -19,10 +19,11 @@ database is admitted, and three things are measured:
   ``why`` after each: how fast the daemon is back to warm serving after
   every write, without ever re-evaluating;
 * **restart recovery** — a second daemon with a ``--state-dir``: cold
-  admission (now also paying the snapshot write) and a WAL'd update
+  admission (also starting the session's log) and a logged update
   burst, then a hard stop and a restart on the same directory, timing
-  the rehydrating ``open`` against the cold one — the number that
-  justifies the durable tier (``docs/PERSISTENCE.md``);
+  the rehydrating ``open`` (the logged deltas applied to the admitted
+  database, evaluated once) against the cold admission plus the
+  updates (``docs/PERSISTENCE.md``);
 * **sharding** — the same request pool against ``serve --workers N``
   for each point of ``REPRO_BENCH_SERVICE_WORKERS`` (default ``1,4``):
   one session *per client* (distinct digests, so consistent hashing
@@ -135,7 +136,7 @@ def _run_service_benchmark():
     with local_service(threads=max(SERVICE_CLIENTS) + 2) as client:
         address = client.address
 
-        # Cold admission: parse + evaluate + snapshot, all in one request.
+        # Cold admission: parse + evaluate, all in one request.
         cold_started = time.perf_counter()
         opened = client.open(program_text, database_text, query.answer_predicate)
         cold_seconds = time.perf_counter() - cold_started
@@ -338,8 +339,8 @@ def _run_restart_recovery(program_text, database_text, answer, scenario_name):
             cold_seconds = time.perf_counter() - started
             digest = opened["session"]
             assert opened["result"]["rehydrated"] is False
-            # Insert-only burst: every update is effective, so the WAL
-            # holds exactly this many records for the replay below. Each
+            # Insert-only burst: every update is effective, so the log
+            # holds exactly this many deltas for the replay below. Each
             # update is timed because the fair baseline for a rehydrating
             # open is a cold admission *plus* re-applying these updates —
             # that is what reaching the same state without the store costs.
@@ -419,7 +420,7 @@ def test_service_throughput(benchmark, capsys):
             f"{restart['cold_equivalent_seconds']:.3f}s vs rehydrate "
             f"{restart['rehydrate_seconds']:.3f}s "
             f"({restart['speedup']:.1f}x, "
-            f"{restart['wal_updates_replayed']} WAL updates replayed, "
+            f"{restart['wal_updates_replayed']} logged updates replayed, "
             f"{restart['state_dir_bytes']} bytes on disk)"
         )
         sharding = payload["sharding"]

@@ -567,7 +567,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.server import ProvenanceService, TCPServiceServer, serve_stdio
 
     store = None
-    if args.state_dir and not args.no_persist:
+    if args.state_dir:
         from .service.store import SnapshotStore
 
         store = SnapshotStore(args.state_dir)
@@ -615,12 +615,11 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     if args.stdio:
         print("% --stdio serves one client in-process; use --workers 1", file=sys.stderr)
         return 2
-    state_dir = args.state_dir if args.state_dir and not args.no_persist else None
     server = ShardedServiceServer(
         args.workers,
         host=args.host,
         port=args.port,
-        state_dir=state_dir,
+        state_dir=args.state_dir,
         worker_threads=args.threads,
         batch_workers=args.batch_workers,
         parallel_threshold=args.parallel_threshold,
@@ -919,16 +918,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir",
         default=None,
         metavar="DIR",
-        help="durable warm-state directory: admissions write crash-safe "
-        "snapshots, updates append to a fsync'd delta WAL, evictions "
-        "demote to disk, and a restarted daemon rehydrates sessions "
-        "instead of re-evaluating (default: no persistence)",
-    )
-    p_serve.add_argument(
-        "--no-persist",
-        action="store_true",
-        help="serve purely in-memory even when --state-dir is given "
-        "(the directory is neither read nor written)",
+        help="durable state directory: each admission starts a crash-safe "
+        "log holding the program and database texts, each update appends "
+        "its delta, fsync'd, and an evicted session or a restarted daemon "
+        "rebuilds the session from its log, evaluating once "
+        "(default: no persistence)",
     )
     p_serve.add_argument(
         "--threads",

@@ -196,9 +196,7 @@ class EvaluationSnapshot:
         self.method = method
         self.acyclicity = acyclicity
         #: The parent session's :attr:`~repro.core.session.ProvenanceSession.version`
-        #: at capture time. Chunks carry the version they were scheduled
-        #: against, so a worker holding an older snapshot can detect it
-        #: is stale instead of silently serving pre-update provenance.
+        #: at capture time, carried over by :meth:`restore`.
         self.version = version
 
     @classmethod
@@ -312,43 +310,24 @@ def explain_fact(
 # -- worker-side plumbing ----------------------------------------------------
 #
 # The pool initializer rehydrates one session per worker process from the
-# snapshot bytes; chunk tasks then only carry (index, tuple) pairs plus the
-# session version they were scheduled against.
+# snapshot bytes; chunk tasks then only carry (index, tuple) pairs. Every
+# pool is forked from the snapshot the parent has just taken for this
+# batch, so a worker's session is never stale.
 
-_WORKER_SNAPSHOT: Optional[EvaluationSnapshot] = None
 _WORKER_SESSION: Optional[ProvenanceSession] = None
 
 
 def _init_worker(snapshot_blob: bytes) -> None:
     """Pool initializer: unpickle the snapshot once, rehydrate the session."""
-    global _WORKER_SNAPSHOT, _WORKER_SESSION
-    _WORKER_SNAPSHOT = EvaluationSnapshot.from_bytes(snapshot_blob)
-    _WORKER_SESSION = _WORKER_SNAPSHOT.restore()
+    global _WORKER_SESSION
+    _WORKER_SESSION = EvaluationSnapshot.from_bytes(snapshot_blob).restore()
 
 
 def _run_chunk(
-    payload: Tuple[List[Tuple[int, Tuple]], Optional[int], Optional[float], int],
+    payload: Tuple[List[Tuple[int, Tuple]], Optional[int], Optional[float]],
 ) -> List[FactResult]:
-    """Serve one chunk of ``(index, tuple)`` pairs in a worker process.
-
-    The payload carries the session version the parent scheduled the
-    chunk against. A worker whose live session has drifted away from its
-    snapshot's version rehydrates from the snapshot; a worker whose
-    *snapshot* is older than the chunk (a pool that outlived a database
-    update) fails loudly rather than serving pre-update provenance.
-    """
-    global _WORKER_SESSION
-    chunk, limit, timeout_seconds, version = payload
-    assert _WORKER_SESSION is not None, "worker initialized without a snapshot"
-    if _WORKER_SESSION.version != version:
-        assert _WORKER_SNAPSHOT is not None
-        if _WORKER_SNAPSHOT.version != version:
-            raise RuntimeError(
-                f"stale worker snapshot: chunk expects session version "
-                f"{version}, snapshot is {_WORKER_SNAPSHOT.version}; "
-                "rebuild the pool after ProvenanceSession.update()"
-            )
-        _WORKER_SESSION = _WORKER_SNAPSHOT.restore()
+    """Serve one chunk of ``(index, tuple)`` pairs in a worker process."""
+    chunk, limit, timeout_seconds = payload
     return [
         explain_fact(
             _WORKER_SESSION, tup, index=index,
@@ -487,9 +466,8 @@ class ParallelProvenanceExplainer:
         started = time.perf_counter()
         chunk_size = self._effective_chunk_size(len(tuples), workers)
         tasks = list(enumerate(tuples))
-        version = self.session.version
         payloads = [
-            (tasks[offset : offset + chunk_size], limit, timeout_seconds, version)
+            (tasks[offset : offset + chunk_size], limit, timeout_seconds)
             for offset in range(0, len(tasks), chunk_size)
         ]
         context = multiprocessing.get_context(self.start_method)

@@ -387,10 +387,10 @@ def run_database(
     forwarded as the batch request's worker count.
 
     ``state_dir`` (with ``service=True``) attaches the durable
-    warm-state tier to the private daemon: the experiment's sessions are
-    snapshotted and WAL-tracked on disk, so a second ``run_database``
-    over the same ``state_dir`` rehydrates instead of re-evaluating —
-    the harness-level restart-warm workflow.
+    store to the private daemon: each of the experiment's sessions keeps
+    its admitted texts and its deltas in a log on disk, so a second
+    ``run_database`` over the same ``state_dir`` rehydrates from the
+    logs — the harness-level restart workflow.
 
     ``shards`` (with ``service=True``) makes the private daemon the
     *sharded* one: ``shards`` real worker processes behind the async

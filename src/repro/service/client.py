@@ -286,7 +286,7 @@ def local_service(
     the TCP wire — this is the fixture behind the byte-identity tests,
     ``run_database(service=True)`` and the throughput benchmark.
 
-    ``state_dir`` attaches a durable warm-state tier
+    ``state_dir`` attaches a durable store
     (:class:`~repro.service.store.SnapshotStore`) to a default registry,
     the in-process equivalent of ``python -m repro serve --state-dir``;
     ignored when an explicit ``registry`` is passed (configure its

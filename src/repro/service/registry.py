@@ -31,22 +31,21 @@ Lifecycle of an entry:
   requests already holding the entry finish normally. Without a store,
   the next request for that digest gets ``unknown-session`` — clients
   re-admit by re-sending the texts.
-* **demotion / rehydration** — with a :class:`~repro.service.store.
-  SnapshotStore` attached, eviction *demotes*: the entry's snapshot is
-  durably written (and its WAL compacted) instead of the warm state
-  being discarded, and both admission paths — inline texts *and* a bare
-  digest — check the store before evaluating, rebuilding the session
-  from disk via snapshot-unpickle plus WAL replay (incremental
-  maintenance; ``stats.evaluations`` stays 1). Every committed
-  ``update`` is appended to the session's WAL, fsync'd before the
-  response is sent, so a hard daemon kill loses nothing that was
+* **rehydration** — with a :class:`~repro.service.store.SnapshotStore`
+  attached, every cold admission starts the digest's log with the
+  admitted texts, and every committed ``update`` is appended to it,
+  fsync'd before the response is sent, so the log is always current and
+  eviction writes nothing. Both admission paths — inline texts *and* a
+  bare digest — check the store before evaluating, rebuilding the
+  session from its log (the admitted database plus the logged deltas,
+  evaluated once). A hard daemon kill loses nothing that was
   acknowledged. Any disk-state damage degrades to a cold admission with
   a logged reason, never an error to the client.
 
 Byte accounting uses
-:meth:`~repro.core.session.ProvenanceSession.estimated_bytes` (the pickled
-evaluation snapshot, cached per session version), refreshed after every
-``update`` since deltas change the footprint.
+:meth:`~repro.core.session.ProvenanceSession.estimated_bytes`, an
+estimate from the session's fact and trace-instance counts, refreshed
+after every ``update`` since deltas change the footprint.
 """
 
 from __future__ import annotations
@@ -85,8 +84,8 @@ class SessionEntry:
     admitted_at: float = 0.0
     last_used_at: float = 0.0
     admission_seconds: float = 0.0
-    #: Whether this entry was rebuilt from the durable store (snapshot +
-    #: WAL replay) rather than paid for with a cold evaluation.
+    #: Whether this entry was rebuilt from the durable store's log rather
+    #: than admitted from the request's texts.
     rehydrated: bool = False
 
     @property
@@ -224,11 +223,11 @@ class SessionRegistry:
         content digest, so registries with different knobs never share
         addresses.
     store:
-        A :class:`~repro.service.store.SnapshotStore` making warm state
-        durable: admissions persist a snapshot, updates append to a
-        fsync'd delta WAL, evictions demote to disk, and misses (in this
-        process or after a restart) rehydrate instead of re-evaluating.
-        ``None`` (the default) keeps the registry purely in-memory.
+        A :class:`~repro.service.store.SnapshotStore` making sessions
+        durable: cold admissions start a log with the admitted texts,
+        updates append to it, fsync'd, and misses (in this process or
+        after a restart) rebuild the session from its log. ``None`` (the
+        default) keeps the registry purely in-memory.
     """
 
     def __init__(
@@ -247,8 +246,6 @@ class SessionRegistry:
         self.admissions = 0
         self.hits = 0
         self.evictions = 0
-        self.demotions = 0
-        self.demotion_failures = 0
         self.rehydrations = 0
         self.persist_failures = 0
         self._entries: "OrderedDict[str, SessionEntry]" = OrderedDict()
@@ -298,9 +295,11 @@ class SessionRegistry:
         if hit is not None:
             return hit, False
         try:
-            entry = self._rehydrate_entry(digest)
+            entry = self._rehydrate_entry(digest, (query, database))
             if entry is None:
-                entry = self._evaluate_entry(query, database, answer, digest)
+                entry = self._evaluate_entry(
+                    query, database, answer, digest, program_text, database_text
+                )
             self._install(entry)
             return entry, True
         finally:
@@ -337,6 +336,8 @@ class SessionRegistry:
         database: Database,
         answer: str,
         digest: str,
+        program_text: str,
+        database_text: str,
     ) -> SessionEntry:
         """Cold admission: build the session, pay the evaluation, persist."""
         started = time.perf_counter()
@@ -351,7 +352,7 @@ class SessionRegistry:
             raise ServiceError("bad-request", str(exc))
         session.evaluation  # cold admission pays the evaluation up front
         cost = session.estimated_bytes()
-        self._persist_admission(digest, session)
+        self._persist_admission(digest, answer, program_text, database_text)
         now = time.time()
         return SessionEntry(
             digest=digest,
@@ -363,19 +364,26 @@ class SessionRegistry:
             admission_seconds=time.perf_counter() - started,
         )
 
-    def _rehydrate_entry(self, digest: str) -> Optional[SessionEntry]:
+    def _rehydrate_entry(
+        self,
+        digest: str,
+        parsed: Optional[Tuple[DatalogQuery, Database]] = None,
+    ) -> Optional[SessionEntry]:
         """Rebuild *digest* from the durable store, or ``None`` on a miss.
 
-        A miss is silent here (the store logs and counts its reason);
-        the caller falls back to cold evaluation — the "never an error
-        to the client" half of the recovery contract.
+        *parsed* is the request's already-parsed ``(query, database)``
+        on the inline-text path (see
+        :meth:`~repro.service.store.SnapshotStore.rehydrate`). A miss is
+        silent here (the store logs and counts its reason); the caller
+        falls back to cold evaluation — the "never an error to the
+        client" half of the recovery contract.
         """
         if self.store is None:
             return None
         started = time.perf_counter()
         try:
             session = self.store.rehydrate(
-                digest, method=self.method, acyclicity=self.acyclicity
+                digest, method=self.method, acyclicity=self.acyclicity, parsed=parsed
             )
         except Exception:
             # The store's own contract is to degrade, not raise; treat a
@@ -404,8 +412,7 @@ class SessionRegistry:
         with self._lock:
             self._entries[entry.digest] = entry
             self.admissions += 1
-            evicted = self._evict_over_budget()
-        self._demote_entries(evicted)
+            self._evict_over_budget()
 
     def _lookup_locked(self, digest: str) -> SessionEntry:
         entry = self._entries.get(digest)
@@ -422,9 +429,9 @@ class SessionRegistry:
 
         Without a store (or on a store miss) an evicted or unknown
         digest raises ``unknown-session`` and the client re-admits by
-        re-sending the texts. With a store, a demoted digest is
-        transparently rebuilt from its snapshot + WAL — eviction becomes
-        a tier change instead of a contract break.
+        re-sending the texts. With a store, an evicted digest is
+        transparently rebuilt from its log — eviction becomes a tier
+        change instead of a contract break.
         """
         if self.store is None:
             with self._lock:
@@ -457,34 +464,27 @@ class SessionRegistry:
             return self._lookup_locked(digest)
 
     def refresh_cost(self, entry: SessionEntry) -> None:
-        """Re-measure an entry after an update and re-apply the budget.
+        """Re-estimate an entry after an update and re-apply the budget.
 
-        The measurement (snapshot pickling) holds the *session* lock —
-        a concurrent update mid-maintenance must not be pickled and
-        cached under its new version — but not the registry lock, which
-        is only taken for the accounting and any resulting eviction.
+        The estimate reads three sizes and needs no session lock: a
+        concurrent update can only make it one update stale.
         """
-        with entry.lock:
-            cost = entry.session.estimated_bytes()
-        evicted: List[SessionEntry] = []
+        cost = entry.session.estimated_bytes()
         with self._lock:
             entry.cost_bytes = cost
             if entry.digest in self._entries:
-                evicted = self._evict_over_budget()
-        self._demote_entries(evicted)
+                self._evict_over_budget()
 
     def evict(self, digest: str) -> bool:
         """Drop one entry by digest; returns whether it was live.
 
-        With a store attached the entry is demoted (snapshot + WAL
-        compaction) on the way out, like any budget eviction.
+        With a store attached the digest stays rehydratable: its log is
+        always current, so nothing is written on the way out.
         """
         with self._lock:
             entry = self._entries.pop(digest, None)
             if entry is not None:
                 self.evictions += 1
-        if entry is not None:
-            self._demote_entries([entry])
         return entry is not None
 
     # -- accounting ----------------------------------------------------------
@@ -494,31 +494,25 @@ class SessionRegistry:
         entry.hits += 1
         entry.last_used_at = time.time()
 
-    def _evict_over_budget(self) -> List[SessionEntry]:
-        """Pop LRU entries past the budgets; returns them for demotion.
-
-        Runs under the registry lock. The popped entries are *returned*
-        rather than demoted here: demotion pickles each session under
-        its own lock, and session-lock-inside-registry-lock is the
-        reverse of the ``refresh_cost`` order (a deadlock).
-        """
-        evicted: List[SessionEntry] = []
+    def _evict_over_budget(self) -> None:
+        """Drop LRU entries past the budgets (under the registry lock)."""
         while len(self._entries) > self.max_sessions:
-            evicted.append(self._entries.popitem(last=False)[1])
+            self._entries.popitem(last=False)
             self.evictions += 1
         if self.max_bytes is not None:
             while (
                 len(self._entries) > 1
                 and self._total_bytes_locked() > self.max_bytes
             ):
-                evicted.append(self._entries.popitem(last=False)[1])
+                self._entries.popitem(last=False)
                 self.evictions += 1
-        return evicted
 
     # -- durability ----------------------------------------------------------
 
-    def _persist_admission(self, digest: str, session: ProvenanceSession) -> None:
-        """Durably store a freshly-evaluated session (best-effort).
+    def _persist_admission(
+        self, digest: str, answer: str, program_text: str, database_text: str
+    ) -> None:
+        """Start the log of a freshly-evaluated session (best-effort).
 
         Failure (disk full, permissions) must not fail the admission —
         the daemon keeps serving from memory, counts the failure, and
@@ -527,52 +521,29 @@ class SessionRegistry:
         if self.store is None:
             return
         try:
-            blob = session.snapshot_bytes()
-            self.store.put_snapshot(digest, session.version, blob)
-            self.store.reset_wal(digest)
+            self.store.put_snapshot(
+                digest,
+                program_text,
+                database_text,
+                answer,
+                self.method,
+                self.acyclicity,
+            )
         except Exception:
             with self._lock:
                 self.persist_failures += 1
             store_logger.exception("could not persist admission for %s", digest)
 
-    def _demote_entries(self, entries: List[SessionEntry]) -> None:
-        """Demote evicted entries to disk instead of discarding them.
-
-        Each demotion holds the entry's *session* lock across the
-        snapshot write **and** the WAL reset: an in-flight request that
-        still holds the (now unregistered) entry could otherwise commit
-        a WAL record between the two, and the reset would silently drop
-        an acknowledged update. Under the session lock the compaction is
-        atomic with respect to appends, and crash-ordering inside it is
-        handled by the store (snapshot replaced before WAL reset).
-        """
-        if self.store is None or not entries:
-            return
-        for entry in entries:
-            try:
-                with entry.lock:
-                    blob = entry.session.snapshot_bytes()
-                    self.store.put_snapshot(
-                        entry.digest, entry.session.version, blob
-                    )
-                    self.store.reset_wal(entry.digest)
-                with self._lock:
-                    self.demotions += 1
-            except Exception:
-                with self._lock:
-                    self.demotion_failures += 1
-                store_logger.exception("could not demote %s", entry.digest)
-
     def record_update(self, entry: SessionEntry, receipt) -> None:
-        """Append one committed ``update`` to the entry's WAL, fsync'd.
+        """Append one committed ``update`` to the entry's log, fsync'd.
 
         Called by the server *while still holding the session lock* and
-        before the response is sent, so WAL order matches version order
+        before the response is sent, so log order matches version order
         and an acknowledged update is always on disk. No-ops are not
         logged (they did not advance the version). If the append fails,
-        the digest's on-disk state is invalidated outright: recovery
-        then degrades to a cold admission instead of rehydrating a state
-        older than one the client saw acknowledged.
+        the digest's log is invalidated outright: recovery then degrades
+        to a cold admission instead of rehydrating a state older than
+        one the client saw acknowledged.
         """
         if self.store is None or receipt.effective.is_empty():
             return
@@ -584,7 +555,7 @@ class SessionRegistry:
             with self._lock:
                 self.persist_failures += 1
             store_logger.exception(
-                "WAL append failed for %s; invalidating its durable state",
+                "log append failed for %s; invalidating its durable state",
                 entry.digest,
             )
             try:
@@ -610,7 +581,7 @@ class SessionRegistry:
 
         Per-session summaries are taken *after* releasing the registry
         lock — ``describe`` needs each session's lock, and an update
-        request holds a session lock while calling :meth:`refresh_cost`
+        request holds a session lock while calling :meth:`record_update`
         (session lock → registry lock), so taking them in the opposite
         order here would be a lock-order inversion.
         """
@@ -624,8 +595,6 @@ class SessionRegistry:
                 "admissions": self.admissions,
                 "hits": self.hits,
                 "evictions": self.evictions,
-                "demotions": self.demotions,
-                "demotion_failures": self.demotion_failures,
                 "rehydrations": self.rehydrations,
                 "persist_failures": self.persist_failures,
                 "method": self.method,

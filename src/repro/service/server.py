@@ -423,7 +423,6 @@ class ProvenanceService:
                 "parallel": batch.parallel,
                 "fallback_reason": batch.fallback_reason,
                 "chunk_size": batch.chunk_size,
-                "snapshot_bytes": batch.snapshot_bytes,
                 "total_seconds": batch.total_seconds,
                 "results": [
                     {
@@ -478,7 +477,7 @@ class ProvenanceService:
             except ValueError as exc:  # schema/type validation rejects cleanly
                 raise ServiceError("bad-request", str(exc))
             # Durability point: the committed delta reaches the fsync'd
-            # WAL under the session lock (order = version order) and
+            # log under the session lock (order = version order) and
             # before the response below is sent. No-op if no store.
             self.registry.record_update(entry, receipt)
             result = {

@@ -25,8 +25,8 @@ asyncio NDJSON front-end in front of them:
   discovers each ephemeral port from the daemon's own ``listening on``
   stderr line, and restarts any worker that dies (exponential backoff,
   generation-counted). With a ``--state-dir``, a restarted worker
-  rehydrates its digests from the snapshot store + WAL, so ``kill -9``
-  costs a restart, not a re-evaluation.
+  rebuilds its digests from their logs in the store, so ``kill -9``
+  loses no acknowledged update.
 * **failure semantics** — a request caught on a dying worker is retried
   transparently once the replacement is up, *except* ``update`` after
   its bytes were sent (the commit status is unknowable; replaying could
@@ -777,8 +777,6 @@ class ShardedServiceServer:
             "admissions": 0,
             "hits": 0,
             "evictions": 0,
-            "demotions": 0,
-            "demotion_failures": 0,
             "rehydrations": 0,
             "persist_failures": 0,
             "max_sessions": 0,

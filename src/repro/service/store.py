@@ -1,49 +1,42 @@
-"""The durable warm-state tier: crash-safe snapshots plus a delta WAL.
+"""The durable store: one append-only log per session digest.
 
 The daemon's economics are "pay evaluation once, serve explanations
 warm" — but a warm :class:`~repro.core.session.ProvenanceSession` lives
-in process memory, so every restart re-pays the ~2s cold admission that
-dwarfs a ~30ms warm hit. This module makes warm state survive the
-process:
+in process memory, so every restart would re-pay the cold admission
+that dwarfs a warm hit. This module keeps, for every admitted digest,
+what it takes to rebuild the session: the database it started from and
+every update since.
 
 * :class:`SnapshotStore` — a content-addressed on-disk store mapping a
-  registry digest to one **snapshot file** (a zlib-compressed pickled
-  :class:`~repro.core.parallel.EvaluationSnapshot`, integrity-checked by
-  length and SHA-256) and one per-session append-only **delta WAL**
-  (one checksummed NDJSON record per committed ``update``, fsync'd
-  before the response is sent).
-* :meth:`SnapshotStore.rehydrate` — rebuild a live session from disk:
-  unpickle the snapshot, then replay the WAL *suffix* (records whose
-  version stamps extend the snapshot) through
-  :meth:`~repro.core.session.ProvenanceSession.update` — incremental
-  maintenance, never re-evaluation, so a rehydrated session still
-  reports ``stats.evaluations == 1``.
+  registry digest to one append-only **log**. Record 0, the *base*,
+  holds the program and database texts as admitted, the answer
+  predicate and the evaluation knobs (``method``, ``acyclicity``). Each
+  later record is one committed ``update`` delta, stamped ``v = 1, 2,
+  ...`` and fsync'd before the response is sent.
+* :meth:`SnapshotStore.rehydrate` — rebuild a live session from its log:
+  parse the base, apply the deltas to its database, and evaluate once.
+  The rebuilt session is a cold session over the updated database; that
+  it matches the incrementally maintained one it replaces, byte for
+  byte, is the cold = incremental equality the fuzz oracle enforces.
 
 Crash safety
 ------------
 
-Every write is structured so that a crash at *any* instruction boundary
-leaves the store serving either the previous consistent state or a clean
-miss — never a torn state, never a silently wrong answer:
+Every record is one line, ``crc32 <space> payload-json``, and a crash at
+*any* instruction boundary leaves the store serving either the previous
+consistent state or a clean miss — never a torn state, never a silently
+wrong answer:
 
-* snapshots are written to a unique temp file, fsync'd, then atomically
-  :func:`os.replace`'d into place (readers only ever see the old file or
-  the complete new one), and the directory entry is fsync'd;
-* WAL records are one line each, ``crc32 <space> payload-json``; a torn
-  tail (partial line, bad checksum, unparsable JSON) is truncated at the
-  last complete record on recovery;
-* a snapshot that is missing, short, or checksum-failing degrades to a
-  **miss** (the registry falls back to cold evaluation);
-* a WAL whose version stamps do not contiguously extend the snapshot
-  (a gap — some committed state is unreachable) degrades to a miss
-  rather than silently serving a stale state. Records *covered* by the
-  snapshot (version ``<=`` the snapshot's) are skipped: that is the
-  normal state right after a demotion compaction.
-
-Write ordering makes demotion compaction safe: the fresh snapshot is
-replaced into place **before** the WAL is reset, so a crash between the
-two leaves a newer snapshot plus a fully-covered WAL (correct), never a
-reset WAL guarding an old snapshot (stale).
+* a log is started by writing its base to a unique temp file, fsync'ing
+  it, atomically :func:`os.replace`'ing it into place and fsync'ing the
+  directory entry, so readers see the previous log or the new one;
+* appends are fsync'd; a torn tail (partial line, bad checksum,
+  unparsable JSON) is truncated at the last complete record on recovery;
+* a log whose base is damaged, whose knobs differ from the registry's,
+  or whose version stamps are not ``0, 1, 2, ...`` (a gap — some
+  committed state is unreachable) degrades to a **miss**: the registry
+  falls back to cold evaluation. Only a missing file means "never
+  stored"; any other read error is a counted miss too.
 
 Multi-process sharing
 ---------------------
@@ -51,13 +44,12 @@ Multi-process sharing
 A sharded daemon (``serve --workers N``) points every worker at the
 *same* ``--state-dir``. That is safe without file locking because the
 router's consistent-hash ring gives each content digest exactly one
-owning worker at a time — a single writer per digest directory — and
-every cross-digest operation here is already atomic (temp file +
+owning worker at a time — a single writer per digest log — and every
+cross-digest operation here is already atomic (temp file +
 ``os.replace``; ``makedirs(exist_ok=True)``). The store also carries
-warm state across restarts: when the supervisor respawns a crashed
-worker, the replacement rehydrates the digests it owns from disk instead
-of re-evaluating (see :mod:`repro.service.shard` and
-``tests/test_shard_chaos.py``).
+sessions across restarts: when the supervisor respawns a crashed
+worker, the replacement rehydrates the digests it owns from disk (see
+:mod:`repro.service.shard` and ``tests/test_shard_chaos.py``).
 
 Fault injection
 ---------------
@@ -71,27 +63,59 @@ the recovery contract for every boundary — see
 
 from __future__ import annotations
 
-import hashlib
+import binascii
 import json
 import logging
 import os
 import threading
-import zlib
 from typing import Dict, List, Optional, Tuple
 
-from ..core.parallel import EvaluationSnapshot
 from ..core.session import ProvenanceSession
+from ..datalog.database import Database
 from ..datalog.io import delta_from_lines
+from ..datalog.parser import parse_database, parse_program
+from ..datalog.program import DatalogQuery
 
 logger = logging.getLogger("repro.service.store")
 
-#: First line of every snapshot file; a version bump here invalidates
-#: old snapshots cleanly (they degrade to a miss, never misparse).
-SNAPSHOT_MAGIC = b"%repro-snapshot 1\n"
+#: Directory and file-name suffix of the per-digest logs. Nothing else
+#: under the state directory is read, so the ``snapshots/`` and ``wal/``
+#: directories an older daemon wrote are a clean miss.
+LOG_DIR = "logs"
+LOG_SUFFIX = ".log"
 
-#: File-name suffixes of the two per-digest artifacts.
-SNAPSHOT_SUFFIX = ".snap"
-WAL_SUFFIX = ".wal"
+#: The base record's string fields (besides its stamp ``v = 0``).
+BASE_FIELDS = ("acyclicity", "answer", "database", "digest", "method", "program")
+
+
+def _frame(payload: Dict) -> bytes:
+    """One record line: ``crc32(payload) <space> payload`` plus newline."""
+    data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"%08x %s\n" % (binascii.crc32(data), data)
+
+
+def _unframe(line: bytes) -> Optional[Dict]:
+    """The payload of one intact record line, or ``None`` if it is damaged.
+
+    Intact means: the checksum matches, the JSON parses, and the record
+    is a base (``v == 0`` with every :data:`BASE_FIELDS` a string) or a
+    delta (``v > 0`` with a list of string ``lines``).
+    """
+    try:
+        crc_text, data = line.split(b" ", 1)
+        if int(crc_text, 16) != binascii.crc32(data):
+            return None
+        record = json.loads(data.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+    if not isinstance(record, dict) or not isinstance(record.get("v"), int):
+        return None
+    if record["v"] == 0:
+        intact = all(isinstance(record.get(name), str) for name in BASE_FIELDS)
+    else:
+        lines = record.get("lines")
+        intact = isinstance(lines, list) and all(isinstance(e, str) for e in lines)
+    return record if intact else None
 
 
 class StoreFS:
@@ -141,7 +165,7 @@ class StoreFS:
         os.replace(source, destination)
 
     def truncate(self, path: str, length: int) -> None:
-        """Truncate *path* to *length* bytes (torn-WAL-tail repair)."""
+        """Truncate *path* to *length* bytes (torn-tail repair)."""
         os.truncate(path, length)
 
     def remove(self, path: str) -> None:
@@ -157,39 +181,32 @@ class StoreFS:
 
 
 class SnapshotStore:
-    """Digest-addressed snapshots plus per-session delta WALs on disk.
+    """Digest-addressed append-only session logs on disk.
 
     Parameters
     ----------
     root:
         The state directory (created on first use). Layout::
 
-            <root>/snapshots/<digest>.snap
-            <root>/wal/<digest>.wal
+            <root>/logs/<digest>.log
 
     fs:
         The filesystem seam (:class:`StoreFS`); tests inject a crashing
         wrapper here.
-    compress_level:
-        zlib level for snapshot bodies (snapshots compress ~5-10x — the
-        instance trace is highly repetitive).
 
-    Thread safety: one store-wide lock serializes mutations. Callers
-    that must keep the WAL ordered against session versions (the
-    registry) additionally hold the session lock around
-    :meth:`append_wal` and around the demotion compaction — see
-    ``registry.py``.
+    The method names :meth:`put_snapshot` (start a log) and
+    :meth:`append_wal` (append a delta) are the ones
+    ``perfbench/launcher.py`` traces as ``store.put_snapshot`` and
+    ``store.append_wal``.
+
+    Thread safety: one store-wide lock guards the counters. Callers that
+    must keep a log ordered against session versions (the registry) hold
+    the session lock around :meth:`append_wal` — see ``registry.py``.
     """
 
-    def __init__(
-        self,
-        root: str,
-        fs: Optional[StoreFS] = None,
-        compress_level: int = 6,
-    ):
+    def __init__(self, root: str, fs: Optional[StoreFS] = None):
         self.root = root
         self.fs = fs if fs is not None else StoreFS()
-        self.compress_level = compress_level
         self._lock = threading.Lock()
         self._tmp_counter = 0
         self.snapshot_writes = 0
@@ -202,118 +219,78 @@ class SnapshotStore:
 
     # -- paths ---------------------------------------------------------------
 
-    def snapshot_path(self, digest: str) -> str:
-        """The snapshot file for *digest*."""
-        return os.path.join(self.root, "snapshots", digest + SNAPSHOT_SUFFIX)
-
-    def wal_path(self, digest: str) -> str:
-        """The WAL file for *digest*."""
-        return os.path.join(self.root, "wal", digest + WAL_SUFFIX)
-
-    def _ensure_layout(self) -> None:
-        self.fs.makedirs(os.path.join(self.root, "snapshots"))
-        self.fs.makedirs(os.path.join(self.root, "wal"))
+    def log_path(self, digest: str) -> str:
+        """The log file for *digest*."""
+        return os.path.join(self.root, LOG_DIR, digest + LOG_SUFFIX)
 
     def _tmp_path(self, path: str) -> str:
         """A collision-free temp name next to *path* (same filesystem).
 
-        Unique per (process, store, call) so concurrent writers of one
-        digest — the double-demotion race — never share a temp file;
-        both finish with an atomic replace and the last one wins.
+        Unique per (process, store, call), so two writers starting the
+        same digest's log never share a temp file; both finish with an
+        atomic replace and the last one wins.
         """
         with self._lock:
             self._tmp_counter += 1
             counter = self._tmp_counter
         return f"{path}.{os.getpid()}.{counter}.tmp"
 
-    # -- snapshot writes -----------------------------------------------------
+    # -- writes --------------------------------------------------------------
 
-    def put_snapshot(self, digest: str, version: int, blob: bytes) -> int:
-        """Durably store *blob* (pickled snapshot bytes) under *digest*.
+    def put_snapshot(
+        self,
+        digest: str,
+        program: str,
+        database: str,
+        answer: str,
+        method: str,
+        acyclicity: str,
+    ) -> int:
+        """Start *digest*'s log afresh with its base record; returns bytes written.
 
-        Temp-file + fsync + atomic replace + directory fsync: a reader
-        (or a post-crash recovery) sees either the previous snapshot or
-        the complete new one. Returns the on-disk byte size.
+        Called at a cold admission, whose session is at version 0, with
+        the program and database texts as admitted. Temp file + fsync +
+        atomic replace + directory fsync: a reader (or a post-crash
+        recovery) sees either the previous log or the new one. Replacing
+        a log drops its deltas, which is right: the admission has just
+        evaluated the texts from scratch.
         """
-        self._ensure_layout()
-        body = zlib.compress(blob, self.compress_level)
-        header = {
-            "digest": digest,
-            "version": version,
-            "length": len(body),
-            "sha256": hashlib.sha256(body).hexdigest(),
-            "compression": "zlib",
-        }
-        header_line = (
-            json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        path = self.snapshot_path(digest)
+        record = _frame(
+            {
+                "acyclicity": acyclicity,
+                "answer": answer,
+                "database": database,
+                "digest": digest,
+                "method": method,
+                "program": program,
+                "v": 0,
+            }
+        )
+        path = self.log_path(digest)
+        directory = os.path.dirname(path)
+        self.fs.makedirs(directory)
         tmp = self._tmp_path(path)
         handle = self.fs.open(tmp, "wb")
         try:
-            self.fs.write(handle, SNAPSHOT_MAGIC + header_line + body)
+            self.fs.write(handle, record)
             self.fs.fsync(handle)
         finally:
             handle.close()
         self.fs.replace(tmp, path)
-        self.fs.fsync_path(os.path.dirname(path))
+        self.fs.fsync_path(directory)
         with self._lock:
             self.snapshot_writes += 1
-        return len(SNAPSHOT_MAGIC) + len(header_line) + len(body)
-
-    def load_snapshot(self, digest: str) -> Optional[Tuple[int, bytes]]:
-        """Read and verify the snapshot: ``(version, blob)`` or ``None``.
-
-        Every failure mode — missing file, bad magic/header, short body
-        (torn write), checksum mismatch, decompression error — is a
-        counted, logged miss, never an exception.
-        """
-        path = self.snapshot_path(digest)
-        try:
-            with open(path, "rb") as handle:
-                magic = handle.readline()
-                if magic != SNAPSHOT_MAGIC:
-                    return self._miss(digest, "snapshot-bad-magic")
-                try:
-                    header = json.loads(handle.readline().decode("utf-8"))
-                    length = int(header["length"])
-                    version = int(header["version"])
-                    sha256 = header["sha256"]
-                    stamped = header["digest"]
-                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                    return self._miss(digest, "snapshot-bad-header")
-                body = handle.read()
-        except FileNotFoundError:
-            return self._miss(digest, "snapshot-missing")
-        except OSError:
-            return self._miss(digest, "snapshot-unreadable")
-        if stamped != digest:
-            return self._miss(digest, "snapshot-wrong-digest")
-        if len(body) != length:
-            return self._miss(digest, "snapshot-torn")
-        if hashlib.sha256(body).hexdigest() != sha256:
-            return self._miss(digest, "snapshot-checksum")
-        try:
-            blob = zlib.decompress(body)
-        except zlib.error:
-            return self._miss(digest, "snapshot-undecompressable")
-        return version, blob
-
-    # -- WAL writes ----------------------------------------------------------
+        return len(record)
 
     def append_wal(self, digest: str, version: int, lines: List[str]) -> None:
-        """Append one committed delta, fsync'd before this call returns.
+        """Append one committed delta to *digest*'s log, fsync'd on return.
 
-        The record is one line — ``crc32(payload) <space> payload`` with
-        the payload a compact JSON object ``{"lines": [...], "v": N}`` —
-        so a torn append is detectable (missing newline, short line, or
-        checksum mismatch) and truncatable without touching earlier
-        records.
+        The record is one line (:meth:`_encode_wal_record`), so a torn
+        append is detectable (missing newline, short line, or checksum
+        mismatch) and truncatable without touching earlier records.
         """
-        self._ensure_layout()
         record = self._encode_wal_record(version, lines)
-        path = self.wal_path(digest)
-        handle = self.fs.open(path, "ab")
+        handle = self.fs.open(self.log_path(digest), "ab")
         try:
             self.fs.write(handle, record)
             self.fs.fsync(handle)
@@ -324,176 +301,130 @@ class SnapshotStore:
 
     @staticmethod
     def _encode_wal_record(version: int, lines: List[str]) -> bytes:
-        payload = json.dumps(
-            {"lines": list(lines), "v": version},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
-        return b"%08x %s\n" % (crc, payload)
+        """The delta record ``{"lines": [...], "v": version}``, framed."""
+        return _frame({"lines": list(lines), "v": version})
 
-    def reset_wal(self, digest: str) -> None:
-        """Atomically replace the WAL with an empty one (compaction).
+    def repair_log(self, digest: str, valid_bytes: int) -> None:
+        """Truncate the log at the last complete record.
 
-        Only called *after* a successful :meth:`put_snapshot` at the
-        session's current version, so a crash before the replace leaves
-        a WAL that the new snapshot fully covers (its records are
-        skipped on rehydration) — correct either way.
+        Called during rehydration when :meth:`load_log` reported a torn
+        tail, so later appends start on a clean line boundary.
         """
-        self._ensure_layout()
-        path = self.wal_path(digest)
-        tmp = self._tmp_path(path)
-        handle = self.fs.open(tmp, "wb")
         try:
-            self.fs.fsync(handle)
-        finally:
-            handle.close()
-        self.fs.replace(tmp, path)
-        self.fs.fsync_path(os.path.dirname(path))
-
-    def load_wal(self, digest: str) -> Tuple[List[Tuple[int, List[str]]], int, bool]:
-        """Salvage the WAL: ``(records, valid_bytes, torn_tail)``.
-
-        Records are ``(version, delta_lines)`` in file order, up to and
-        excluding the first damaged line; ``valid_bytes`` is the file
-        offset of that damage (callers repair by truncating there), and
-        ``torn_tail`` says whether anything was dropped.
-        """
-        path = self.wal_path(digest)
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return [], 0, False
-        except OSError:
-            return [], 0, False
-        records: List[Tuple[int, List[str]]] = []
-        offset = 0
-        torn = False
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                torn = True  # partial final line: the classic torn append
-                break
-            line = raw[offset : newline]
-            parsed = self._decode_wal_line(line)
-            if parsed is None:
-                # A damaged line poisons the framing of everything after
-                # it; salvage stops here and the tail is truncated.
-                torn = True
-                break
-            records.append(parsed)
-            offset = newline + 1
-        return records, offset, torn
-
-    @staticmethod
-    def _decode_wal_line(line: bytes) -> Optional[Tuple[int, List[str]]]:
-        try:
-            crc_text, payload = line.split(b" ", 1)
-            if int(crc_text, 16) != (zlib.crc32(payload) & 0xFFFFFFFF):
-                return None
-            record = json.loads(payload.decode("utf-8"))
-            version = record["v"]
-            lines = record["lines"]
-            if not isinstance(version, int) or not isinstance(lines, list):
-                return None
-            if not all(isinstance(entry, str) for entry in lines):
-                return None
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            return None
-        return version, lines
-
-    def repair_wal(self, digest: str, valid_bytes: int) -> None:
-        """Truncate the WAL at the last complete record.
-
-        Called during rehydration when :meth:`load_wal` reported a torn
-        tail, so subsequent appends start on a clean line boundary.
-        """
-        path = self.wal_path(digest)
-        try:
-            self.fs.truncate(path, valid_bytes)
+            self.fs.truncate(self.log_path(digest), valid_bytes)
         except OSError:
             # Repair is best-effort: a store that cannot repair serves
             # this rehydration correctly anyway (the salvaged records
             # were already read); the next one re-salvages.
-            logger.warning("could not repair torn WAL tail for %s", digest)
+            logger.warning("could not repair torn log tail for %s", digest)
 
     def invalidate(self, digest: str) -> None:
-        """Drop both artifacts of *digest* (best-effort).
+        """Drop the log of *digest* (best-effort).
 
         Used when durability for a digest can no longer be guaranteed —
-        e.g. a WAL append failed after the in-memory update was applied.
-        A later rehydration then degrades to a clean cold admission
-        instead of silently serving a state older than one the client
-        saw acknowledged.
+        e.g. a delta append failed after the in-memory update was
+        applied. A later rehydration then degrades to a clean cold
+        admission instead of silently serving a state older than one the
+        client saw acknowledged.
         """
-        for path in (self.snapshot_path(digest), self.wal_path(digest)):
-            try:
-                self.fs.remove(path)
-            except OSError:
-                logger.warning("could not invalidate %s", path)
+        try:
+            self.fs.remove(self.log_path(digest))
+        except OSError:
+            logger.warning("could not invalidate %s", digest)
 
-    # -- rehydration ---------------------------------------------------------
+    # -- reads ---------------------------------------------------------------
+
+    def load_log(self, digest: str) -> Tuple[List[Dict], int, bool]:
+        """Salvage *digest*'s log: ``(records, valid_bytes, torn_tail)``.
+
+        Records are the payloads of the intact lines in file order, up
+        to and excluding the first damaged line; ``valid_bytes`` is the
+        file offset of that damage (callers repair by truncating there),
+        and ``torn_tail`` says whether anything was dropped. Raises
+        :class:`FileNotFoundError` when nothing is stored under *digest*
+        and :class:`OSError` when the log cannot be read.
+        """
+        with open(self.log_path(digest), "rb") as handle:
+            raw = handle.read()
+        records: List[Dict] = []
+        offset = 0
+        while offset < len(raw):
+            newline = raw.find(b"\n", offset)
+            # A partial final line is the classic torn append; a damaged
+            # line poisons the framing of everything after it. Either
+            # way salvage stops here.
+            record = None if newline < 0 else _unframe(raw[offset:newline])
+            if record is None:
+                return records, offset, True
+            records.append(record)
+            offset = newline + 1
+        return records, offset, False
 
     def rehydrate(
         self,
         digest: str,
         method: Optional[str] = None,
         acyclicity: Optional[str] = None,
+        parsed: Optional[Tuple[DatalogQuery, Database]] = None,
     ) -> Optional[ProvenanceSession]:
         """Rebuild the live session for *digest*, or ``None`` on a miss.
 
-        Unpickles the verified snapshot, restores a session around it
-        (marking the one evaluation as already paid —
-        ``stats.evaluations`` reports 1), then replays the WAL suffix
-        through :meth:`~repro.core.session.ProvenanceSession.update`:
-        records covered by the snapshot are skipped, the remainder must
-        extend it contiguously (version stamps ``S+1, S+2, ...``) or the
-        whole digest degrades to a miss. ``method`` / ``acyclicity``
-        guard against serving a snapshot built under different
-        evaluation knobs (possible only if state directories are mixed
-        across differently-configured registries).
+        Salvages the log (truncating a torn tail), checks the base
+        against *digest* and against ``method`` / ``acyclicity`` when
+        given (state directories mixed across differently-configured
+        registries), checks that the deltas are stamped ``1, 2, ...``,
+        applies them to the base's database, sets the session version to
+        the last stamp and evaluates once.
+
+        *parsed* is the ``(query, database)`` the caller already parsed
+        from the admitted texts of *digest*; it spares parsing the base
+        again. Its database becomes the session's and takes the deltas,
+        but only once every check that can miss has passed: on a miss it
+        is untouched.
         """
-        loaded = self.load_snapshot(digest)
-        if loaded is None:
-            return None
-        snapshot_version, blob = loaded
         try:
-            snapshot = EvaluationSnapshot.from_bytes(blob)
-        except Exception:
-            return self._miss(digest, "snapshot-unpicklable")
-        if method is not None and snapshot.method != method:
-            return self._miss(digest, "snapshot-knob-mismatch")
-        if acyclicity is not None and snapshot.acyclicity != acyclicity:
-            return self._miss(digest, "snapshot-knob-mismatch")
-        records, valid_bytes, torn = self.load_wal(digest)
+            records, valid_bytes, torn = self.load_log(digest)
+        except FileNotFoundError:
+            return self._miss(digest, "log-missing")
+        except OSError:
+            return self._miss(digest, "log-unreadable")
+        if not records or records[0]["v"] != 0:
+            return self._miss(digest, "log-base-damaged")
+        base = records[0]
+        if base["digest"] != digest:
+            return self._miss(digest, "log-wrong-digest")
+        if (method is not None and base["method"] != method) or (
+            acyclicity is not None and base["acyclicity"] != acyclicity
+        ):
+            return self._miss(digest, "log-knob-mismatch")
+        if any(record["v"] != stamp for stamp, record in enumerate(records)):
+            # Some committed state is unreachable: serving the prefix
+            # could be stale relative to an acknowledged update.
+            return self._miss(digest, "log-version-gap")
         if torn:
             logger.warning(
-                "truncating torn WAL tail for %s at byte %d", digest, valid_bytes
+                "truncating torn log tail for %s at byte %d", digest, valid_bytes
             )
-            self.repair_wal(digest, valid_bytes)
+            self.repair_log(digest, valid_bytes)
         try:
-            session = snapshot.restore()
-        except Exception:
-            return self._miss(digest, "snapshot-restore-failed")
-        session.mark_rehydrated()
-        expected = snapshot_version + 1
-        for version, lines in records:
-            if version < expected:
-                continue  # covered by the snapshot (post-demotion WAL)
-            if version > expected:
-                # A gap: some committed state is unreachable. Serving the
-                # snapshot alone could be *stale* relative to an
-                # acknowledged update, so the digest degrades to a miss.
-                return self._miss(digest, "wal-version-gap")
-            try:
-                delta = delta_from_lines(lines)
-                receipt = session.update(delta)
-            except Exception:
-                return self._miss(digest, "wal-replay-failed")
-            if receipt.version != version or session.version != version:
-                return self._miss(digest, "wal-version-mismatch")
-            expected = version + 1
+            if parsed is None:
+                query = DatalogQuery(parse_program(base["program"]), base["answer"])
+                database = Database(parse_database(base["database"]))
+            else:
+                query, database = parsed
+            deltas = [delta_from_lines(record["lines"]) for record in records[1:]]
+            session = ProvenanceSession(
+                query, database, method=base["method"], acyclicity=base["acyclicity"]
+            )
+        except ValueError:
+            return self._miss(digest, "log-replay-failed")
+        edb = query.program.edb
+        if any(fact.pred not in edb for delta in deltas for fact in delta.inserted):
+            return self._miss(digest, "log-replay-failed")
+        for delta in deltas:
+            database.apply(delta)
+        session.version = len(deltas)
+        session.evaluation  # the one evaluation, paid before the first request
         with self._lock:
             self.rehydrations += 1
         return session
@@ -503,7 +434,7 @@ class SnapshotStore:
             self.miss_reasons[reason] = self.miss_reasons.get(reason, 0) + 1
         # A digest that was simply never stored is the normal first-
         # admission case, not a degradation worth warning about.
-        level = logging.DEBUG if reason == "snapshot-missing" else logging.WARNING
+        level = logging.DEBUG if reason == "log-missing" else logging.WARNING
         logger.log(
             level,
             "rehydration miss for %s (%s); falling back to cold admission",
@@ -514,33 +445,25 @@ class SnapshotStore:
 
     # -- introspection -------------------------------------------------------
 
-    def stored_digests(self) -> List[str]:
-        """Digests with a snapshot on disk, sorted."""
-        directory = os.path.join(self.root, "snapshots")
+    def _log_names(self) -> List[str]:
         try:
-            entries = os.listdir(directory)
+            entries = os.listdir(os.path.join(self.root, LOG_DIR))
         except OSError:
             return []
-        return sorted(
-            entry[: -len(SNAPSHOT_SUFFIX)]
-            for entry in entries
-            if entry.endswith(SNAPSHOT_SUFFIX)
-        )
+        return [entry for entry in entries if entry.endswith(LOG_SUFFIX)]
+
+    def stored_digests(self) -> List[str]:
+        """Digests with a log on disk, sorted."""
+        return sorted(name[: -len(LOG_SUFFIX)] for name in self._log_names())
 
     def disk_bytes(self) -> int:
-        """Total bytes of snapshots plus WALs currently on disk."""
+        """Total bytes of the logs currently on disk."""
         total = 0
-        for sub in ("snapshots", "wal"):
-            directory = os.path.join(self.root, sub)
+        for name in self._log_names():
             try:
-                entries = os.listdir(directory)
+                total += os.path.getsize(os.path.join(self.root, LOG_DIR, name))
             except OSError:
-                continue
-            for entry in entries:
-                try:
-                    total += os.path.getsize(os.path.join(directory, entry))
-                except OSError:
-                    pass
+                pass
         return total
 
     def stats(self) -> Dict:

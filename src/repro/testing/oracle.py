@@ -16,8 +16,9 @@ are all contractually byte-identical:
   wire ``update`` requests, witnesses through wire ``batch`` requests;
 * ``restart`` — a daemon with a durable state dir, hard-stopped halfway
   through the delta sequence and restarted on the same directory; the
-  second incarnation must rehydrate the session from its snapshot + WAL
-  (never re-evaluate) and keep serving byte-identical observations;
+  second incarnation must rebuild the session from its log (the admitted
+  database plus the logged deltas, evaluated once) and keep serving
+  byte-identical observations;
 * ``sharded`` — the multi-process daemon (``serve --workers 2``): an
   async front-end routing by consistent-hashed content digest to real
   worker subprocesses, which must be indistinguishable on the wire from
@@ -320,12 +321,12 @@ def _run_restart(instance: SyntheticInstance, config: OracleConfig) -> List[str]
     The first daemon incarnation admits the session with a
     :class:`~repro.service.store.SnapshotStore` attached and applies the
     first half of the delta sequence; it is then dropped *without* any
-    demotion flush — exactly what a crash leaves behind (durability must
-    come from the admission snapshot and the per-update WAL fsyncs, both
-    written before each response was sent). The second incarnation, on
-    the same state directory, must rehydrate rather than re-evaluate
-    (``evaluations == 1``), serve the pre-stop state byte-identically,
-    and then absorb the remaining deltas.
+    flush — exactly what a crash leaves behind (durability must come
+    from the log's base record and its per-update fsyncs, all written
+    before each response was sent). The second incarnation, on the same
+    state directory, must rehydrate from the log (``rehydrated: true``,
+    one evaluation of the replayed database), serve the pre-stop state
+    byte-identically, and then absorb the remaining deltas.
     """
     import shutil
     import tempfile
@@ -353,7 +354,7 @@ def _run_restart(instance: SyntheticInstance, config: OracleConfig) -> List[str]
                 client.update(digest, lines=lines)
                 texts.append(_observe_wire_state(client, digest, config))
         # Hard stop: the context exit above tears the daemon down without
-        # demoting anything — the store holds only what was fsync'd at
+        # writing anything — the store holds only what was fsync'd at
         # commit time, which is the whole durability claim under test.
         del registry
         registry = SessionRegistry(
@@ -376,15 +377,14 @@ def _run_restart(instance: SyntheticInstance, config: OracleConfig) -> List[str]
             if not opened["result"]["rehydrated"]:
                 raise RuntimeError(
                     "restart path fell back to cold admission; the second "
-                    "incarnation must rehydrate from the snapshot store"
+                    "incarnation must rehydrate from the store's log"
                 )
             stats = client.stats(session=digest)
             evaluations = stats["result"]["session_stats"]["evaluations"]
             if evaluations != 1:
                 raise RuntimeError(
                     f"rehydrated session reports {evaluations} evaluations; "
-                    "snapshot restore + WAL replay must keep the single "
-                    "original evaluation"
+                    "log replay must evaluate the replayed database once"
                 )
             resumed = _observe_wire_state(client, digest, config)
             if resumed != texts[-1]:

@@ -1,6 +1,6 @@
-"""Fault injection for the durable warm-state tier.
+"""Fault injection for the durable store.
 
-The snapshot store routes every mutating filesystem operation through
+The store routes every mutating filesystem operation through
 one seam (:class:`repro.service.store.StoreFS`). :class:`CrashingFS`
 wraps that seam with a global operation counter and raises
 :class:`SimulatedCrash` *instead of performing* the N-th operation —
@@ -18,8 +18,8 @@ complete crash-point enumeration:
 
 ``torn=True`` additionally models the half-written sector: when the
 crashed operation is a ``write``, the first half of the payload reaches
-the file before the crash. That is the input the WAL's torn-tail salvage
-and the snapshot's length/checksum verification exist for.
+the file before the crash. That is the input the log's torn-tail
+salvage and per-record checksums exist for.
 
 Reads are deliberately un-instrumented, mirroring the seam itself:
 recovery code must read whatever the crash left behind.
@@ -95,7 +95,7 @@ class CrashingFS(StoreFS):
         super().fsync_path(path)
 
     def replace(self, source: str, destination: str) -> None:
-        """Count: the atomic commit point of snapshot writes."""
+        """Count: the atomic commit point of a new log."""
         self._tick("replace", destination)
         super().replace(source, destination)
 

@@ -1,4 +1,4 @@
-"""Crash-point enumeration for the durable warm-state tier.
+"""Crash-point enumeration for the durable store.
 
 The store's contract (``docs/PERSISTENCE.md``): a crash at *any*
 filesystem-operation boundary leaves a reopened store serving the
@@ -9,7 +9,7 @@ write workload once under a counting :class:`faultinject.CrashingFS` to
 enumerate its operations, then re-run it once per operation index with
 the crash injected there (with and without torn half-writes) and assert
 the recovery invariant on a reopened store each time. Hypothesis
-generalizes the sweep over random delta sequences, blob sequences and
+generalizes the sweep over random delta sequences, base sequences and
 crash indices.
 """
 
@@ -27,25 +27,63 @@ from repro.scenarios.synthetic import generate_instance
 from repro.service.store import SnapshotStore
 
 #: A syntactically plausible registry digest (the store treats it as an
-#: opaque filename component + header stamp).
+#: opaque filename component + base-record stamp).
 DIGEST = "f" * 64
+
+#: The base-record texts of the synthetic sweeps; the store does not
+#: parse them until a rehydration.
+BASE = {
+    "program": "tc(X, Y) :- e(X, Y).",
+    "database": "e(a, b).",
+    "answer": "tc",
+    "method": "seminaive",
+    "acyclicity": "vertex-elimination",
+}
+
+
+def _put(store, database=BASE["database"]):
+    return store.put_snapshot(DIGEST, **{**BASE, "database": database})
+
+
+def _salvage(root):
+    """The records a reopened store reads back, or ``None`` if no log."""
+    try:
+        records, _, _ = SnapshotStore(str(root)).load_log(DIGEST)
+    except FileNotFoundError:
+        return None
+    return records
+
+
+def _assert_repair_is_exact(root):
+    """Truncating a torn tail keeps exactly the salvaged records."""
+    store = SnapshotStore(str(root))
+    records, valid_bytes, torn = store.load_log(DIGEST)
+    if torn:
+        store.repair_log(DIGEST, valid_bytes)
+        again, valid_again, torn_again = store.load_log(DIGEST)
+        assert not torn_again
+        assert again == records
+        assert valid_again == valid_bytes
+    return records
 
 
 # -- deterministic sweeps ------------------------------------------------------
 
 
 def test_snapshot_overwrite_recovers_old_or_new_at_every_crash_point(tmp_path):
-    old_blob = b"previous snapshot body " * 9
-    new_blob = b"replacement snapshot body " * 11
-
     def seed(root):
-        SnapshotStore(str(root)).put_snapshot(DIGEST, 1, old_blob)
+        store = SnapshotStore(str(root))
+        _put(store, "e(a, b).")
+        store.append_wal(DIGEST, 1, ["+e(b, c)."])
 
     counting = CrashingFS()
     counted_root = tmp_path / "count"
     seed(counted_root)
-    SnapshotStore(str(counted_root), fs=counting).put_snapshot(DIGEST, 2, new_blob)
+    old = _salvage(counted_root)
+    _put(SnapshotStore(str(counted_root), fs=counting), "e(x, y).")
+    new = _salvage(counted_root)
     assert counting.ops, "the sweep below must cover at least one operation"
+    assert len(old) == 2 and len(new) == 1
 
     for torn in (False, True):
         for crash_at in range(len(counting.ops)):
@@ -55,16 +93,14 @@ def test_snapshot_overwrite_recovers_old_or_new_at_every_crash_point(tmp_path):
                 str(root), fs=CrashingFS(crash_at=crash_at, torn=torn)
             )
             with pytest.raises(SimulatedCrash):
-                crashing.put_snapshot(DIGEST, 2, new_blob)
-            loaded = SnapshotStore(str(root)).load_snapshot(DIGEST)
-            assert loaded in ((1, old_blob), (2, new_blob))
+                _put(crashing, "e(x, y).")
+            assert _salvage(root) in (old, new)
 
 
 def test_first_snapshot_write_recovers_new_or_clean_miss(tmp_path):
-    blob = b"the only snapshot body " * 7
-
     counting = CrashingFS()
-    SnapshotStore(str(tmp_path / "count"), fs=counting).put_snapshot(DIGEST, 1, blob)
+    _put(SnapshotStore(str(tmp_path / "count"), fs=counting))
+    new = _salvage(tmp_path / "count")
 
     for torn in (False, True):
         for crash_at in range(len(counting.ops)):
@@ -73,9 +109,8 @@ def test_first_snapshot_write_recovers_new_or_clean_miss(tmp_path):
                 str(root), fs=CrashingFS(crash_at=crash_at, torn=torn)
             )
             with pytest.raises(SimulatedCrash):
-                crashing.put_snapshot(DIGEST, 1, blob)
-            recovered = SnapshotStore(str(root))
-            assert recovered.load_snapshot(DIGEST) in (None, (1, blob))
+                _put(crashing)
+            assert _salvage(root) in (None, new)
 
 
 def test_wal_append_preserves_prior_records_at_every_crash_point(tmp_path):
@@ -84,13 +119,18 @@ def test_wal_append_preserves_prior_records_at_every_crash_point(tmp_path):
 
     def seed(root):
         store = SnapshotStore(str(root))
+        _put(store)
         for version, lines in prior:
             store.append_wal(DIGEST, version, lines)
 
     counting = CrashingFS()
     counted_root = tmp_path / "count"
     seed(counted_root)
+    seeded = _salvage(counted_root)
     SnapshotStore(str(counted_root), fs=counting).append_wal(DIGEST, *new_record)
+    appended = _salvage(counted_root)
+    assert appended[:-1] == seeded
+    assert appended[-1] == {"lines": new_record[1], "v": new_record[0]}
 
     for torn in (False, True):
         for crash_at in range(len(counting.ops)):
@@ -101,38 +141,34 @@ def test_wal_append_preserves_prior_records_at_every_crash_point(tmp_path):
             )
             with pytest.raises(SimulatedCrash):
                 crashing.append_wal(DIGEST, *new_record)
-            recovered = SnapshotStore(str(root))
-            records, valid_bytes, torn_tail = recovered.load_wal(DIGEST)
-            assert records in (prior, prior + [new_record])
-            assert records[: len(prior)] == prior
-            if torn_tail:
-                # Repair truncates exactly the damage: a re-read is clean
-                # and byte-stable, with every prior record intact.
-                recovered.repair_wal(DIGEST, valid_bytes)
-                again, valid_again, torn_again = recovered.load_wal(DIGEST)
-                assert not torn_again
-                assert again == records
-                assert valid_again == valid_bytes
+            assert _assert_repair_is_exact(root) in (seeded, appended)
 
 
 def test_session_workload_crash_sweep_rehydrates_consistently(tmp_path):
     """The end-to-end contract over a real session's durable workload.
 
-    Admission snapshot + per-update WAL appends, crashed at every
+    Admission base record + per-update appends, crashed at every
     operation boundary: the reopened store must either rehydrate a
-    session at a version ``>=`` every acknowledged append (and its
-    answers must match a cold session at that exact version) or report a
-    clean miss — the latter only when the admission snapshot itself
-    never committed.
+    session at a version between the acknowledged appends and one more
+    (and its answers must match a cold session at that exact version),
+    or report a clean miss — the latter only when the base record never
+    committed.
     """
     instance = generate_instance("chain", size=8, seed=5, delta_rounds=3)
+    answer = instance.query.answer_predicate
 
     def workload(store, progress):
-        """Counts *acknowledged* WAL appends in ``progress`` (a crash
+        """Counts *acknowledged* appends in ``progress`` (a crash
         propagates out of this function, so the count lives outside it)."""
         session = ProvenanceSession(instance.query, instance.database.copy())
-        store.put_snapshot(DIGEST, session.version, session.snapshot_bytes())
-        store.reset_wal(DIGEST)
+        store.put_snapshot(
+            DIGEST,
+            instance.program_text(),
+            instance.database_text(),
+            answer,
+            session.method,
+            session.acyclicity,
+        )
         for delta in instance.deltas:
             receipt = session.update(delta)
             if receipt.effective.is_empty():
@@ -141,19 +177,17 @@ def test_session_workload_crash_sweep_rehydrates_consistently(tmp_path):
                 DIGEST, receipt.version, delta_to_lines(receipt.effective)
             )
             progress["acked"] += 1
-        return session
 
     # Reference run: answers at every version the workload passes through.
     reference_progress = {"acked": 0}
     workload(SnapshotStore(str(tmp_path / "reference")), reference_progress)
-    total_acked = reference_progress["acked"]
+    assert reference_progress["acked"] > 0, "the instance must exercise the log"
     answers_by_version = {}
     replay = ProvenanceSession(instance.query, instance.database.copy())
     answers_by_version[replay.version] = replay.answers()
     for delta in instance.deltas:
         replay.update(delta)
         answers_by_version[replay.version] = replay.answers()
-    assert total_acked > 0, "the generated instance must exercise the WAL"
 
     counting = CrashingFS()
     workload(SnapshotStore(str(tmp_path / "count"), fs=counting), {"acked": 0})
@@ -173,11 +207,13 @@ def test_session_workload_crash_sweep_rehydrates_consistently(tmp_path):
             except SimulatedCrash:
                 pass
             acked = progress["acked"]
-            session = SnapshotStore(str(root)).rehydrate(DIGEST)
+            store = SnapshotStore(str(root))
+            session = store.rehydrate(DIGEST)
             if session is None:
                 # A miss is only clean while nothing was ever acknowledged
-                # durable — i.e. the admission snapshot never committed.
+                # durable — i.e. the base record never committed.
                 assert acked == 0
+                assert store.miss_reasons == {"log-missing": 1}
             else:
                 assert acked <= session.version <= acked + 1
                 assert session.stats.evaluations == 1
@@ -186,24 +222,22 @@ def test_session_workload_crash_sweep_rehydrates_consistently(tmp_path):
 
 # -- hypothesis: the same invariants over generated inputs ---------------------
 
-wal_lines = st.lists(
-    st.text(
-        alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=24
-    ),
-    max_size=3,
+printable = st.text(
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=24
 )
 
 
 @given(
-    records=st.lists(wal_lines, min_size=1, max_size=5),
+    records=st.lists(st.lists(printable, max_size=3), min_size=1, max_size=5),
     crash_at=st.integers(min_value=0, max_value=40),
     torn=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_wal_crash_property(records, crash_at, torn):
-    """Salvage = the completed appends, plus at most the in-flight one."""
+    """Salvage = the base, the completed appends, at most the in-flight one."""
     root = tempfile.mkdtemp(prefix="repro-wal-prop-")
     try:
+        _put(SnapshotStore(root))
         store = SnapshotStore(root, fs=CrashingFS(crash_at=crash_at, torn=torn))
         completed = 0
         try:
@@ -212,44 +246,39 @@ def test_wal_crash_property(records, crash_at, torn):
                 completed += 1
         except SimulatedCrash:
             pass
-        recovered = SnapshotStore(root)
-        salvaged, valid_bytes, torn_tail = recovered.load_wal(DIGEST)
-        expected = [(v, list(lines)) for v, lines in enumerate(records, start=1)]
-        assert salvaged in (expected[:completed], expected[: completed + 1])
-        if torn_tail:
-            recovered.repair_wal(DIGEST, valid_bytes)
-            again, valid_again, torn_again = recovered.load_wal(DIGEST)
-            assert not torn_again
-            assert again == salvaged
-            assert valid_again == valid_bytes
+        salvaged = _assert_repair_is_exact(root)
+        assert salvaged[0]["v"] == 0
+        expected = [
+            {"lines": list(lines), "v": v} for v, lines in enumerate(records, start=1)
+        ]
+        assert salvaged[1:] in (expected[:completed], expected[: completed + 1])
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
 @given(
-    blobs=st.lists(st.binary(min_size=0, max_size=160), min_size=1, max_size=3),
+    databases=st.lists(printable, min_size=1, max_size=3),
     crash_at=st.integers(min_value=0, max_value=30),
     torn=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_snapshot_crash_property(blobs, crash_at, torn):
-    """The visible snapshot is always a whole one the caller wrote."""
+def test_snapshot_crash_property(databases, crash_at, torn):
+    """The visible log is always a whole base the caller wrote."""
     root = tempfile.mkdtemp(prefix="repro-snap-prop-")
     try:
         store = SnapshotStore(root, fs=CrashingFS(crash_at=crash_at, torn=torn))
         completed = 0
         try:
-            for version, blob in enumerate(blobs, start=1):
-                store.put_snapshot(DIGEST, version, blob)
+            for database in databases:
+                _put(store, database)
                 completed += 1
         except SimulatedCrash:
             pass
-        loaded = SnapshotStore(root).load_snapshot(DIGEST)
-        if loaded is None:
+        records = _salvage(root)
+        if records is None:
             assert completed == 0
         else:
-            version, blob = loaded
-            assert version in (completed, completed + 1)
-            assert blob == blobs[version - 1]
+            (base,) = records
+            assert base["database"] in databases[max(0, completed - 1) : completed + 1]
     finally:
         shutil.rmtree(root, ignore_errors=True)
