@@ -14,9 +14,8 @@ would expect: the full semiring-provenance framework
 (:mod:`repro.semiring` — the why semiring reproduces ``why(t, D, Q)``
 exactly), minimal-explanation extraction via cardinality constraints
 (:mod:`repro.core.minimal`), Souffle-style single-witness provenance and
-tabled top-down evaluation (:mod:`repro.baselines`), CNF preprocessing
-(:mod:`repro.sat.preprocessing`), DOT rendering of every proof object
-(:mod:`repro.provenance.render`), TSV fact I/O
+tabled top-down evaluation (:mod:`repro.baselines`), DOT rendering of
+every proof object (:mod:`repro.provenance.render`), TSV fact I/O
 (:mod:`repro.datalog.io`), seeded synthetic workload families at
 arbitrary scale (:mod:`repro.scenarios.synthetic`) and the cross-stack
 differential oracle behind ``python -m repro fuzz``

@@ -561,93 +561,71 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers > 1:
-        return _cmd_serve_sharded(args)
-    from .service.registry import SessionRegistry
     from .service.server import ProvenanceService, TCPServiceServer, serve_stdio
 
-    store = None
-    if args.state_dir:
-        from .service.store import SnapshotStore
+    if args.workers > 1:
+        if args.stdio:
+            print(
+                "% --stdio serves one client in-process; use --workers 1",
+                file=sys.stderr,
+            )
+            return 2
+        from .service.shard import ShardRouter
 
-        store = SnapshotStore(args.state_dir)
-    registry = SessionRegistry(
-        max_sessions=args.max_sessions,
-        max_bytes=args.max_bytes if args.max_bytes > 0 else None,
-        method=args.method,
-        acyclicity=args.acyclicity,
-        store=store,
-    )
-    service = ProvenanceService(
-        registry=registry,
-        threads=args.threads,
-        batch_workers=args.batch_workers,
-        parallel_threshold=args.parallel_threshold,
-        max_batch_tuples=args.max_batch,
-    )
-    if args.stdio:
-        try:
+        service = ShardRouter(
+            args.workers,
+            state_dir=args.state_dir,
+            worker_threads=args.threads,
+            batch_workers=args.batch_workers,
+            parallel_threshold=args.parallel_threshold,
+            max_batch=args.max_batch,
+            max_sessions=args.max_sessions,
+            max_bytes=args.max_bytes,  # workers map 0 to unbounded themselves
+            method=args.method,
+            acyclicity=args.acyclicity,
+        )
+        service.start()
+    else:
+        from .service.registry import SessionRegistry
+
+        store = None
+        if args.state_dir:
+            from .service.store import SnapshotStore
+
+            store = SnapshotStore(args.state_dir)
+        registry = SessionRegistry(
+            max_sessions=args.max_sessions,
+            max_bytes=args.max_bytes if args.max_bytes > 0 else None,
+            method=args.method,
+            acyclicity=args.acyclicity,
+            store=store,
+        )
+        service = ProvenanceService(
+            registry=registry,
+            threads=args.threads,
+            batch_workers=args.batch_workers,
+            parallel_threshold=args.parallel_threshold,
+            max_batch_tuples=args.max_batch,
+        )
+        if args.stdio:
             return serve_stdio(service)
-        finally:
-            service.close()
-    server = TCPServiceServer(service, host=args.host, port=args.port)
-    # Stderr, flushed: scripts binding port 0 read the ephemeral port here
-    # (the shard supervisor discovers its workers' ports the same way).
-    print(
-        f"% repro service listening on {server.host}:{server.port}",
-        file=sys.stderr,
-        flush=True,
-    )
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        service.close()
-    return 0
-
-
-def _cmd_serve_sharded(args: argparse.Namespace) -> int:
-    """``serve --workers N`` (N > 1): the multi-process sharded daemon."""
-    from .service.shard import ShardedServiceServer
-
-    if args.stdio:
-        print("% --stdio serves one client in-process; use --workers 1", file=sys.stderr)
-        return 2
-    server = ShardedServiceServer(
-        args.workers,
-        host=args.host,
-        port=args.port,
-        state_dir=args.state_dir,
-        worker_threads=args.threads,
-        batch_workers=args.batch_workers,
-        parallel_threshold=args.parallel_threshold,
-        max_batch=args.max_batch,
-        max_sessions=args.max_sessions,
-        max_bytes=args.max_bytes,  # workers map 0 to unbounded themselves
-        method=args.method,
-        acyclicity=args.acyclicity,
-    )
-    try:
-        server.start()
-        # The same stderr contract as the single-process daemon, so
-        # scripts (and the supervisor itself, one level down) need only
-        # one port-discovery recipe.
+        server = TCPServiceServer(service, host=args.host, port=args.port)
+        # Stderr, flushed: scripts binding port 0 read the ephemeral port here
+        # (the shard supervisor discovers its workers' ports the same way).
         print(
-            f"% repro service listening on {server.host}:{server.port} "
-            f"({args.workers} workers)",
+            f"% repro service listening on {server.host}:{server.port}",
             file=sys.stderr,
             flush=True,
         )
-        # Exit when a client's shutdown request lands, like the
-        # single-process daemon does; poll so Ctrl-C stays responsive.
-        while not server.stopped.wait(timeout=1.0):
+        try:
+            server.serve_forever()  # returns once a client's shutdown is served
+        except KeyboardInterrupt:
             pass
-    except KeyboardInterrupt:
-        pass
+        finally:
+            server.server_close()
     finally:
-        server.close()
+        service.close()
     return 0
 
 
@@ -928,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=DEFAULT_DISPATCH_THREADS,
-        help="request dispatcher threads "
+        help="requests executing at once, per daemon process "
         f"(default: {DEFAULT_DISPATCH_THREADS})",
     )
     p_serve.add_argument(
@@ -936,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="shard worker processes: 1 (default) serves single-process, "
-        "N > 1 starts the sharded daemon — an async front-end routing "
+        "N > 1 starts the sharded daemon — the same front-end routing "
         "sessions to N supervised worker processes by content digest",
     )
     p_serve.add_argument(

@@ -368,8 +368,16 @@ class Database:
         return Database(f for f in self._facts if f.pred in wanted)
 
     def copy(self) -> "Database":
-        """A shallow copy (facts are immutable, so this is a full copy)."""
-        return Database(self._facts)
+        """An independent copy sharing the (immutable) facts.
+
+        Copies the fact set and both indexes directly: the facts were
+        checked when they first went in, so :meth:`add` is not re-run.
+        """
+        dup = Database()
+        dup._facts = set(self._facts)
+        dup._by_pred = {pred: set(facts) for pred, facts in self._by_pred.items()}
+        dup._index = {key: set(facts) for key, facts in self._index.items()}
+        return dup
 
     def subset(self, facts: Iterable[Atom]) -> "Database":
         """A new database from *facts*, verifying they all belong to self."""

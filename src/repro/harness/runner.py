@@ -393,7 +393,7 @@ def run_database(
     logs — the harness-level restart workflow.
 
     ``shards`` (with ``service=True``) makes the private daemon the
-    *sharded* one: ``shards`` real worker processes behind the async
+    *sharded* one: ``shards`` real worker processes behind the shard
     router (``serve --workers N``), every request consistent-hash-routed
     by content digest — and still byte-identical to the in-process path,
     which is exactly what the sharded round-trip tests assert.

@@ -12,7 +12,6 @@ from .cardinality import Totalizer, add_at_least_k, add_at_most_k, add_exactly_k
 from .cnf import CNF, VariablePool
 from .dpll import DPLLBudgetExceeded, enumerate_models_dpll, solve_dpll
 from .enumeration import EnumerationRecord, all_models, count_models, enumerate_models
-from .preprocessing import PreprocessResult, preprocess, preprocess_stats_summary
 from .solver import CDCLSolver, SolverStatistics, solve_cnf
 
 __all__ = [
@@ -21,15 +20,12 @@ __all__ = [
     "CNF",
     "DPLLBudgetExceeded",
     "EnumerationRecord",
-    "PreprocessResult",
     "SolverStatistics",
     "Totalizer",
     "VariablePool",
     "add_at_least_k",
     "add_at_most_k",
     "add_exactly_k",
-    "preprocess",
-    "preprocess_stats_summary",
     "all_models",
     "arcs_are_acyclic",
     "count_models",

@@ -13,12 +13,14 @@ view maintenance) into one serving stack:
 * :mod:`repro.service.protocol` — the newline-delimited JSON wire
   format (requests ``why`` / ``decide`` / ``smallest`` / ``minimal`` /
   ``batch`` / ``update`` / ``stats`` and friends);
-* :mod:`repro.service.server` — the dispatcher plus TCP and stdio
-  transports (``python -m repro serve``);
+* :mod:`repro.service.server` — the dispatcher plus the stdio
+  transport and the one TCP front-end, a thread per connection
+  (``python -m repro serve``);
 * :mod:`repro.service.shard` — the multi-process tier
-  (``python -m repro serve --workers N``): an async NDJSON front-end
-  routing sessions to supervised worker processes by consistent-hashed
-  content digest, byte-identical to the single-process daemon;
+  (``python -m repro serve --workers N``): a router behind the same TCP
+  front-end, sending sessions to supervised worker processes by
+  consistent-hashed content digest, byte-identical to the
+  single-process daemon;
 * :mod:`repro.service.client` — the synchronous client
   (``python -m repro client``) and the :func:`local_service` /
   :func:`local_sharded_service` fixtures.
@@ -36,7 +38,7 @@ from .client import (
 from .protocol import OPS, PROTOCOL_VERSION, ServiceError
 from .registry import SessionEntry, SessionRegistry, content_digest, routing_digest
 from .server import ProvenanceService, TCPServiceServer, serve_stdio
-from .shard import HashRing, ShardedServiceServer, WorkerSupervisor, worker_slots
+from .shard import HashRing, ShardRouter, WorkerSupervisor, worker_slots
 
 __all__ = [
     "OPS",
@@ -47,7 +49,7 @@ __all__ = [
     "ServiceError",
     "SessionEntry",
     "SessionRegistry",
-    "ShardedServiceServer",
+    "ShardRouter",
     "TCPServiceServer",
     "WorkerSupervisor",
     "content_digest",

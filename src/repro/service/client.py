@@ -31,7 +31,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .protocol import ServiceError, encode
 from .registry import SessionRegistry
-from .server import ProvenanceService, TCPServiceServer
+from .server import Dispatcher, ProvenanceService, TCPServiceServer
 
 
 class ServiceClient:
@@ -271,6 +271,30 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 
 @contextmanager
+def _serving(service: Dispatcher) -> Iterator[ServiceClient]:
+    """Serve *service* on an ephemeral localhost port; yield a client to it.
+
+    Tears down whatever got built, even when startup failed midway (a
+    refused connection must not leak the accept thread, the bound
+    socket, or the router's workers).
+    """
+    server = None
+    client = None
+    try:
+        server = TCPServiceServer(service)
+        server.serve_in_thread()
+        client = ServiceClient(host=server.host, port=server.port)
+        yield client
+    finally:
+        if client is not None:
+            client.close()
+        if server is not None:
+            server.shutdown()
+            server.server_close()
+        service.close()
+
+
+@contextmanager
 def local_service(
     registry: Optional[SessionRegistry] = None,
     threads: Optional[int] = None,
@@ -299,24 +323,8 @@ def local_service(
     kwargs = {"registry": registry, "threads": threads, "batch_workers": batch_workers}
     if parallel_threshold is not None:
         kwargs["parallel_threshold"] = parallel_threshold
-    service = ProvenanceService(**kwargs)
-    server = None
-    client = None
-    try:
-        server = TCPServiceServer(service)
-        server.serve_in_thread()
-        client = ServiceClient(host=server.host, port=server.port)
+    with _serving(ProvenanceService(**kwargs)) as client:
         yield client
-    finally:
-        # Tear down whatever got built, even when startup failed midway
-        # (a refused connection must not leak the accept thread, the
-        # bound socket, or the dispatcher executor).
-        if client is not None:
-            client.close()
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-        service.close()
 
 
 @contextmanager
@@ -336,18 +344,18 @@ def local_sharded_service(
 ) -> Iterator[ServiceClient]:
     """A sharded daemon (*workers* real processes) behind one client.
 
-    The multi-process sibling of :func:`local_service`: starts a
-    :class:`~repro.service.shard.ShardedServiceServer` — an async NDJSON
-    front-end routing by content digest to ``workers`` supervised
-    single-process daemons — yields a connected :class:`ServiceClient`,
-    and tears the whole pool down on exit. Same wire protocol, same
-    bytes (the byte-identity tests run the same assertions through
-    both); ``state_dir`` is shared by the pool, safe because consistent
-    hashing gives every digest exactly one owning worker.
+    The multi-process sibling of :func:`local_service`: the same TCP
+    front-end, serving a :class:`~repro.service.shard.ShardRouter` that
+    routes by content digest to ``workers`` supervised single-process
+    daemons. Yields a connected :class:`ServiceClient` and tears the
+    whole pool down on exit. Same wire protocol, same bytes (the
+    byte-identity tests run the same assertions through both);
+    ``state_dir`` is shared by the pool, safe because consistent hashing
+    gives every digest exactly one owning worker.
     """
-    from .shard import ShardedServiceServer
+    from .shard import ShardRouter
 
-    server = ShardedServiceServer(
+    router = ShardRouter(
         workers,
         state_dir=state_dir,
         worker_threads=worker_threads,
@@ -360,12 +368,6 @@ def local_sharded_service(
         acyclicity=acyclicity,
         spawn_timeout=spawn_timeout,
     )
-    client = None
-    try:
-        server.start()
-        client = ServiceClient(host=server.host, port=server.port)
+    router.start()
+    with _serving(router) as client:
         yield client
-    finally:
-        if client is not None:
-            client.close()
-        server.close()

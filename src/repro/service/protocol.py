@@ -107,16 +107,6 @@ class ServiceError(Exception):
         return error_response(request_id, self.code, self.message)
 
 
-def unknown_op_message(op) -> str:
-    """The canonical ``unknown-op`` message for *op*.
-
-    Shared by the single-process dispatcher and the sharded front-end so
-    an unroutable request draws a byte-identical error from either.
-    """
-    known = ", ".join(sorted(OPS))
-    return f"unknown op {op!r}; known: {known}"
-
-
 def session_address(request: Dict):
     """How a request addresses its session: digest or inline texts.
 
@@ -125,7 +115,7 @@ def session_address(request: Dict):
     inline texts, raising the canonical ``bad-request``
     :class:`ServiceError` otherwise. This is the single source of truth
     for session addressing — the in-process dispatcher resolves the
-    result against its registry, the sharded front-end uses it to pick
+    result against its registry, the shard router uses it to pick
     the owning worker — so both reject malformed addressing with
     byte-identical errors.
     """

@@ -195,7 +195,7 @@ def routing_digest(
 ) -> str:
     """The digest the given wire texts admit under: canonicalize + hash.
 
-    The sharded front-end routes inline-text requests with this — it has
+    The shard router routes inline-text requests with this — it has
     no registry of its own, but must compute *exactly* the address the
     owning worker's registry will admit under, so the same ``method`` /
     ``acyclicity`` knobs the workers were spawned with have to be passed

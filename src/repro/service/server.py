@@ -1,15 +1,21 @@
 """The provenance service daemon: request dispatcher plus transports.
 
+:class:`Dispatcher` is the request envelope both daemon topologies share:
+decode a line, check its op, answer every failure in-protocol, count.
 :class:`ProvenanceService` is the transport-independent heart: it owns a
-:class:`~repro.service.registry.SessionRegistry` and a bounded thread
-dispatcher, and turns one request object into one response object. The
-two transports are thin framing shells around it:
+:class:`~repro.service.registry.SessionRegistry` and turns one request
+object into one response object. Two transports carry a dispatcher:
 
-* :class:`TCPServiceServer` — a threading TCP server speaking
-  newline-delimited JSON; one reader thread per connection, every request
-  dispatched through the shared thread pool, so concurrent clients
-  genuinely execute concurrently (bounded by ``threads``) while requests
-  *within* one connection keep their order.
+* :class:`TCPServiceServer` — the one TCP front-end, speaking
+  newline-delimited JSON for ``serve``, ``serve --workers N``,
+  :func:`~repro.service.client.local_service` and
+  :func:`~repro.service.client.local_sharded_service`. Each client
+  connection gets its own thread, which reads request lines under
+  :data:`MAX_LINE_BYTES`, serves them in order and writes the responses.
+  In the single-process daemon that thread runs the request itself, at
+  most ``threads`` requests at once across all connections; under
+  ``--workers N`` it hands the line to the
+  :class:`~repro.service.shard.ShardRouter`.
 * :func:`serve_stdio` — the same protocol over stdin/stdout for
   single-client scripting and tests (``python -m repro serve --stdio``).
 
@@ -34,8 +40,7 @@ import socketserver
 import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from ..core.decision import TREE_CLASSES
 from ..core.parallel import PARALLEL_BATCH_THRESHOLD
@@ -54,11 +59,10 @@ from .protocol import (
     render_members,
     session_address,
     tuple_from_json,
-    unknown_op_message,
 )
 from .registry import SessionEntry, SessionRegistry
 
-#: Default size of the shared request dispatcher.
+#: Default bound on requests executing at once in one daemon process.
 DEFAULT_DISPATCH_THREADS = 8
 
 #: Default cap on tuples in one ``batch`` request. A batch holds the
@@ -66,6 +70,11 @@ DEFAULT_DISPATCH_THREADS = 8
 #: denial-of-service on every other client of that session; oversized
 #: batches are rejected with ``bad-request`` and the client splits them.
 DEFAULT_MAX_BATCH_TUPLES = 10_000
+
+#: Byte limit of one TCP request line, newline excluded. 64 MiB covers
+#: inline databases and a request at the batch cap; a longer line gets
+#: one ``parse-error`` and is skipped, so no connection buffers more.
+MAX_LINE_BYTES = 2 ** 26
 
 #: Poll interval of :meth:`TCPServiceServer.serve_in_thread`'s accept
 #: loop. ``shutdown()`` waits up to one interval, so this bounds every
@@ -128,7 +137,89 @@ def _parse_fact_texts(texts, label: str) -> List:
     return facts
 
 
-class ProvenanceService:
+class Dispatcher:
+    """The request envelope both daemon topologies share.
+
+    :meth:`handle_line` decodes a line, rejects an unknown op, runs the
+    op and turns every failure into an error response, never an
+    exception; each decoded request is counted once in
+    :attr:`requests_served`. :class:`ProvenanceService` serves every op
+    from its own registry; :class:`~repro.service.shard.ShardRouter`
+    serves ``ping``, ``shutdown`` and pool-wide ``stats`` itself and
+    forwards the rest to the worker process owning the session.
+    """
+
+    def __init__(self) -> None:
+        self.started_at = time.time()
+        self.requests_served = 0
+        self._counter_lock = threading.Lock()
+        self._shutdown = threading.Event()
+
+    @property
+    def shutdown_requested(self) -> bool:
+        """Whether a ``shutdown`` request has been served."""
+        return self._shutdown.is_set()
+
+    def serve_line(self, line: str, conns: Dict) -> str:
+        """One line from a TCP connection, served on that connection's thread.
+
+        ``conns`` is the connection's own state between its requests;
+        the front-end closes every value in it when the client leaves.
+        """
+        return self.handle_line(line, conns)
+
+    def handle_line(self, line: str, conns: Optional[Dict] = None) -> str:
+        """One request line in, one response line out (never raises)."""
+        try:
+            request = decode_request(line)
+        except ServiceError as exc:
+            return encode(exc.as_response(None))
+        response = self._respond(request, line, conns)
+        return response if isinstance(response, str) else encode(response)
+
+    def _respond(
+        self, request: Dict, line: Optional[str], conns: Optional[Dict]
+    ) -> Union[Dict, str]:
+        request_id = request.get("id")
+        op = request.get("op")
+        try:
+            if not isinstance(op, str) or op not in OPS:
+                known = ", ".join(sorted(OPS))
+                raise ServiceError("unknown-op", f"unknown op {op!r}; known: {known}")
+            response = self._serve(op, request, line, conns)
+        except ServiceError as exc:
+            response = exc.as_response(request_id)
+        except Exception as exc:  # a bug, not a client error: still answer
+            response = error_response(
+                request_id, "internal-error", f"{type(exc).__name__}: {exc}"
+            )
+        with self._counter_lock:
+            self.requests_served += 1
+        return response
+
+    def _serve(
+        self, op: str, request: Dict, line: Optional[str], conns: Optional[Dict]
+    ) -> Union[Dict, str]:
+        """Run one known op: a response object, or a response line as is."""
+        return getattr(self, "_op_" + op)(request)
+
+    def close(self) -> None:
+        """Release what serving holds (the router's worker processes)."""
+
+    def _op_ping(self, request: Dict) -> Dict:
+        result = {
+            "pong": True,
+            "protocol": PROTOCOL_VERSION,
+            "uptime_seconds": time.time() - self.started_at,
+        }
+        return ok_response(request.get("id"), "ping", result)
+
+    def _op_shutdown(self, request: Dict) -> Dict:
+        self._shutdown.set()
+        return ok_response(request.get("id"), "shutdown", {"stopping": True})
+
+
+class ProvenanceService(Dispatcher):
     """Transport-independent dispatcher over a session registry.
 
     Parameters
@@ -137,8 +228,8 @@ class ProvenanceService:
         The session registry to serve from (a default-budget one is
         created when omitted).
     threads:
-        Size of the shared dispatcher pool — the bound on concurrently
-        executing requests across all connections.
+        The bound on requests executing at once across all TCP
+        connections; each connection's thread waits for a free slot.
     batch_workers:
         Worker processes for ``batch`` requests that do not pin their own
         ``workers`` field and meet the parallel threshold (``1`` keeps
@@ -160,63 +251,27 @@ class ProvenanceService:
         max_batch_tuples: int = DEFAULT_MAX_BATCH_TUPLES,
     ):
         _preload_handler_modules()
+        super().__init__()
         self.registry = registry if registry is not None else SessionRegistry()
         self.batch_workers = batch_workers
         self.parallel_threshold = max(1, parallel_threshold)
         self.max_batch_tuples = max(1, max_batch_tuples)
-        self.started_at = time.time()
-        self.requests_served = 0
-        self._counter_lock = threading.Lock()
-        self._shutdown = threading.Event()
         # None means default; an explicit value is clamped to >= 1 so
         # --threads 0 never silently becomes the 8-thread default.
         if threads is None:
             threads = DEFAULT_DISPATCH_THREADS
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, threads),
-            thread_name_prefix="repro-service",
-        )
+        self._running = threading.BoundedSemaphore(max(1, threads))
 
     # -- dispatch -------------------------------------------------------------
 
-    @property
-    def shutdown_requested(self) -> bool:
-        """Whether a ``shutdown`` request has been served."""
-        return self._shutdown.is_set()
-
-    def submit_line(self, line: str) -> "Future[str]":
-        """Dispatch one request line on the shared thread pool."""
-        return self._executor.submit(self.handle_line, line)
-
-    def handle_line(self, line: str) -> str:
-        """One request line in, one response line out (never raises)."""
-        try:
-            request = decode_request(line)
-        except ServiceError as exc:
-            return encode(exc.as_response(None))
-        return encode(self.handle_request(request))
+    def serve_line(self, line: str, conns: Dict) -> str:
+        """One line from a TCP connection, run once a ``threads`` slot is free."""
+        with self._running:
+            return self.handle_line(line)
 
     def handle_request(self, request: Dict) -> Dict:
         """One request object in, one response object out (never raises)."""
-        request_id = request.get("id")
-        op = request.get("op")
-        try:
-            if not isinstance(op, str) or op not in self._HANDLERS:
-                raise ServiceError("unknown-op", unknown_op_message(op))
-            response = getattr(self, "_op_" + op)(request)
-        except ServiceError as exc:
-            response = exc.as_response(request_id)
-        except Exception as exc:  # a bug, not a client error: still answer
-            response = error_response(
-                request_id, "internal-error", f"{type(exc).__name__}: {exc}"
-            )
-        with self._counter_lock:
-            self.requests_served += 1
-        return response
-
-    def close(self) -> None:
-        """Stop the dispatcher (in-flight requests finish)."""
-        self._executor.shutdown(wait=False)
+        return self._respond(request, None, None)
 
     # -- session resolution ----------------------------------------------------
 
@@ -229,18 +284,6 @@ class ProvenanceService:
         return self.registry.acquire(program, database, answer)
 
     # -- operations ------------------------------------------------------------
-
-    def _op_ping(self, request: Dict) -> Dict:
-        result = {
-            "pong": True,
-            "protocol": PROTOCOL_VERSION,
-            "uptime_seconds": time.time() - self.started_at,
-        }
-        return ok_response(request.get("id"), "ping", result)
-
-    def _op_shutdown(self, request: Dict) -> Dict:
-        self._shutdown.set()
-        return ok_response(request.get("id"), "shutdown", {"stopping": True})
 
     def _op_open(self, request: Dict) -> Dict:
         entry, admitted = self._entry_for(request)
@@ -501,8 +544,8 @@ class ProvenanceService:
         result = self.registry.stats()
         result["protocol"] = PROTOCOL_VERSION
         result["uptime_seconds"] = time.time() - self.started_at
-        # A single-process daemon has no shard layer; the sharded
-        # front-end replaces this with its worker table, so clients can
+        # A single-process daemon has no shard layer; the router's
+        # pool-wide stats carry its worker table here, so clients can
         # always read result["sharding"] to tell the two apart.
         result["sharding"] = None
         with self._counter_lock:
@@ -525,42 +568,63 @@ class ProvenanceService:
             request.get("id"), "stats", result, session=session_field, version=version
         )
 
-    #: One handler per protocol operation — derived from the protocol's
-    #: own op list so the two can never drift apart (each ``op`` must
-    #: have a matching ``_op_<name>`` method).
-    _HANDLERS = frozenset(OPS)
-
 
 # -- transports ---------------------------------------------------------------
 
 
 class _ServiceHandler(socketserver.StreamRequestHandler):
-    """One connection: read request lines, dispatch, write response lines."""
+    """One connection on its own thread: read, serve and answer lines in order."""
 
     def handle(self) -> None:  # noqa: D102 - socketserver plumbing
-        service: ProvenanceService = self.server.service  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            response = service.submit_line(line).result()
-            try:
+        service: Dispatcher = self.server.service  # type: ignore[attr-defined]
+        conns: Dict = {}
+        try:
+            while True:
+                raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                if not raw:
+                    return
+                over_long = len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n")
+                if over_long:
+                    response = encode(error_response(
+                        None, "parse-error",
+                        f"request line longer than the {MAX_LINE_BYTES}-byte limit",
+                    ))
+                else:
+                    line = raw.decode("utf-8", errors="replace").strip()
+                    if not line:
+                        continue
+                    response = service.serve_line(line, conns)
                 self.wfile.write(response.encode("utf-8") + b"\n")
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                return
-            if service.shutdown_requested:
-                self.server.initiate_shutdown()  # type: ignore[attr-defined]
+                if over_long:
+                    # Answered before the line ends: a client may wait
+                    # for the reply before sending the rest.
+                    self._skip_rest_of_line()
+                elif service.shutdown_requested:
+                    self.server.initiate_shutdown()  # type: ignore[attr-defined]
+                    return
+        except (BrokenPipeError, ConnectionResetError):
+            return
+        finally:
+            for conn in conns.values():
+                conn.close()
+
+    def _skip_rest_of_line(self) -> None:
+        """Read past an over-long line's newline, one bounded chunk at a time."""
+        while True:
+            chunk = self.rfile.readline(MAX_LINE_BYTES)
+            if not chunk or chunk.endswith(b"\n"):
                 return
 
 
 class TCPServiceServer(socketserver.ThreadingTCPServer):
-    """NDJSON-over-TCP transport: one reader thread per connection.
+    """The NDJSON-over-TCP front-end: one thread per connection.
 
-    Bind to port ``0`` for an ephemeral port (read it back from
-    :attr:`port` — the CLI prints it on stderr). ``serve_in_thread``
-    starts the accept loop on a daemon thread and returns it, the shape
-    the tests, the harness round-trip, and :func:`local_service` use.
+    Serves either dispatcher: a :class:`ProvenanceService`, or the
+    sharded daemon's :class:`~repro.service.shard.ShardRouter`. Bind to
+    port ``0`` for an ephemeral port (read it back from :attr:`port` —
+    the CLI prints it on stderr). ``serve_in_thread`` starts the accept
+    loop on a daemon thread and returns it, the shape the tests, the
+    harness round-trip, and :func:`local_service` use.
     """
 
     allow_reuse_address = True
@@ -568,7 +632,7 @@ class TCPServiceServer(socketserver.ThreadingTCPServer):
 
     def __init__(
         self,
-        service: ProvenanceService,
+        service: Dispatcher,
         host: str = "127.0.0.1",
         port: int = 0,
     ):

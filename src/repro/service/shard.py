@@ -1,10 +1,12 @@
-"""The sharded service: an async router over single-process daemon workers.
+"""The sharded service: a router over single-process daemon workers.
 
 One process cannot scale solver-heavy traffic past the GIL, so the
 sharded daemon (``python -m repro serve --workers N``) splits the
 registry across N *worker processes*, each an unmodified copy of the
-proven single-process daemon (:mod:`repro.service.server`), and puts an
-asyncio NDJSON front-end in front of them:
+proven single-process daemon (:mod:`repro.service.server`), and routes
+to them from the same TCP front-end
+(:class:`~repro.service.server.TCPServiceServer`) through a
+:class:`ShardRouter`:
 
 * **routing** — every session-addressed request is owned by exactly one
   worker, chosen by consistent hashing (:class:`HashRing`) over the
@@ -34,7 +36,7 @@ asyncio NDJSON front-end in front of them:
   ``worker-failure`` error. Connect-phase failures (nothing sent yet)
   are retryable for every op, ``update`` included.
 
-The front-end answers ``ping`` itself, aggregates no-session ``stats``
+The router answers ``ping`` itself, aggregates no-session ``stats``
 across the pool (adding a ``sharding`` table — the single-process daemon
 reports ``"sharding": null`` there), injects a ``shard`` block into
 session-addressed ``stats``, and broadcasts ``shutdown``. Everything
@@ -44,42 +46,33 @@ client-visible contract.
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import hashlib
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
+from .client import ServiceClient
 from .protocol import (
-    OPS,
     PROTOCOL_VERSION,
     ServiceError,
-    decode_request,
     encode,
-    error_response,
     ok_response,
     session_address,
-    unknown_op_message,
 )
 from .registry import routing_digest
+from .server import Dispatcher
 
 #: Virtual nodes per worker slot. More replicas = smoother balance at
 #: the cost of a larger (still tiny) sorted point table.
 DEFAULT_REPLICAS = 64
-
-#: Byte limit for one NDJSON line on either side of the router. The
-#: asyncio default (64 KiB) is far too small for inline databases and
-#: 10k-tuple batch requests; 64 MiB comfortably covers the server-side
-#: batch cap.
-STREAM_LIMIT = 2 ** 26
 
 #: Transparent-retry attempts per request before surfacing
 #: ``worker-failure`` (each attempt waits for a fresh worker generation).
@@ -424,23 +417,45 @@ class WorkerSupervisor:
                 proc.wait(timeout=5.0)
 
 
-class ShardedServiceServer:
-    """The async NDJSON front-end over a supervised worker pool.
+class _Downstream:
+    """One client connection's blocking socket to one worker generation."""
 
-    Runs its own asyncio loop on a background thread (callers stay
-    synchronous — the CLI, tests, and :func:`~repro.service.client.
-    local_sharded_service` all use it the same way). Each accepted
-    client connection is served strictly in request order, matching the
-    single-process daemon's per-connection ordering contract; different
-    connections proceed concurrently, each with its own downstream
-    connection per shard.
+    def __init__(self, generation: int, port: int):
+        self.generation = generation
+        self._sock = socket.create_connection(("127.0.0.1", port))
+        # One write per request: its last segment must not wait for an ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = self._sock.makefile("rb")
+
+    def exchange(self, line: str) -> bytes:
+        """Send one request line, return its response line."""
+        self._sock.sendall(line.encode("utf-8") + b"\n")
+        raw = self._reader.readline()
+        if not raw.endswith(b"\n"):
+            raise ConnectionResetError("worker closed the connection")
+        return raw
+
+    def close(self) -> None:
+        """Close the socket (idempotent)."""
+        self._reader.close()
+        self._sock.close()
+
+
+class ShardRouter(Dispatcher):
+    """The hash ring plus the worker supervisor, behind the TCP front-end.
+
+    :class:`~repro.service.server.TCPServiceServer` hands it each client
+    line on that connection's own thread, so a connection's requests are
+    served strictly in order while different connections proceed
+    concurrently. It answers ``ping`` itself, aggregates no-session
+    ``stats`` across the pool, broadcasts ``shutdown``, and forwards
+    every other line verbatim to the worker owning its session, over
+    the connection's own blocking socket to that worker.
     """
 
     def __init__(
         self,
         workers: int,
-        host: str = "127.0.0.1",
-        port: int = 0,
         *,
         state_dir: Optional[str] = None,
         worker_threads: Optional[int] = None,
@@ -456,6 +471,7 @@ class ShardedServiceServer:
     ):
         if workers < 1:
             raise ValueError("a sharded service needs at least 1 worker")
+        super().__init__()
         self.method = method
         self.acyclicity = acyclicity
         self.spawn_timeout = spawn_timeout
@@ -472,178 +488,26 @@ class ShardedServiceServer:
             acyclicity=acyclicity,
         )
         self.ring = HashRing(self.supervisor.slots, replicas=replicas)
-        self.started_at = time.time()
-        self._requested_host = host
-        self._requested_port = port
-        self._bound: Optional[Tuple[str, int]] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown = False
-        self._closed = False
-        #: Set once a client's ``shutdown`` request has been honored —
-        #: what a foreground host (``repro serve --workers N``) waits on
-        #: to exit, mirroring the single-process daemon's behavior.
-        self.stopped = threading.Event()
-        self._local_requests = 0
-        self._counter_lock = threading.Lock()
-        # Blocking work the event loop must not absorb: canonicalizing
-        # inline texts into routing digests, and waiting for a worker
-        # generation during restarts.
-        self._route_pool = ThreadPoolExecutor(
-            max_workers=8, thread_name_prefix="repro-shard-route"
-        )
-
-    # -- addressing -----------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        """The bound front-end host."""
-        return self._bound[0] if self._bound else self._requested_host
-
-    @property
-    def port(self) -> int:
-        """The bound front-end port (after :meth:`start`)."""
-        return self._bound[1] if self._bound else self._requested_port
-
-    # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the workers, then bind and serve on a background loop."""
+        """Spawn the workers and wait until every one is bound."""
         self.supervisor.start(timeout=self.spawn_timeout)
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, name="repro-shard-router", daemon=True
-        )
-        self._loop_thread.start()
-        try:
-            future = asyncio.run_coroutine_threadsafe(
-                self._start_server(), self._loop
-            )
-            future.result(timeout=30.0)
-        except Exception:
-            self.close()
-            raise
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    async def _start_server(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection,
-            self._requested_host,
-            self._requested_port,
-            limit=STREAM_LIMIT,
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self._bound = (sockname[0], sockname[1])
 
     def close(self) -> None:
-        """Stop accepting, stop the loop, stop the workers (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._loop is not None and self._loop.is_running():
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self._close_server(), self._loop
-                ).result(timeout=5.0)
-            except Exception:
-                pass
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._loop_thread is not None:
-            self._loop_thread.join(timeout=5.0)
-        if self._loop is not None and not self._loop.is_running():
-            self._loop.close()
-        self._route_pool.shutdown(wait=False)
+        """Stop the workers (idempotent)."""
         self.supervisor.stop()
-
-    async def _close_server(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
 
     # -- serving --------------------------------------------------------------
 
-    async def _serve_connection(self, reader, writer) -> None:
-        """One client connection: strictly ordered request/response."""
-        conns: Dict[str, Tuple[int, asyncio.StreamReader, asyncio.StreamWriter]] = {}
-        try:
-            while True:
-                try:
-                    raw = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # A line past STREAM_LIMIT cannot be reframed; the
-                    # stream is unusable from here.
-                    break
-                if not raw:
-                    break
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                response = await self._handle_request_line(line, conns)
-                try:
-                    writer.write(response.encode("utf-8") + b"\n")
-                    await writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-                if self._shutdown:
-                    break
-        finally:
-            for _, _, downstream in conns.values():
-                downstream.close()
-            writer.close()
+    def _serve(
+        self, op: str, request: Dict, line: str, conns: Dict
+    ) -> Union[Dict, str]:
+        pool_wide = op == "stats" and request.get("session") is None
+        if op in ("ping", "shutdown") or pool_wide:
+            return super()._serve(op, request, line, conns)
+        return self._forward(request, line, conns)
 
-    async def _handle_request_line(self, line: str, conns) -> str:
-        with self._counter_lock:
-            self._local_requests += 1
-        try:
-            request = decode_request(line)
-        except ServiceError as exc:
-            return encode(exc.as_response(None))
-        request_id = request.get("id")
-        op = request.get("op")
-        try:
-            if not isinstance(op, str) or op not in OPS:
-                raise ServiceError("unknown-op", unknown_op_message(op))
-            if op == "ping":
-                return encode(self._local_ping(request_id))
-            if op == "shutdown":
-                return encode(await self._broadcast_shutdown(request_id))
-            if op == "stats" and request.get("session") is None:
-                return encode(await self._aggregate_stats(request_id))
-            digest = await self._route(request)
-            return await self._forward(request, line, digest, conns)
-        except ServiceError as exc:
-            return encode(exc.as_response(request_id))
-        except Exception as exc:  # a router bug: still answer in-protocol
-            return encode(
-                error_response(
-                    request_id, "internal-error", f"{type(exc).__name__}: {exc}"
-                )
-            )
-
-    async def _route(self, request: Dict) -> str:
-        """The content digest a request addresses (its routing key)."""
-        digest, texts = session_address(request)
-        if digest is not None:
-            return digest
-        program, database, answer = texts
-        loop = asyncio.get_running_loop()
-        # Canonicalization parses both texts — CPU work that must not
-        # stall every other connection on the loop.
-        return await loop.run_in_executor(
-            self._route_pool,
-            routing_digest,
-            program,
-            database,
-            answer,
-            self.method,
-            self.acyclicity,
-        )
-
-    async def _forward(self, request: Dict, line: str, digest: str, conns) -> str:
+    def _forward(self, request: Dict, line: str, conns: Dict) -> str:
         """Send the raw line to the owning worker; return its raw response.
 
         Retry policy: a connect-phase failure (no bytes reached the
@@ -653,43 +517,35 @@ class ShardedServiceServer:
         risking a double-applied delta. Every retry insists on a worker
         generation newer than the one that failed.
         """
+        digest, texts = session_address(request)
+        if digest is None:
+            # Inline texts route by the digest their admission would get.
+            program, database, answer = texts
+            digest = routing_digest(
+                program, database, answer, self.method, self.acyclicity
+            )
         slot = self.ring.lookup(digest)
         handle = self.supervisor.handles[slot]
         op = request.get("op")
         idempotent = op != "update"
-        loop = asyncio.get_running_loop()
         failed_generation: Optional[int] = None
         last_error: Optional[BaseException] = None
         for _ in range(MAX_FORWARD_ATTEMPTS):
-            generation, port = await loop.run_in_executor(
-                self._route_pool,
-                handle.wait_ready,
-                self.spawn_timeout,
-                failed_generation,
-            )
+            generation, port = handle.wait_ready(self.spawn_timeout, failed_generation)
+            conn = conns.get(slot)
+            if conn is not None and conn.generation != generation:
+                conns.pop(slot).close()
+                conn = None
             sent = False
             try:
-                conn = conns.get(slot)
-                if conn is not None and conn[0] != generation:
-                    conn[2].close()
-                    conn = None
                 if conn is None:
-                    downstream = await asyncio.open_connection(
-                        "127.0.0.1", port, limit=STREAM_LIMIT
-                    )
-                    conn = (generation, downstream[0], downstream[1])
-                    conns[slot] = conn
-                _, down_reader, down_writer = conn
-                down_writer.write(line.encode("utf-8") + b"\n")
+                    conn = conns[slot] = _Downstream(generation, port)
                 sent = True
-                await down_writer.drain()
-                raw = await down_reader.readline()
-                if not raw:
-                    raise ConnectionResetError("worker closed the connection")
-            except (OSError, asyncio.IncompleteReadError) as exc:
+                raw = conn.exchange(line)
+            except OSError as exc:
                 stale = conns.pop(slot, None)
                 if stale is not None:
-                    stale[2].close()
+                    stale.close()
                 failed_generation = generation
                 last_error = exc
                 if sent and not idempotent:
@@ -723,50 +579,27 @@ class ShardedServiceServer:
 
     # -- locally-served operations --------------------------------------------
 
-    def _local_ping(self, request_id) -> Dict:
-        result = {
-            "pong": True,
-            "protocol": PROTOCOL_VERSION,
-            "uptime_seconds": time.time() - self.started_at,
-        }
-        return ok_response(request_id, "ping", result)
-
-    async def _broadcast_shutdown(self, request_id) -> Dict:
+    def _op_shutdown(self, request: Dict) -> Dict:
         """Quiesce the supervisor, then ask every worker to stop."""
         self.supervisor.quiesce()
-        for slot in self.ring.slots:
-            handle = self.supervisor.handles[slot]
+        for handle in self.supervisor.handles.values():
             with handle.lock:
                 port = handle.port
                 alive = handle.proc is not None and handle.proc.poll() is None
             if port is None or not alive:
                 continue
             try:
-                await self._oneshot(port, {"id": 0, "op": "shutdown"})
-            except OSError:
+                with ServiceClient(port=port) as client:
+                    client.shutdown_server()
+            except (OSError, ServiceError):
                 pass  # already gone — which is what shutdown wants
-        self._shutdown = True
-        self.stopped.set()
-        return ok_response(request_id, "shutdown", {"stopping": True})
+        return super()._op_shutdown(request)
 
-    async def _oneshot(self, port: int, payload: Dict) -> Dict:
-        """One request over a fresh short-lived worker connection."""
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", port, limit=STREAM_LIMIT
-        )
-        try:
-            writer.write((encode(payload) + "\n").encode("utf-8"))
-            await writer.drain()
-            raw = await reader.readline()
-        finally:
-            writer.close()
-        if not raw:
-            raise ConnectionResetError("worker closed the connection")
-        return json.loads(raw.decode("utf-8"))
-
-    async def _aggregate_stats(self, request_id) -> Dict:
+    def _op_stats(self, request: Dict) -> Dict:
         """Pool-wide ``stats``: summed counters plus the sharding table.
 
+        ``requests_served`` counts the client requests this front-end
+        answered; each worker's own count is in its ``per_worker`` row.
         A worker that is down (or mid-restart) contributes its handle
         row with an ``error`` instead of failing the whole request —
         monitoring must work *especially* while a shard is unhealthy.
@@ -784,38 +617,29 @@ class ShardedServiceServer:
         max_bytes_values: List[Optional[int]] = []
         sessions: List[Dict] = []
         stores: List[Dict] = []
-        requests_served = 0
         per_worker: List[Dict] = []
-        loop = asyncio.get_running_loop()
         for slot in self.ring.slots:
             handle = self.supervisor.handles[slot]
             row = handle.describe()
             try:
-                generation, port = await loop.run_in_executor(
-                    self._route_pool, handle.wait_ready, 2.0, None
-                )
-                response = await self._oneshot(port, {"id": 0, "op": "stats"})
-                if not response.get("ok"):
-                    raise ConnectionResetError(
-                        response.get("error", {}).get("message", "stats failed")
-                    )
-            except (ServiceError, OSError, ValueError) as exc:
+                _, port = handle.wait_ready(2.0)
+                with ServiceClient(port=port) as client:
+                    result = client.stats()["result"]
+            except (ServiceError, OSError) as exc:
                 row["error"] = str(exc)
                 per_worker.append(row)
                 continue
-            result = response["result"]
             for key in summed:
                 summed[key] += result.get(key) or 0
             max_bytes_values.append(result.get("max_bytes"))
             sessions.extend(result.get("sessions") or [])
             if result.get("store"):
                 stores.append(result["store"])
-            requests_served += result.get("requests_served") or 0
             row["requests_served"] = result.get("requests_served")
             row["session_count"] = result.get("session_count")
             per_worker.append(row)
         with self._counter_lock:
-            local = self._local_requests
+            served = self.requests_served
         result = dict(summed)
         result["max_bytes"] = (
             None
@@ -829,14 +653,14 @@ class ShardedServiceServer:
         result["acyclicity"] = self.acyclicity
         result["protocol"] = PROTOCOL_VERSION
         result["uptime_seconds"] = time.time() - self.started_at
-        result["requests_served"] = requests_served + local
+        result["requests_served"] = served
         result["sharding"] = {
             "workers": len(self.ring.slots),
             "replicas": self.ring.replicas,
-            "router_requests": local,
+            "router_requests": served,
             "per_worker": per_worker,
         }
-        return ok_response(request_id, "stats", result)
+        return ok_response(request.get("id"), "stats", result)
 
     @staticmethod
     def _merge_stores(stores: List[Dict]) -> Optional[Dict]:

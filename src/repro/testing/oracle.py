@@ -19,10 +19,10 @@ are all contractually byte-identical:
   second incarnation must rebuild the session from its log (the admitted
   database plus the logged deltas, evaluated once) and keep serving
   byte-identical observations;
-* ``sharded`` — the multi-process daemon (``serve --workers 2``): an
-  async front-end routing by consistent-hashed content digest to real
-  worker subprocesses, which must be indistinguishable on the wire from
-  the single-process ``service`` path.
+* ``sharded`` — the multi-process daemon (``serve --workers 2``): the
+  same TCP front-end, its router sending each request by consistent-hashed
+  content digest to real worker subprocesses, which must be
+  indistinguishable on the wire from the single-process ``service`` path.
 
 :func:`run_oracle` drives one generated instance
 (:class:`~repro.scenarios.synthetic.SyntheticInstance`) through every
@@ -403,7 +403,7 @@ def _run_restart(instance: SyntheticInstance, config: OracleConfig) -> List[str]
 def _run_sharded(instance: SyntheticInstance, config: OracleConfig) -> List[str]:
     """The multi-process path: same loop as ``service``, over the router.
 
-    Every request crosses the async front-end, gets routed by content
+    Every request crosses the TCP front-end, gets routed by content
     digest to one of ``config.shard_workers`` worker subprocesses, and
     must come back byte-identical to what the single-process daemon
     would have sent.

@@ -528,6 +528,60 @@ class TestClientCommand:
         assert "request failed" in captured.err
 
 
+class TestServeTCP:
+    """``serve`` as a real process over TCP, in both topologies."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ping_then_shutdown_exits_cleanly(self, workers):
+        import json
+        import os
+        import queue
+        import re
+        import socket
+        import subprocess
+        import sys
+        import threading
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", workers],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        lines = queue.Queue()
+        drain = threading.Thread(
+            target=lambda: [lines.put(line) for line in proc.stderr], daemon=True
+        )
+        drain.start()
+        try:
+            match = None
+            while match is None:
+                line = lines.get(timeout=15)
+                match = re.search(r"listening on ([0-9.]+):(\d+)", line)
+            with socket.create_connection(
+                (match.group(1), int(match.group(2))), timeout=15
+            ) as sock:
+                reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                sock.sendall(b'{"id": 1, "op": "ping"}\n')
+                assert json.loads(reader.readline())["result"]["pong"] is True
+                sock.sendall(b'{"id": 2, "op": "shutdown"}\n')
+                assert json.loads(reader.readline())["result"] == {"stopping": True}
+            assert proc.wait(timeout=15) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            drain.join(timeout=5)
+            proc.stderr.close()
+
+
 class TestFuzz:
     """The differential-fuzz subcommand (fast configs: in-process paths)."""
 

@@ -55,6 +55,23 @@ class TestBasics:
         dup = db.copy()
         dup.add(Atom("s", ("z",)))
         assert Atom("s", ("z",)) not in db
+        # An existing predicate and position bucket of the copy changes
+        # without touching the source's.
+        dup.add(Atom("e", ("a", "d")))
+        dup.discard(Atom("e", ("a", "b")))
+        assert db.relation("e") == {
+            Atom("e", ("a", "b")),
+            Atom("e", ("b", "c")),
+            Atom("e", ("a", "c")),
+        }
+        assert set(db.matching("e", {0: "a"})) == {
+            Atom("e", ("a", "b")),
+            Atom("e", ("a", "c")),
+        }
+        assert set(dup.matching("e", {0: "a"})) == {
+            Atom("e", ("a", "c")),
+            Atom("e", ("a", "d")),
+        }
 
 
 class TestAccess:

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 
 from repro.sat.cnf import CNF
 from repro.sat.dpll import solve_dpll
-from repro.sat.preprocessing import preprocess
 from repro.sat.solver import CDCLSolver
 
 from strategies import (
@@ -186,19 +185,3 @@ class TestHypothesisProperties:
         assert verdict is dpll_verdict(cnf)
         if verdict:
             assert_valid_model(cnf, solver.model())
-
-    @given(cnf=cnf_formulas)
-    @settings(max_examples=40, deadline=None)
-    def test_preprocess_preserves_verdict(self, cnf):
-        result = preprocess(cnf)
-        if result.unsat:
-            assert dpll_verdict(cnf) is False
-            return
-        solver = CDCLSolver()
-        solver.add_cnf(result.cnf)
-        verdict = solver.solve()
-        assert verdict is dpll_verdict(cnf)
-        if verdict:
-            model = result.extend_model(solver.model())
-            assert_valid_model(cnf, model)
-

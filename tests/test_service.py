@@ -11,9 +11,9 @@ round-trips over the wire.
 The wire-level tests are written against the *public protocol only*
 (the stats op instead of in-process registry peeking), which lets the
 same assertions run parametrized over both daemon topologies:
-``single`` (one process, ``local_service``) and ``sharded`` (an async
-router over real worker processes, ``local_sharded_service``). Anything
-the contract promises must hold identically in both.
+``single`` (one process, ``local_service``) and ``sharded`` (the same
+front-end routing to real worker processes, ``local_sharded_service``).
+Anything the contract promises must hold identically in both.
 """
 
 import json
@@ -45,7 +45,7 @@ from repro.service.protocol import (
 )
 from repro.service.registry import SessionRegistry, content_digest
 from repro.service.store import SnapshotStore
-from repro.service.server import ProvenanceService
+from repro.service.server import ProvenanceService, TCPServiceServer
 
 PROGRAM_TEXT = """
 tc(X, Y) :- e(X, Y).
@@ -74,7 +74,7 @@ def wire_service(mode: str, threads: int = 4):
     """A connected client against the requested daemon topology.
 
     ``single`` is the in-process TCP daemon; ``sharded`` is the
-    multi-process one — an async front-end routing to two supervised
+    multi-process one — the same TCP front-end routing to two supervised
     worker subprocesses. The yielded client speaks the same protocol to
     both, which is the whole point of parametrizing over this.
     """
@@ -699,6 +699,40 @@ class TestWire:
         with wire_service(mode) as client:
             assert client.shutdown_server()["result"] == {"stopping": True}
 
+    def test_requests_served_counts_each_client_request_once(self, mode):
+        with wire_service(mode) as client:
+            for _ in range(3):
+                client.ping()
+            digest = client.open(PROGRAM_TEXT, DATABASE_TEXT, "tc")["session"]
+            for _ in range(2):
+                client.why(digest, ("a", "c"))
+            assert client.stats()["result"]["requests_served"] == 6
+            assert client.stats()["result"]["requests_served"] == 7
+
+    def test_over_long_line_gets_one_parse_error(self, mode, monkeypatch):
+        monkeypatch.setattr("repro.service.server.MAX_LINE_BYTES", 64)
+        with wire_service(mode) as client:
+            with socket.create_connection(
+                ("127.0.0.1", client.address[1]), timeout=10
+            ) as sock:
+                reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                # Answered as soon as the limit is passed, before the
+                # line's newline arrives.
+                sock.sendall(b'{"id": 1, "op": "ping", "pad": "' + b"x" * 1000)
+                response = json.loads(reader.readline())
+                assert response["error"]["code"] == "parse-error"
+                assert "64-byte limit" in response["error"]["message"]
+                # The rest of the long line is skipped, not served: the
+                # next line gets the next response.
+                sock.sendall(b"x" * 1000 + b'"}\n')
+                sock.sendall(encode({"id": 2, "op": "ping"}).encode() + b"\n")
+                assert json.loads(reader.readline())["id"] == 2
+            # A line of exactly the limit is still served.
+            at_limit = {"id": 3, "op": "ping", "pad": ""}
+            at_limit["pad"] = "x" * (64 - len(encode(at_limit)))
+            assert len(encode(at_limit)) == 64
+            assert client.request(at_limit)["ok"]
+
 
 class TestErrorPaths:
     """Hostile and unlucky clients: the daemon must answer or shrug, never die.
@@ -839,6 +873,58 @@ class TestErrorPaths:
             ) as sock:
                 sock.sendall(b'{"op": "ping"')  # no newline, then FIN
             assert client.ping()["ok"]
+
+
+def test_threads_bound_the_requests_executing_at_once(monkeypatch):
+    # Six connections, each on its own server thread, send slow requests
+    # at once: never more than ``threads`` of them run together.
+    import sys
+
+    service = ProvenanceService(threads=2)
+    handle_line = service.handle_line
+    lock = threading.Lock()
+    running = 0
+    peaks = []
+
+    def slow_handle_line(line, conns=None):
+        nonlocal running
+        with lock:
+            running += 1
+            peaks.append(running)
+        time.sleep(0.02)
+        with lock:
+            running -= 1
+        return handle_line(line)
+
+    monkeypatch.setattr(service, "handle_line", slow_handle_line)
+    server = TCPServiceServer(service)
+    server.serve_in_thread()
+    errors = []
+
+    def client_loop():
+        try:
+            with ServiceClient(port=server.port, timeout=30) as client:
+                for _ in range(5):
+                    assert client.ping()["ok"]
+        except Exception as exc:  # surface in the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client_loop) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(peaks) == 30 and max(peaks) == 2
+    assert service.requests_served == 30
 
 
 def test_local_service_teardown_is_prompt():

@@ -76,7 +76,7 @@ def test_sharded_service_round_trip_matches_in_process(
 ):
     """ISSUE 8 acceptance: the --workers 4 daemon is byte-identical too.
 
-    Same harness run, but every request crosses the async router and a
+    Same harness run, but every request crosses the shard router and a
     consistent-hash hop to one of four real worker processes.
     """
     scenario = get_scenario(scenario_name)
