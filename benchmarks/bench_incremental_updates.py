@@ -5,9 +5,11 @@ grounded, with every sampled tuple's closure/encoding/solver cached)
 receives a database delta and must serve correct provenance again. Two
 strategies are timed per delta:
 
-* **incremental** — ``session.update(delta)``: DRed deletion maintenance
-  plus delta-semi-naive insertion rounds patch the evaluation and the
-  instance trace, only the caches the delta reaches are dropped, and the
+* **incremental** — ``session.update(delta)``: deletions re-rank the
+  rank-supported cone of the deleted facts, delta-semi-naive insertion
+  rounds add what the inserts derive, both patching the evaluation and
+  the instance trace in place, only the caches the delta reaches are
+  dropped, and the
   sampled tuples' closures/encodings are re-warmed through the surviving
   caches;
 * **full** — the pre-incremental protocol: apply the delta to a copy of

@@ -4,8 +4,9 @@ A :class:`~repro.core.session.ProvenanceSession` is a materialized view
 over one ``(query, database)`` pair. This example shows the view staying
 *live* while the database changes: facts are inserted and deleted through
 :meth:`ProvenanceSession.update`, which patches the evaluation with
-delta-semi-naive insertion rounds and DRed-style deletion maintenance —
-the program is evaluated exactly once, ever — instead of the
+delta-semi-naive insertion rounds and, for deletions, re-ranks only the
+facts whose rank support the deletion reaches — the program is evaluated
+exactly once, ever — instead of the
 sledgehammer ``invalidate()`` + re-evaluate path.
 
 Watch three things in the output:
@@ -73,7 +74,7 @@ def main() -> None:
     receipt = session.update(Delta.delete(Atom("e", ("b", "c"))))
     print(
         f"  update receipt: -{len(receipt.removed_facts)} model facts "
-        f"(DRed overdeleted {receipt.overdeleted}, rederived {receipt.rederived})"
+        f"(rank-supported cone {receipt.cone}, {receipt.raised} kept at a higher rank)"
     )
     show_witnesses(session, ("a", "c"))  # the b-chain witness is gone
     show_witnesses(session, ("b", "d"))  # retracted transitively

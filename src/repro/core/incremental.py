@@ -17,12 +17,15 @@ Datalog engines maintain materialized views incrementally.
 1. applies the delta to the session's database
    (:meth:`~repro.datalog.database.Database.apply`), obtaining the
    *effective* delta;
-2. patches the recorded evaluation through
-   :func:`~repro.datalog.engine.maintain_evaluation` — DRed-style
-   deletion maintenance plus delta-semi-naive insertion rounds, both of
-   which also patch the ground-rule instance trace so the invariant
+2. patches the recorded evaluation in place through
+   :func:`~repro.datalog.engine.maintain_evaluation` — deletions re-rank
+   only the rank-supported cone of the deleted facts, insertions run
+   delta-semi-naive rounds and then lower ranks from what they added —
+   patching the model, the ranks and the instance trace so the invariant
    ``set(trace) == set(ground_instances(program, model))`` holds after
-   any update sequence;
+   any update sequence. The first update indexes the trace by head and
+   by body fact (a :class:`~repro.datalog.engine.TraceIndex`), adopting
+   the GRI's head map when the GRI exists;
 3. computes the *dirty set*: every fact the update could possibly have
    flowed into — the delta's facts, the model difference, and the heads
    of every added or removed instance;
@@ -30,9 +33,10 @@ Datalog engines maintain materialized views incrementally.
    set (plus cached "not derivable" verdicts for facts that became
    derivable), and with them the dependent encodings, decision solvers
    and enumerators — everything else survives byte-identical;
-5. patches the session's :class:`~repro.provenance.grounding.GriIndex`
-   with the removed and added instances, dropping the canonical views
-   of the touched heads only;
+5. drops the canonical views of the heads the removed and added
+   instances touch from the session's
+   :class:`~repro.provenance.grounding.GriIndex`, which reads the head
+   map the maintenance just patched;
 6. bumps the session version so pickled evaluation snapshots (the
    parallel batch path) are recognizably stale and get rebuilt.
 
@@ -54,7 +58,7 @@ from typing import FrozenSet, List, Optional, Set, TYPE_CHECKING
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Delta
-from ..datalog.engine import MaintenanceResult, maintain_evaluation
+from ..datalog.engine import MaintenanceResult, TraceIndex, maintain_evaluation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .session import ProvenanceSession
@@ -78,9 +82,11 @@ class SessionUpdate:
         Cache accounting for the downward-closure layer: how many cached
         closures the dirty set forced out versus how many survive (and
         with them their encodings and warm solvers).
-    overdeleted / rederived:
-        DRed diagnostics forwarded from the engine: facts tentatively
-        deleted, and the subset saved by an alternative derivation.
+    cone / raised:
+        Deletion diagnostics forwarded from the engine: the size of the
+        rank-supported cone of the deleted facts (the only facts a
+        deletion can re-rank or remove), and how many cone facts stayed
+        in the model at a higher rank.
     version:
         The session version *after* the update (snapshots stamped with an
         older version are stale).
@@ -98,8 +104,8 @@ class SessionUpdate:
     removed_instances: int = 0
     invalidated_closures: int = 0
     retained_closures: int = 0
-    overdeleted: int = 0
-    rederived: int = 0
+    cone: int = 0
+    raised: int = 0
     version: int = 0
     seconds: float = 0.0
 
@@ -159,26 +165,31 @@ def update_session(session: "ProvenanceSession", delta: Delta) -> SessionUpdate:
     session.stats.updates += 1
     session.version += 1
     session._snapshot_cache = None
+    evaluation = session._evaluation
+    if session._gri is not None and not isinstance(evaluation.instances, TraceIndex):
+        # One head map for the trace and the GRI, patched as one.
+        evaluation.instances = TraceIndex(heads=session._gri.rules)
     result: MaintenanceResult = maintain_evaluation(
         session.query.program,
         session.database,
-        session._evaluation,
+        evaluation,
         effective,
         engine=session.engine,
         plan_context=session.plan_context(),
     )
-    session._evaluation = result.evaluation
     session._sync_plan_stats()
 
     dirty = _dirty_facts(effective, result)
     invalidated, retained = _invalidate_stale_caches(session, dirty)
     session.stats.closure_invalidations += invalidated
 
-    # The GRI index follows the trace: patch only the heads whose
-    # instances left or entered, removals first (one instance may do
-    # both in one update). Those heads are re-sorted on their next read.
+    # The GRI reads the patched head map: drop the views of the heads
+    # whose instances left or entered, re-sorted on their next read.
     if session._gri is not None:
-        session._gri.patch(result.removed_instances, result.added_instances)
+        session._gri.forget(
+            ground.head
+            for ground in result.removed_instances + result.added_instances
+        )
 
     return SessionUpdate(
         requested=delta,
@@ -189,8 +200,8 @@ def update_session(session: "ProvenanceSession", delta: Delta) -> SessionUpdate:
         removed_instances=len(result.removed_instances),
         invalidated_closures=invalidated,
         retained_closures=retained,
-        overdeleted=result.overdeleted,
-        rederived=result.rederived,
+        cone=result.cone,
+        raised=result.raised,
         version=session.version,
         seconds=time.perf_counter() - started,
     )

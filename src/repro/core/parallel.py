@@ -205,13 +205,14 @@ class EvaluationSnapshot:
         evaluation = session.evaluation
         # Re-wrap without the engine name and plan-cache counters: they
         # are this process's bookkeeping, not state a restored session
-        # needs.
+        # needs. A maintained trace ships as the plain instance tuple,
+        # not as its head and body maps.
         pruned = EvaluationResult(
             model=evaluation.model,
             ranks=evaluation.ranks,
             rounds=evaluation.rounds,
             derivations=evaluation.derivations,
-            instances=evaluation.instances,
+            instances=tuple(evaluation.instances),
         )
         return cls(
             query=session.query,

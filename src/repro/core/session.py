@@ -490,10 +490,11 @@ class ProvenanceSession:
         """Apply a :class:`~repro.datalog.database.Delta` incrementally.
 
         The surgical alternative to mutating the database and calling
-        :meth:`invalidate`: the evaluation is patched in place
-        (delta-semi-naive insertion rounds, DRed deletion maintenance —
-        see :mod:`repro.core.incremental`), the GRI follows the patched
-        trace, and only the closures / encodings / warm solvers of facts
+        :meth:`invalidate`: the evaluation's model, ranks and trace are
+        patched in place (delta-semi-naive insertion rounds, deletion by
+        re-ranking the rank-supported cone — see
+        :mod:`repro.core.incremental`), the GRI reads the patched trace's
+        head map, and only the closures / encodings / warm solvers of facts
         the update actually reaches are dropped. The session afterwards
         is observably identical — answers, witnesses, witness order — to
         a cold session over the updated database, but the evaluation

@@ -197,6 +197,15 @@ class Database:
         """Insert *fact*; return ``True`` iff it was not already present."""
         if not fact.is_fact():
             raise ValueError(f"{fact} is not ground")
+        return self._insert(fact)
+
+    def _insert(self, fact: Atom) -> bool:
+        """:meth:`add` without the groundness check.
+
+        For the engines, whose derived facts are ground by construction
+        (:class:`~repro.datalog.rules.GroundRule` checks them, and the
+        compiled path builds them from interned constants).
+        """
         if fact in self._facts:
             return False
         self._facts.add(fact)

@@ -8,13 +8,19 @@ records for every fact the *stage* at which the immediate-consequence
 operator first derives it. By Lemma 29, that stage ``rank(alpha)`` equals
 ``min-dag-depth(alpha, D, Sigma)``, the minimal depth of any proof DAG — the
 quantity needed for minimal-depth provenance (Appendix C).
+
+:func:`maintain_evaluation` keeps a recorded evaluation exact under
+database updates, patching its model, ranks and instance trace in place:
+deletions re-rank only the facts whose rank support they reach, and
+insertions run delta-semi-naive rounds and then lower ranks from what
+they added.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom
 from .database import Database, Delta
@@ -50,7 +56,9 @@ class EvaluationResult:
         distinct :class:`GroundRule` that fired, i.e. exactly the ground
         instances of :func:`ground_instances` over the final model, but
         captured as a side effect of the fixpoint instead of a second
-        matching pass. ``None`` when recording was off.
+        matching pass: a tuple from :func:`evaluate`, a
+        :class:`TraceIndex` once :func:`maintain_evaluation` has patched
+        the evaluation. ``None`` when recording was off.
     engine:
         Which engine produced the result: ``"interpreted"`` (the generic
         backtracking matcher) or ``"compiled"`` (join plans from
@@ -67,7 +75,7 @@ class EvaluationResult:
     ranks: Dict[Atom, int]
     rounds: int
     derivations: int = 0
-    instances: Optional[Tuple[GroundRule, ...]] = None
+    instances: Optional[Collection[GroundRule]] = None
     engine: str = "interpreted"
     plans_compiled: int = 0
     plan_reuses: int = 0
@@ -167,7 +175,7 @@ def _evaluate_naive(
             rounds -= 1  # the last round derived nothing
             break
         for fact in new_facts:
-            model.add(fact)
+            model._insert(fact)
     return EvaluationResult(
         model=model,
         ranks=ranks,
@@ -225,7 +233,7 @@ def _evaluate_seminaive(
                         trace.record(rule, head, subst)
                     if head not in model and head not in new_delta:
                         ranks[head] = next_round
-                        new_delta.add(head)
+                        new_delta._insert(head)
             first_round = False
         for rule, idb_positions in recursive_rules:
             for pos in idb_positions:
@@ -238,12 +246,12 @@ def _evaluate_seminaive(
                         trace.record(rule, head, subst)
                     if head not in model and head not in new_delta:
                         ranks[head] = next_round
-                        new_delta.add(head)
+                        new_delta._insert(head)
         if not len(new_delta):
             break
         rounds = next_round
         for fact in new_delta:
-            model.add(fact)
+            model._insert(fact)
         delta = new_delta
     return EvaluationResult(
         model=model,
@@ -255,8 +263,104 @@ def _evaluate_seminaive(
 
 
 # ---------------------------------------------------------------------------
-# Incremental maintenance of a recorded evaluation (delta-semi-naive + DRed)
+# Incremental maintenance of a recorded evaluation
 # ---------------------------------------------------------------------------
+
+
+def instances_by_head(
+    instances: Iterable[GroundRule],
+) -> Dict[Atom, Dict[GroundRule, None]]:
+    """Group ground rules by head; each group is a dict used as an ordered set."""
+    heads: Dict[Atom, Dict[GroundRule, None]] = {}
+    for ground in instances:
+        rules = heads.get(ground.head)
+        if rules is None:
+            heads[ground.head] = {ground: None}
+        else:
+            rules[ground] = None
+    return heads
+
+
+class TraceIndex:
+    """An instance trace indexed by head and by body fact, patched in place.
+
+    ``heads`` maps a fact to the ground rules deriving it and ``bodies``
+    maps a fact to the ground rules with it in their body. Each value is a
+    dict used as an insertion-ordered set, so :meth:`add` and
+    :meth:`discard` cost the size of one body. Iteration and ``len``
+    behave like the trace tuple :func:`evaluate` records, so the index
+    takes that tuple's place in ``EvaluationResult.instances`` once
+    :func:`maintain_evaluation` has patched the evaluation.
+
+    *heads*, when given, must be ``instances_by_head(instances)``. The
+    index then adopts that map instead of grouping again: this is how a
+    session's :class:`~repro.provenance.grounding.GriIndex` and its trace
+    share one head map.
+    """
+
+    __slots__ = ("heads", "bodies", "_size")
+
+    def __init__(
+        self,
+        instances: Iterable[GroundRule] = (),
+        heads: Optional[Dict[Atom, Dict[GroundRule, None]]] = None,
+    ):
+        if heads is None:
+            heads = instances_by_head(instances)
+        self.heads = heads
+        self.bodies: Dict[Atom, Dict[GroundRule, None]] = {}
+        self._size = 0
+        for rules in heads.values():
+            self._index_bodies(rules)
+
+    def _index_bodies(self, rules: Iterable[GroundRule]) -> None:
+        bodies = self.bodies
+        for ground in rules:
+            self._size += 1
+            for fact in ground.body:
+                users = bodies.get(fact)
+                if users is None:
+                    bodies[fact] = {ground: None}
+                else:
+                    users[ground] = None
+
+    def add(self, ground: GroundRule) -> bool:
+        """Record *ground*; return ``True`` iff it was not yet in the trace."""
+        rules = self.heads.get(ground.head)
+        if rules is None:
+            self.heads[ground.head] = {ground: None}
+        elif ground in rules:
+            return False
+        else:
+            rules[ground] = None
+        self._index_bodies((ground,))
+        return True
+
+    def discard(self, ground: GroundRule) -> None:
+        """Remove *ground*, which must be in the trace.
+
+        A fact left as the head or in the body of no instance loses its
+        entry, so the maps stay the size of the trace under churn.
+        """
+        rules = self.heads[ground.head]
+        del rules[ground]
+        if not rules:
+            del self.heads[ground.head]
+        self._size -= 1
+        bodies = self.bodies
+        for fact in ground.body:
+            users = bodies.get(fact)
+            if users is not None:
+                users.pop(ground, None)
+                if not users:
+                    del bodies[fact]
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[GroundRule]:
+        for rules in self.heads.values():
+            yield from rules
 
 
 @dataclass
@@ -266,10 +370,10 @@ class MaintenanceResult:
     Attributes
     ----------
     evaluation:
-        A fresh :class:`EvaluationResult` whose model, ranks, rounds and
-        instance trace agree *exactly* with a from-scratch evaluation
-        over the updated database (the trace as a set; its order is
-        update order, which downstream consumers canonicalize).
+        The evaluation that was maintained, patched in place: its model,
+        ranks, rounds and instance set agree *exactly* with a from-scratch
+        evaluation over the updated database. Its ``instances`` is the
+        :class:`TraceIndex` that the maintenance patched.
     added_facts / removed_facts:
         The difference between the old and new least models (extensional
         facts included).
@@ -277,9 +381,11 @@ class MaintenanceResult:
         The ground rule instances that entered / left the trace — the
         raw material for cache invalidation: a downward closure can only
         change if one of these instances' heads lies inside it.
-    overdeleted / rederived:
-        DRed diagnostics: how many facts the deletion phase tentatively
-        deleted, and how many of those an alternative derivation saved.
+    cone / raised:
+        Deletion diagnostics: how many facts the rank-supported cone of
+        the deleted facts held (the only facts a deletion can re-rank or
+        remove), and how many of those stayed in the model at a higher
+        rank.
     """
 
     evaluation: EvaluationResult
@@ -287,8 +393,8 @@ class MaintenanceResult:
     removed_facts: FrozenSet[Atom] = frozenset()
     added_instances: Tuple[GroundRule, ...] = ()
     removed_instances: Tuple[GroundRule, ...] = ()
-    overdeleted: int = 0
-    rederived: int = 0
+    cone: int = 0
+    raised: int = 0
 
     def changed(self) -> bool:
         """Whether the maintenance changed the model or the trace."""
@@ -310,10 +416,11 @@ def ranks_from_instances(
     instances with head ``alpha`` of the max body rank — the fixpoint
     characterization of the stage at which the immediate-consequence
     operator first derives each fact. Computed by a level-order sweep of
-    the instance hypergraph in ``O(sum of body sizes)``, so maintenance
-    never re-runs the (much more expensive) rule matching just to refresh
-    ranks. Instances whose bodies are not fully derivable are ignored,
-    matching :func:`evaluate` on any fixpoint trace.
+    the instance hypergraph in ``O(sum of body sizes)``. Instances whose
+    bodies are not fully derivable are ignored, matching :func:`evaluate`
+    on any fixpoint trace. Maintenance patches ranks instead of sweeping
+    the whole trace; the tests keep this sweep as the reference it must
+    agree with.
     """
     instance_list = list(instances)
     ranks: Dict[Atom, int] = {fact: 0 for fact in database}
@@ -347,6 +454,190 @@ def ranks_from_instances(
     return ranks
 
 
+def _top_rank(ground: GroundRule, ranks: Dict[Atom, int]) -> Optional[int]:
+    """The highest rank in *ground*'s body, or ``None`` if a body fact has none."""
+    top = -1
+    for fact in ground.body:
+        rank = ranks.get(fact)
+        if rank is None:
+            return None
+        if rank > top:
+            top = rank
+    return top
+
+
+def _rank_supported_cone(
+    database: Database,
+    ranks: Dict[Atom, int],
+    trace: TraceIndex,
+    deleted: Iterable[Atom],
+) -> Set[Atom]:
+    """Every fact whose rank or membership deleting *deleted* can change.
+
+    An instance is *rank-supporting* for its head when its highest body
+    rank is the head's rank minus one: it derives the head at the head's
+    stage. The cone starts with *deleted*. A fact not in *database* joins
+    it once each of its rank-supporting instances has a body fact in the
+    cone; a countdown per head tracks how many are left, and a head is
+    looked at only when one of them loses a body fact. *ranks* are the
+    ranks before the update.
+
+    The cone is exact in one direction: a fact outside it still has a
+    rank-supporting instance with its whole body outside the cone, so by
+    induction on rank (Prop. 28) it keeps its rank and stays in the
+    model. Cone facts may keep their rank, rise or leave.
+    """
+    heads, bodies = trace.heads, trace.bodies
+    cone: Set[Atom] = set(deleted)
+    stack: List[Atom] = list(cone)
+    left: Dict[Atom, int] = {}
+    hit: Set[GroundRule] = set()
+    while stack:
+        for ground in bodies.get(stack.pop(), ()):
+            head = ground.head
+            if head in cone or ground in hit or head in database:
+                continue
+            stage = ranks[head] - 1
+            if _top_rank(ground, ranks) != stage:
+                continue
+            hit.add(ground)
+            count = left.get(head)
+            if count is None:
+                count = sum(
+                    1 for other in heads[head] if _top_rank(other, ranks) == stage
+                )
+            if count == 1:
+                cone.add(head)
+                stack.append(head)
+            else:
+                left[head] = count - 1
+    return cone
+
+
+def _offer(
+    buckets: Dict[int, List[Atom]], ground: GroundRule, ranks: Dict[Atom, int]
+) -> None:
+    """Queue *ground*'s head at ``1 +`` its highest body rank, if that is lower."""
+    top = _top_rank(ground, ranks)
+    if top is None:
+        return
+    head = ground.head
+    current = ranks.get(head)
+    if current is None or top + 1 < current:
+        bucket = buckets.get(top + 1)
+        if bucket is None:
+            buckets[top + 1] = [head]
+        else:
+            bucket.append(head)
+
+
+def _settle(
+    buckets: Dict[int, List[Atom]],
+    ranks: Dict[Atom, int],
+    bodies: Dict[Atom, Dict[GroundRule, None]],
+) -> None:
+    """Lower ranks from the queued candidates, least rank first.
+
+    Knuth's generalization of Dijkstra's algorithm to the instance
+    hypergraph: an instance offers its head ``1 +`` the highest rank in
+    its body, which exceeds every rank in that body, so a fact taken from
+    the least bucket holds its final rank. *buckets* maps a rank to the
+    facts offered it. Each fact whose rank drops (or that gets its first
+    rank) passes its new rank on through the instances it is a body fact
+    of; nothing else is visited.
+    """
+    while buckets:
+        rank = min(buckets)
+        for fact in buckets.pop(rank):
+            current = ranks.get(fact)
+            if current is not None and current <= rank:
+                continue
+            ranks[fact] = rank
+            for ground in bodies.get(fact, ()):
+                _offer(buckets, ground, ranks)
+
+
+def _delete_facts(
+    database: Database,
+    evaluation: EvaluationResult,
+    trace: TraceIndex,
+    deleted: List[Atom],
+) -> Tuple[List[Atom], Dict[GroundRule, None], int, int]:
+    """The deletion phase of :func:`maintain_evaluation`, in place.
+
+    Computes the rank-supported cone of *deleted*, drops the cone's
+    ranks and re-ranks it bottom-up from the facts outside it, seeded by
+    the cone facts' instances whose bodies lie wholly outside the cone.
+    Cone facts that are never reached have no derivation left: they leave
+    the model, and every instance with one in its body leaves the trace
+    (an instance whose head left has such a body fact, or the head would
+    have been reached). Returns ``(dropped facts, removed instances, cone
+    size, facts kept at a higher rank)``.
+    """
+    ranks = evaluation.ranks
+    cone = _rank_supported_cone(database, ranks, trace, deleted)
+    before = {fact: ranks.pop(fact) for fact in cone}
+    buckets: Dict[int, List[Atom]] = {}
+    for fact in cone:
+        for ground in trace.heads.get(fact, ()):
+            _offer(buckets, ground, ranks)
+    _settle(buckets, ranks, trace.bodies)
+    dropped = [fact for fact in cone if fact not in ranks]
+    raised = sum(1 for fact, rank in before.items() if ranks.get(fact, rank) > rank)
+    removed: Dict[GroundRule, None] = {}
+    for fact in dropped:
+        evaluation.model.discard(fact)
+        removed.update(trace.bodies.get(fact, ()))
+    for ground in removed:
+        trace.discard(ground)
+    return dropped, removed, len(cone), raised
+
+
+def _interpreted_insertion_rounds(
+    program: Program,
+    model: Database,
+    trace: TraceIndex,
+    fresh: Sequence[Atom],
+) -> Tuple[Set[Atom], List[GroundRule], int]:
+    """Delta-semi-naive insertion rounds through the generic matcher.
+
+    The interpreted twin of :func:`~repro.datalog.plans.run_insertion_rounds`:
+    adds *fresh* to *model*, then every round pivots each body position
+    of each rule on the previous round's new facts, recording each new
+    instance in *trace*. Returns ``(added_facts, added_instances,
+    derivation_count)``.
+    """
+    added_facts: Set[Atom] = set()
+    added_instances: List[GroundRule] = []
+    derivations = 0
+    round_delta = Database()
+    for fact in fresh:
+        model._insert(fact)
+        added_facts.add(fact)
+        round_delta._insert(fact)
+    while len(round_delta):
+        next_delta = Database()
+        for rule in program.rules:
+            for pos in range(len(rule.body)):
+                if round_delta.count(rule.body[pos].pred) == 0:
+                    continue
+                for subst in match_body_with_delta(rule.body, model, round_delta, pos):
+                    derivations += 1
+                    head = rule.head.ground(subst)
+                    ground = GroundRule(
+                        rule, head, tuple(a.ground(subst) for a in rule.body)
+                    )
+                    if trace.add(ground):
+                        added_instances.append(ground)
+                    if head not in model and head not in next_delta:
+                        next_delta._insert(head)
+        for fact in next_delta:
+            model._insert(fact)
+            added_facts.add(fact)
+        round_delta = next_delta
+    return added_facts, added_instances, derivations
+
+
 def maintain_evaluation(
     program: Program,
     database: Database,
@@ -355,176 +646,91 @@ def maintain_evaluation(
     engine: Optional[str] = None,
     plan_context: Optional[PlanContext] = None,
 ) -> MaintenanceResult:
-    """Patch a recorded evaluation under a database delta.
+    """Patch a recorded evaluation in place under a database delta.
 
     *database* must already reflect the update (see
     :meth:`~repro.datalog.database.Database.apply`) and *delta* must be
-    the **effective** delta it returned; *evaluation* is the stale result
+    the **effective** delta it returned; *evaluation* is the result
     computed before the update, and must carry an instance trace
-    (``record_instances=True``) — the trace is both the input that makes
-    maintenance cheap and the artifact being maintained.
+    (``record_instances=True``). The first call turns that trace into a
+    :class:`TraceIndex`; every call patches the evaluation's model, ranks
+    and index, and returns the evaluation in the receipt.
 
-    Deletions run first, DRed-style (overdelete every fact with an
-    invalidated derivation, then re-derive survivors from intact
-    instances); since the updated model is a subset of the old one, the
-    new trace is exactly the old instances whose bodies survive — no
-    matching needed. Insertions then run delta-semi-naive rounds seeded
-    with the inserted facts: only rule bodies touching a new fact are
-    ever matched, and every firing is recorded. Ranks are refreshed from
-    the patched trace (:func:`ranks_from_instances`), so the returned
-    evaluation is indistinguishable from a cold one: same model, same
-    ranks, same rounds, same instance *set*.
+    Deletions run first and match no rule body. They re-rank only the
+    rank-supported cone of the deleted facts (:func:`_rank_supported_cone`),
+    the only facts a deletion can re-rank or remove, and drop the cone
+    facts left without a derivation. Insertions then run
+    delta-semi-naive rounds seeded with the inserted facts: only rule
+    bodies touching a new fact are matched, and every firing is
+    recorded. A last ordered pass (:func:`_settle`) gives the inserted
+    facts rank 0 and lowers ranks from them and from the added
+    instances; it visits only facts whose rank drops. So the work follows
+    the facts whose stage support changed, and the patched evaluation
+    equals a cold one: same model, same ranks, same rounds, same instance
+    *set*.
 
     *engine* / *plan_context* select how the insertion rounds match rule
-    bodies, exactly as in :func:`evaluate`; the deletion phase never
-    matches anything and is engine-independent. Passing the session's
-    plan context means a warm update reuses the join plans compiled by
-    the initial evaluation instead of re-planning.
+    bodies, exactly as in :func:`evaluate`. On the compiled engine the
+    context also keeps the model interned as int relations across calls
+    and patches them, instead of interning the model on every update.
     """
     if evaluation.instances is None:
         raise ValueError(
             "incremental maintenance requires an instance trace; "
             "evaluate with record_instances=True"
         )
-    model = evaluation.model.copy()
-    trace: List[GroundRule] = list(evaluation.instances)
-    derivations = evaluation.derivations
+    trace = evaluation.instances
+    if not isinstance(trace, TraceIndex):
+        trace = evaluation.instances = TraceIndex(trace)
+    model, ranks = evaluation.model, evaluation.ranks
+    resolved_engine = resolve_engine(engine)
+    if resolved_engine == "compiled" and plan_context is None:
+        plan_context = PlanContext()
 
-    # -- deletion phase: DRed over the materialized instances ---------------
-    removed_facts: FrozenSet[Atom] = frozenset()
-    removed_instances: Tuple[GroundRule, ...] = ()
-    overdeleted_count = 0
-    rederived_count = 0
-    deleted_present = [fact for fact in delta.deleted if fact in model]
-    if deleted_present:
-        body_index: Dict[Atom, List[int]] = {}
-        for idx, ground in enumerate(trace):
-            for body_fact in set(ground.body):
-                body_index.setdefault(body_fact, []).append(idx)
-        # Overdelete: a fact loses its presumption of truth as soon as
-        # *one* of its derivations uses a (transitively) deleted fact.
-        # Facts still extensionally present in the updated database are
-        # immune — their membership never depended on a derivation.
-        overdeleted: Set[Atom] = set(deleted_present)
-        stack: List[Atom] = list(deleted_present)
-        while stack:
-            fact = stack.pop()
-            for idx in body_index.get(fact, ()):
-                head = trace[idx].head
-                if head not in overdeleted and head not in database:
-                    overdeleted.add(head)
-                    stack.append(head)
-        overdeleted_count = len(overdeleted)
-        # Re-derive: a tentatively deleted fact survives iff some instance
-        # derives it from facts that are themselves alive. Counting
-        # worklist over the instances whose heads were overdeleted.
-        pending: Dict[int, int] = {}
-        ready: List[Atom] = []
-        resurrected: Set[Atom] = set()
-        for idx, ground in enumerate(trace):
-            if ground.head not in overdeleted:
-                continue
-            dead_in_body = sum(
-                1 for body_fact in set(ground.body) if body_fact in overdeleted
-            )
-            if dead_in_body == 0:
-                if ground.head not in resurrected:
-                    resurrected.add(ground.head)
-                    ready.append(ground.head)
-            else:
-                pending[idx] = dead_in_body
-        while ready:
-            fact = ready.pop()
-            for idx in body_index.get(fact, ()):
-                count = pending.get(idx)
-                if count is None:
-                    continue
-                pending[idx] = count - 1
-                if pending[idx] == 0:
-                    head = trace[idx].head
-                    if head in overdeleted and head not in resurrected:
-                        resurrected.add(head)
-                        ready.append(head)
-        rederived_count = len(resurrected)
-        removed = overdeleted - resurrected
-        if removed:
-            removed_facts = frozenset(removed)
-            dead_instances = [
-                ground for ground in trace if not removed.isdisjoint(ground.body)
-            ]
-            removed_instances = tuple(dead_instances)
-            trace = [
-                ground for ground in trace if removed.isdisjoint(ground.body)
-            ]
-            for fact in removed:
-                model.discard(fact)
+    removed_facts: List[Atom] = []
+    removed_instances: Dict[GroundRule, None] = {}
+    cone = raised = 0
+    deleted = [fact for fact in delta.deleted if fact in model]
+    if deleted:
+        removed_facts, removed_instances, cone, raised = _delete_facts(
+            database, evaluation, trace, deleted
+        )
+        if plan_context is not None:
+            plan_context.forget(model, removed_facts)
 
-    # -- insertion phase: delta-semi-naive rounds seeded with the delta ------
     added_facts: Set[Atom] = set()
     added_instances: List[GroundRule] = []
-    resolved_engine = resolve_engine(engine)
     fresh = [fact for fact in delta.inserted if fact not in model]
     if fresh:
-        seen: Set[GroundRule] = set(trace)
         if resolved_engine == "compiled":
-            if plan_context is None:
-                plan_context = PlanContext()
-            compiled_added, compiled_instances, fired = run_insertion_rounds(
-                program, model, trace, seen, fresh, plan_context, database
+            added_facts, added_instances, fired = run_insertion_rounds(
+                program, model, trace, fresh, plan_context, database
             )
-            added_facts |= compiled_added
-            added_instances.extend(compiled_instances)
-            derivations += fired
         else:
-            round_delta = Database()
-            for fact in fresh:
-                model.add(fact)
-                added_facts.add(fact)
-                round_delta.add(fact)
-            while len(round_delta):
-                next_delta = Database()
-                for rule in program.rules:
-                    for pos in range(len(rule.body)):
-                        if round_delta.count(rule.body[pos].pred) == 0:
-                            continue
-                        for subst in match_body_with_delta(
-                            rule.body, model, round_delta, pos
-                        ):
-                            derivations += 1
-                            head = rule.head.ground(subst)
-                            ground = GroundRule(
-                                rule, head, tuple(a.ground(subst) for a in rule.body)
-                            )
-                            if ground not in seen:
-                                seen.add(ground)
-                                added_instances.append(ground)
-                                trace.append(ground)
-                            if head not in model and head not in next_delta:
-                                next_delta.add(head)
-                for fact in next_delta:
-                    model.add(fact)
-                    added_facts.add(fact)
-                round_delta = next_delta
+            added_facts, added_instances, fired = _interpreted_insertion_rounds(
+                program, model, trace, fresh
+            )
+            if plan_context is not None:
+                plan_context.interned = None  # no longer mirrors the model
+        evaluation.derivations += fired
+    if delta.inserted:
+        buckets: Dict[int, List[Atom]] = {0: list(delta.inserted)}
+        for ground in added_instances:
+            _offer(buckets, ground, ranks)
+        _settle(buckets, ranks, trace.bodies)
 
-    ranks = ranks_from_instances(database, trace)
-    patched = EvaluationResult(
-        model=model,
-        ranks=ranks,
-        rounds=max(ranks.values(), default=0),
-        derivations=derivations,
-        instances=tuple(trace),
-        engine=resolved_engine,
-        plans_compiled=plan_context.compiled if plan_context is not None else 0,
-        plan_reuses=plan_context.reuses if plan_context is not None else 0,
-    )
+    evaluation.rounds = max(ranks.values(), default=0)
+    evaluation.engine = resolved_engine
+    evaluation.plans_compiled = plan_context.compiled if plan_context is not None else 0
+    evaluation.plan_reuses = plan_context.reuses if plan_context is not None else 0
     return MaintenanceResult(
-        evaluation=patched,
+        evaluation=evaluation,
         added_facts=frozenset(added_facts),
-        removed_facts=removed_facts,
+        removed_facts=frozenset(removed_facts),
         added_instances=tuple(added_instances),
-        removed_instances=removed_instances,
-        overdeleted=overdeleted_count,
-        rederived=rederived_count,
+        removed_instances=tuple(removed_instances),
+        cone=cone,
+        raised=raised,
     )
 
 

@@ -25,7 +25,8 @@ and the ``REPRO_ENGINE`` environment knob:
    (CPython caps statically nested blocks, and e.g. the stress tests join
    40-atom chains). The closure is cached in the context and reused
    across all semi-naive rounds and across ``maintain_evaluation``
-   insertion rounds.
+   insertion rounds, which run over the maintained model interned once
+   and patched from then on (:class:`InternedModel`).
 
 The compiled evaluator mirrors the interpreted semi-naive loop *exactly*
 (same round structure, same rank assignment, same per-firing derivation
@@ -38,13 +39,16 @@ order, making end-to-end outputs byte-identical.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom
 from .database import Database, IntRelation
 from .program import Program
 from .rules import GroundRule, Rule
 from .terms import is_variable
+
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
+    from .engine import TraceIndex
 
 #: Environment variable selecting the default evaluation engine.
 ENGINE_ENV = "REPRO_ENGINE"
@@ -155,13 +159,16 @@ class PlanContext:
     semi-naive rounds and across ``update()`` calls.
     """
 
-    __slots__ = ("symbols", "plans", "compiled", "reuses")
+    __slots__ = ("symbols", "plans", "compiled", "reuses", "interned")
 
     def __init__(self):
         self.symbols = SymbolTable()
         self.plans: Dict[Tuple[Rule, Optional[int]], JoinPlan] = {}
         self.compiled = 0
         self.reuses = 0
+        #: The maintained model as int relations, interned by the first
+        #: compiled insertion rounds over it and patched from then on.
+        self.interned: Optional[InternedModel] = None
 
     def plan_for(
         self,
@@ -184,6 +191,44 @@ class PlanContext:
         else:
             self.reuses += 1
         return plan
+
+    def interned_model(self, model: Database) -> "InternedModel":
+        """*model* as int relations: kept from its last maintenance, else interned now."""
+        interned = self.interned
+        if interned is None or interned.model is not model:
+            interned = self.interned = InternedModel(model, self.symbols)
+        return interned
+
+    def forget(self, model: Database, facts: Iterable[Atom]) -> None:
+        """Drop *facts*, just removed from *model*, from its interned relations."""
+        interned = self.interned
+        if interned is not None and interned.model is model:
+            intern = self.symbols.intern
+            for fact in facts:
+                row = tuple(intern(value) for value in fact.args)
+                interned.relations[fact.pred].discard(row)
+                del interned.atoms[(fact.pred, row)]
+
+
+class InternedModel:
+    """A maintained model's facts as int-tuple relations.
+
+    ``relations`` maps a predicate to its :class:`IntRelation` and
+    ``atoms`` maps each ``(pred, row)`` back to its fact. A
+    :class:`PlanContext` keeps one for the model that
+    :func:`run_insertion_rounds` last extended: the rounds add the rows
+    they derive, :meth:`PlanContext.forget` drops the rows of deleted
+    facts, and the relations' pattern indexes survive from one update to
+    the next.
+    """
+
+    __slots__ = ("model", "relations", "atoms")
+
+    def __init__(self, model: Database, symbols: SymbolTable):
+        self.model = model
+        self.relations: Dict[str, IntRelation] = {}
+        self.atoms: Dict[Tuple[str, Tuple[int, ...]], Atom] = {}
+        _intern_database(model, symbols, self.relations, self.atoms)
 
 
 class _Step:
@@ -615,7 +660,7 @@ def evaluate_seminaive_compiled(
         delta_rels = {}
         delta_count = len(new_facts)
         for pred, row, atom in new_facts:
-            model.add(atom)
+            model._insert(atom)
             model_rels[pred].add(row)
             delta_rel = delta_rels.get(pred)
             if delta_rel is None:
@@ -642,8 +687,7 @@ def evaluate_seminaive_compiled(
 def run_insertion_rounds(
     program: Program,
     model: Database,
-    trace: List[GroundRule],
-    seen: Set[GroundRule],
+    trace: "TraceIndex",
     fresh: Sequence[Atom],
     context: PlanContext,
     stats_db: Optional[Database] = None,
@@ -652,19 +696,21 @@ def run_insertion_rounds(
 
     The compiled counterpart of the insertion phase of
     :func:`~repro.datalog.engine.maintain_evaluation`: *model* (already
-    past the deletion phase, not yet containing *fresh*) and *trace* are
-    mutated in place, *seen* is the ground-instance set guarding trace
-    appends, and *fresh* lists the inserted facts absent from the model.
-    Plans are drawn from *context* — the same cache the session's initial
-    evaluation populated, so a warm update compiles nothing new unless
-    the pivot lands on a body position never used before.
+    past the deletion phase, not yet containing *fresh*) and *trace* (a
+    :class:`~repro.datalog.engine.TraceIndex`) are patched in place, and
+    *fresh* lists the inserted facts absent from the model. The joins run
+    over the context's interned copy of *model*
+    (:meth:`PlanContext.interned_model`), which the rounds extend with
+    every fact they add. Plans are drawn from *context* — the same cache
+    the session's initial evaluation populated, so a warm update compiles
+    nothing new unless the pivot lands on a body position never used
+    before.
 
     Returns ``(added_facts, added_instances, derivation_count)``.
     """
     symbols = context.symbols
-    model_rels: Dict[str, IntRelation] = {}
-    fact_atoms: Dict[Tuple[str, Tuple[int, ...]], Atom] = {}
-    _intern_database(model, symbols, model_rels, fact_atoms)
+    interned = context.interned_model(model)
+    model_rels, fact_atoms = interned.relations, interned.atoms
     for rule in program.rules:
         model_rels.setdefault(rule.head.pred, IntRelation())
 
@@ -676,7 +722,7 @@ def run_insertion_rounds(
     round_rels: Dict[str, IntRelation] = {}
     intern = symbols.intern
     for fact in fresh:
-        model.add(fact)
+        model._insert(fact)
         added_facts.add(fact)
         row = tuple(intern(value) for value in fact.args)
         fact_atoms[(fact.pred, row)] = fact
@@ -719,10 +765,8 @@ def run_insertion_rounds(
                         for pred, row in zip(body_preds, body_rows)
                     )
                     ground = GroundRule(rule, head_atom, body_atoms)
-                    if ground not in seen:
-                        seen.add(ground)
+                    if trace.add(ground):
                         added_instances.append(ground)
-                        trace.append(ground)
                     if head_row in model_rel.rows or head_row in rows_here:
                         continue
                     rows_here.add(head_row)
@@ -731,7 +775,7 @@ def run_insertion_rounds(
             break
         round_rels = {}
         for pred, row, atom in next_pairs:
-            model.add(atom)
+            model._insert(atom)
             added_facts.add(atom)
             model_rels[pred].add(row)
             delta_rel = round_rels.get(pred)

@@ -25,7 +25,13 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
-from ..datalog.engine import EvaluationResult, evaluate, ground_instances
+from ..datalog.engine import (
+    EvaluationResult,
+    TraceIndex,
+    evaluate,
+    ground_instances,
+    instances_by_head,
+)
 from ..datalog.program import DatalogQuery, Program
 from ..datalog.rules import GroundRule, Rule
 from ..datalog.terms import Variable
@@ -133,50 +139,31 @@ class FactNotDerivable(ValueError):
 class GriIndex:
     """``gri(D, Sigma)`` indexed by head, made canonical one head at a time.
 
-    Building the index only groups the ground rules by head, in
-    ``O(|gri|)`` and without string keys. A head's canonical views — its
-    hyperedges and its rule instances, in the order documented on
-    :func:`gri_maps_from_instances` — are built the first time someone
-    asks for that head, and cached until :meth:`patch` touches the head.
-    So a closure pays only for the heads it reaches, and an update only
-    for the heads its instances touch, never for the whole trace.
+    The index reads a head map, ``head -> its ground rules`` (see
+    :func:`~repro.datalog.engine.instances_by_head`), without copying it.
+    A head's canonical views — its hyperedges and its rule instances, in
+    the order documented on :func:`gri_maps_from_instances` — are built
+    the first time someone asks for that head, and cached until
+    :meth:`forget` drops them. So a closure pays only for the heads it
+    reaches. A session's index shares its head map with the session's
+    :class:`~repro.datalog.engine.TraceIndex`, which maintenance patches
+    in place; an update then only drops the views of the heads its
+    instances touch, never regroups the trace.
     """
 
-    __slots__ = ("_rules", "_views")
+    __slots__ = ("rules", "_views")
 
-    def __init__(self, ground_rules: Iterable[GroundRule]):
-        #: head -> its ground rules in trace order (a dict used as an
-        #: insertion-ordered set, so removal is O(1)).
-        self._rules: Dict[Atom, Dict[GroundRule, None]] = {}
+    def __init__(self, rules: Dict[Atom, Dict[GroundRule, None]]):
+        #: head -> its ground rules (a dict used as an insertion-ordered
+        #: set); a head without rules has no entry.
+        self.rules = rules
         #: head -> (hyperedges, instances), canonical, built on first use.
         self._views: Dict[Atom, Tuple[Tuple[HyperEdge, ...], Tuple[RuleInstance, ...]]] = {}
-        self.patch((), ground_rules)
 
-    def patch(
-        self, removed: Iterable[GroundRule], added: Iterable[GroundRule]
-    ) -> None:
-        """Follow one trace update: drop *removed*, then append *added*.
-
-        Removals go first because an instance can leave and re-enter the
-        trace in one update; it then ends up last among its head's rules,
-        where the patched trace puts it too. Only the touched heads lose
-        their cached views, and a head left without rules is deleted.
-        """
-        rules, views = self._rules, self._views
-        for ground in removed:
-            head = ground.head
-            head_rules = rules[head]
-            del head_rules[ground]
-            if not head_rules:
-                del rules[head]
-            views.pop(head, None)
-        for ground in added:
-            head = ground.head
-            head_rules = rules.get(head)
-            if head_rules is None:
-                rules[head] = {ground: None}
-            else:
-                head_rules[ground] = None
+    def forget(self, heads: Iterable[Atom]) -> None:
+        """Drop the cached views of *heads*, whose rules just changed."""
+        views = self._views
+        for head in heads:
             views.pop(head, None)
 
     def _head_views(
@@ -185,7 +172,7 @@ class GriIndex:
         """*head*'s canonical ``(hyperedges, instances)``; empty for leaves."""
         view = self._views.get(head)
         if view is None:
-            head_rules = self._rules.get(head)
+            head_rules = self.rules.get(head)
             if head_rules is None:
                 return (), ()
             view = self._views[head] = _canonical_views(head_rules)
@@ -201,11 +188,11 @@ class GriIndex:
 
     def edge_map(self) -> Dict[Atom, List[HyperEdge]]:
         """The whole hyperedge view, every head made canonical."""
-        return {head: list(self.edges(head)) for head in self._rules}
+        return {head: list(self.edges(head)) for head in self.rules}
 
     def instance_map(self) -> Dict[Atom, List[RuleInstance]]:
         """The whole rule-instance view, every head made canonical."""
-        return {head: list(self.instances(head)) for head in self._rules}
+        return {head: list(self.instances(head)) for head in self.rules}
 
 
 def gri_maps_from_instances(ground_rules: Iterable[GroundRule]) -> GriIndex:
@@ -231,7 +218,7 @@ def gri_maps_from_instances(ground_rules: Iterable[GroundRule]) -> GriIndex:
     ``perfbench/launcher.py`` times each cold build by wrapping this
     module attribute, so callers reach it through the module.
     """
-    return GriIndex(ground_rules)
+    return GriIndex(instances_by_head(ground_rules))
 
 
 def _canonical_views(
@@ -261,8 +248,14 @@ def _instance_body_key(instance: RuleInstance) -> Tuple[str, ...]:
 
 
 def _gri_index(program: Program, evaluation: EvaluationResult) -> GriIndex:
-    """The GRI of *evaluation*: from its trace, else by re-grounding its model."""
+    """The GRI of *evaluation*: from its trace, else by re-grounding its model.
+
+    A maintained trace is already grouped by head; the index reads that
+    map instead of building its own.
+    """
     instances = evaluation.instances
+    if isinstance(instances, TraceIndex):
+        return GriIndex(instances.heads)
     if instances is None:
         instances = ground_instances(program, evaluation.model)
     return gri_maps_from_instances(instances)

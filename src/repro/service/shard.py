@@ -247,6 +247,8 @@ class WorkerSupervisor:
         self.backoff_cap = backoff_cap
         self._stop = threading.Event()
         self._monitor_thread: Optional[threading.Thread] = None
+        #: stderr reader threads of the live (and recently dead) workers.
+        self._readers: List[threading.Thread] = []
 
     # -- process plumbing -----------------------------------------------------
 
@@ -320,9 +322,13 @@ class WorkerSupervisor:
             daemon=True,
         )
         reader.start()
+        self._readers = [t for t in self._readers if t.is_alive()] + [reader]
 
     def _read_stderr(self, handle: WorkerHandle, proc: subprocess.Popen) -> None:
-        """Drain one worker's stderr; the bound-port line flips it ready."""
+        """Drain one worker's stderr until it exits, then close the pipe.
+
+        The bound-port line flips the worker ready.
+        """
         try:
             for raw in proc.stderr:
                 line = raw.rstrip()
@@ -335,6 +341,8 @@ class WorkerSupervisor:
                             handle.ready.set()
         except ValueError:
             pass  # pipe closed during teardown
+        finally:
+            proc.stderr.close()
 
     def _respawn(self, handle: WorkerHandle) -> None:
         with handle.lock:
@@ -415,6 +423,8 @@ class WorkerSupervisor:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5.0)
+        for reader in self._readers:
+            reader.join(timeout=5.0)
 
 
 class _Downstream:

@@ -10,8 +10,8 @@ are all contractually byte-identical:
 * ``parallel`` — :meth:`ProvenanceSession.explain_batch` with a forked
   worker pool (snapshot pickling, worker rehydration, order restoration);
 * ``incremental`` — one live session reaching each database state through
-  :meth:`ProvenanceSession.update` (delta-semi-naive / DRed maintenance,
-  never re-evaluation);
+  :meth:`ProvenanceSession.update` (delta-semi-naive insertion, deletion
+  by rank support, never re-evaluation);
 * ``service`` — a real daemon on a TCP socket, states reached through
   wire ``update`` requests, witnesses through wire ``batch`` requests;
 * ``restart`` — a daemon with a durable state dir, hard-stopped halfway

@@ -1,4 +1,4 @@
-"""Tests for incremental view maintenance (deltas, DRed, live sessions).
+"""Tests for incremental view maintenance (deltas, rank repair, live sessions).
 
 The load-bearing properties:
 
@@ -6,10 +6,13 @@ The load-bearing properties:
   ``Delta.inverted``;
 * ``ranks_from_instances`` reproduces the engine's stage ranks exactly
   from a fixpoint trace (differential, across scenarios);
-* ``maintain_evaluation`` (DRed deletions + delta-semi-naive insertions)
+* ``maintain_evaluation`` (re-ranking the rank-supported cone for
+  deletions, delta-semi-naive rounds and rank lowering for insertions)
   is indistinguishable from a from-scratch evaluation: same model, same
   ranks, same rounds, and the trace-patching invariant
-  ``set(trace) == set(ground_instances(program, model))``;
+  ``set(trace) == set(ground_instances(program, model))``; the head and
+  body maps it patches, and the interned model, equal cold builds after
+  every update;
 * ``session.update(delta)`` keeps the session byte-identical to a cold
   session over the updated database — answers, witnesses, *witness
   order* — across random update sequences on the TransClosure and
@@ -31,12 +34,14 @@ from repro.core.session import ProvenanceSession
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database, Delta
 from repro.datalog.engine import (
+    TraceIndex,
     evaluate,
     ground_instances,
     maintain_evaluation,
     ranks_from_instances,
 )
 from repro.datalog.parser import parse_database, parse_program
+from repro.datalog.plans import InternedModel
 from repro.datalog.program import DatalogQuery
 from repro.provenance.grounding import gri_maps_from_instances
 from repro.scenarios import get_scenario
@@ -203,7 +208,59 @@ class TestMaintainEvaluation:
             TC_PROGRAM, database, evaluation, Delta.delete(edge("b", "c"))
         )
         assert Atom("tc", ("a", "c")) in result.evaluation.model
-        assert result.overdeleted > result.rederived > 0
+        # The cone is e(b, c) and tc(b, c), which leave; tc(a, c) keeps its
+        # rank-supporting instance through e(a, c) and stays out of it.
+        assert (result.cone, result.raised) == (2, 0)
+
+    def test_deletion_raises_a_surviving_rank(self):
+        # a -> b -> c plus a -> c: without e(a, c), tc(a, c) is derived
+        # only through tc(a, b), one stage later.
+        database = Database([edge("a", "b"), edge("b", "c"), edge("a", "c")])
+        evaluation = evaluate(TC_PROGRAM, database, record_instances=True)
+        assert evaluation.ranks[Atom("tc", ("a", "c"))] == 1
+        result = assert_maintained_equals_fresh(
+            TC_PROGRAM, database, evaluation, Delta.delete(edge("a", "c"))
+        )
+        assert result.evaluation.ranks[Atom("tc", ("a", "c"))] == 2
+        assert result.removed_facts == {edge("a", "c")}
+        assert (result.cone, result.raised) == (2, 1)
+
+    def test_insertion_lowers_ranks_downstream(self):
+        # A shortcut a -> d into the chain a -> b -> c -> d -> e lowers
+        # tc(a, d) from 3 to 1 and tc(a, e) from 4 to 2.
+        database = Database(
+            [edge("a", "b"), edge("b", "c"), edge("c", "d"), edge("d", "e")]
+        )
+        evaluation = evaluate(TC_PROGRAM, database, record_instances=True)
+        assert evaluation.rounds == 4
+        result = assert_maintained_equals_fresh(
+            TC_PROGRAM, database, evaluation, Delta.insert(edge("a", "d"))
+        )
+        ranks = result.evaluation.ranks
+        assert ranks[Atom("tc", ("a", "d"))] == 1
+        assert ranks[Atom("tc", ("a", "e"))] == 2
+        assert ranks[Atom("tc", ("a", "c"))] == 2  # upstream of the shortcut
+        assert result.added_facts == {edge("a", "d")}
+        assert result.evaluation.rounds == 3
+
+    def test_seeded_intensional_fact_deleted_but_derivable(self):
+        # p(a) is both seeded in the database and derivable from q(a):
+        # deleting the seed keeps it, at the rank of its derivation, and
+        # inserting the seed again brings rank 0 back.
+        program = parse_program("p(X) :- q(X). p(X) :- p(X), r(X). s(X) :- p(X).")
+        database = Database(parse_database("q(a). r(a). p(a)."))
+        evaluation = evaluate(program, database, record_instances=True)
+        p_a, s_a = Atom("p", ("a",)), Atom("s", ("a",))
+        assert (evaluation.ranks[p_a], evaluation.ranks[s_a]) == (0, 1)
+        result = assert_maintained_equals_fresh(
+            program, database, evaluation, Delta.delete(p_a)
+        )
+        assert p_a in result.evaluation.model and not result.removed_facts
+        assert (result.evaluation.ranks[p_a], result.evaluation.ranks[s_a]) == (1, 2)
+        result = assert_maintained_equals_fresh(
+            program, database, result.evaluation, Delta.insert(p_a)
+        )
+        assert (result.evaluation.ranks[p_a], result.evaluation.ranks[s_a]) == (0, 1)
 
     def test_deletion_does_not_resurrect_through_cycles(self):
         # A cycle reachable only through the deleted edge must die with
@@ -342,6 +399,15 @@ class TestSessionUpdate:
         session.update(Delta.insert(edge("b", "c")))
         closure = session.closure_or_none(Atom("tc", ("b", "c")))
         assert closure is not None and closure.root == Atom("tc", ("b", "c"))
+
+    def test_update_patches_the_evaluation_in_place(self):
+        session = tc_session("e(a, b). e(b, c).")
+        evaluation, model, ranks = session.evaluation, session.model, session.ranks
+        session.update(Delta(inserted={edge("c", "d")}, deleted={edge("a", "b")}))
+        assert session.evaluation is evaluation
+        assert session.model is model and session.ranks is ranks
+        assert isinstance(evaluation.instances, TraceIndex)
+        assert_session_equals_cold(session)
 
     def test_noop_update_retains_everything(self):
         session = tc_session("e(a, b). e(b, c).")
@@ -525,6 +591,57 @@ def test_patched_gri_matches_cold_build(scenario, seed):
     assert session.stats.gri_builds == 1
 
 
+def assert_trace_maps_equal_cold(session):
+    """The patched head and body maps, and the interned model, equal cold builds."""
+    trace = session.evaluation.instances
+    cold = TraceIndex(
+        evaluate(session.query.program, session.database, record_instances=True).instances
+    )
+    assert len(trace) == len(cold)
+    assert trace.heads == cold.heads
+    assert trace.bodies == cold.bodies
+    context = session.plan_context()
+    if context is not None and context.interned is not None:
+        interned = context.interned
+        fresh = InternedModel(session.model, context.symbols)
+        assert interned.model is session.model
+        assert {pred: set(rel.rows) for pred, rel in interned.relations.items() if rel.rows} == {
+            pred: set(rel.rows) for pred, rel in fresh.relations.items()
+        }
+        assert interned.atoms == fresh.atoms
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    scenario=st.sampled_from(["TransClosure", "Andersen", "deps"]),
+    seed=st.integers(0, 10 ** 6),
+)
+def test_patched_trace_maps_match_cold_build(scenario, seed):
+    query, database, deltas = _update_stream(scenario, seed)
+    session = ProvenanceSession(query, database)
+    session.answers()
+    for delta in deltas:
+        session.update(delta)
+        assert_trace_maps_equal_cold(session)
+    # One head map serves the trace and the GRI.
+    assert session.gri_index().rules is session.evaluation.instances.heads
+
+
+def test_cone_stays_small_on_deps_upgrades():
+    # Delete-and-rederive overdeletes 68-69% of this model on three of
+    # the four deltas; the rank-supported cone holds at most 14% of it.
+    instance = generate_instance("deps", size=48, seed=0, delta_rounds=4)
+    session = ProvenanceSession(instance.query, instance.database.copy())
+    session.answers()
+    for delta in instance.deltas:
+        model_size = len(session.model)
+        receipt = session.update(delta)
+        assert receipt.effective.deleted
+        assert 0 < receipt.cone < model_size / 4
+    cold = evaluate(instance.query.program, session.database, record_instances=True)
+    assert session.model == cold.model and session.ranks == cold.ranks
+
+
 def test_instance_leaving_and_reentering_in_one_update():
     # Deleting e(a, b) retracts tc(a, b) and with it the instance
     # tc(a, c) :- tc(a, b), e(b, c); inserting a detour a -> x -> b
@@ -532,9 +649,12 @@ def test_instance_leaving_and_reentering_in_one_update():
     session = tc_session("e(a, b). e(b, c).")
     assert session.why(("a", "c"))
     delta = Delta(inserted={edge("a", "x"), edge("x", "b")}, deleted={edge("a", "b")})
+    # Maintenance patches the evaluation it is given, so the dry run
+    # maintains a copy evaluated on its own.
     database = session.database.copy()
+    evaluation = evaluate(TC_PROGRAM, database, record_instances=True)
     receipt = maintain_evaluation(
-        TC_PROGRAM, database, session.evaluation, database.apply(delta)
+        TC_PROGRAM, database, evaluation, database.apply(delta)
     )
     assert set(receipt.removed_instances) & set(receipt.added_instances)
     session.update(delta)

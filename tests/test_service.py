@@ -1076,6 +1076,16 @@ class TestSharded:
                 request = {**probe, "id": index}
                 assert single.request(request) == sharded.request(request), probe
 
+    def test_supervisor_stop_closes_worker_stderr_pipes(self):
+        from repro.service.shard import WorkerSupervisor
+
+        supervisor = WorkerSupervisor(2)
+        supervisor.start()
+        procs = [handle.proc for handle in supervisor.handles.values()]
+        supervisor.stop()
+        assert len(procs) == 2
+        assert all(proc.stderr.closed for proc in procs)
+
     def test_ping_served_by_the_router(self):
         with local_sharded_service(workers=2) as client:
             result = client.ping()["result"]

@@ -1,8 +1,9 @@
 """The traced daemon benchmark finds every entry point it wraps.
 
 ``perfbench/launcher.py``'s ``install()`` replaces functions and methods
-of the package — ``grounding.gri_maps_from_instances`` among them — with
-span recorders, looked up by name. Renaming or deleting one makes
+of the package — ``grounding.gri_maps_from_instances`` and
+``incremental.maintain_evaluation`` among them — with span recorders,
+looked up by name. Renaming or deleting one makes
 ``perfbench/run.py --trace 1`` die at start-up; changing what one
 returns or takes can break the span's counts instead, as the store
 wrappers read ``put_snapshot``'s result and encode ``append_wal``'s
@@ -43,6 +44,16 @@ SCRIPT = textwrap.dedent(
     # A session's cold GRI build must pass through the wrapped module
     # attribute, or the trace reports no GRI work at all.
     assert "grounding.gri_build" in names, sorted(names)
+    # Updating an evaluated session must pass through the wrapped
+    # maintain_evaluation too, or traced engine.maintain_s reads 0.
+    session.update(delta_from_lines(["+e(c, d)."]))
+    maintains = [
+        span[6] for span in launcher.RECORDER.spans if span[1] == "engine.maintain"
+    ]
+    assert maintains, sorted(names)
+    assert all(
+        extra["model"] > 0 and extra["trace"] > 0 for extra in maintains
+    ), maintains
 
     # The store-backed registry as the daemon drives it: admit, commit an
     # update, evict, re-admit from the log.
