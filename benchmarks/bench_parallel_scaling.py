@@ -18,7 +18,6 @@ Emits ``BENCH_parallel_scaling.json`` with the speedup-vs-workers curve.
 
 import os
 
-from repro.core.parallel import EvaluationSnapshot
 from repro.core.session import ProvenanceSession
 from repro.harness.runner import sample_answer_tuples
 from repro.scenarios import get_scenario
@@ -58,10 +57,11 @@ def _run_curve():
     for workers in SCALING_WORKERS:
         # A fresh session per round: cold per-fact caches for serial and
         # parallel alike, so the timed region is the same work everywhere.
-        # capture/restore (no pickling) starts each round without a GRI
-        # index: the index lives on the session, and sharing it across
-        # rounds would hand later rounds a warm cache.
-        round_session = EvaluationSnapshot.capture(session).restore()
+        # The fork shares the evaluation but starts without a GRI index:
+        # the index lives on the session, and sharing it across rounds
+        # would hand later rounds a warm cache.
+        round_session = session.fork()
+        round_session._evaluation = session.evaluation
         batch = round_session.explain_batch(
             tuples,
             workers=workers,
@@ -90,7 +90,6 @@ def _run_curve():
                 "parallel": batch.parallel,
                 "fallback_reason": batch.fallback_reason,
                 "chunk_size": batch.chunk_size,
-                "snapshot_bytes": batch.snapshot_bytes,
                 "seconds": batch.total_seconds,
                 "throughput": batch.throughput,
                 "members_total": sum(len(r.members) for r in batch.results),

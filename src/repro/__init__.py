@@ -30,7 +30,6 @@ from .baselines import (
 )
 from .core import (
     BatchResult,
-    EvaluationSnapshot,
     FactResult,
     FORewriting,
     ParallelProvenanceExplainer,
@@ -90,7 +89,6 @@ __all__ = [
     "Atom",
     "BatchResult",
     "CDCLSolver",
-    "EvaluationSnapshot",
     "FactResult",
     "ParallelProvenanceExplainer",
     "CNF",

@@ -213,8 +213,7 @@ def _serve_batch(session: ProvenanceSession, tuples, args: argparse.Namespace) -
     if batch.parallel:
         print(
             f"% {len(tuples)} tuples sharded over {batch.workers} worker(s) "
-            f"(chunk size {batch.chunk_size}, snapshot {batch.snapshot_bytes} bytes, "
-            f"{batch.total_seconds:.3f}s)",
+            f"(chunk size {batch.chunk_size}, {batch.total_seconds:.3f}s)",
             file=sys.stderr,
         )
     else:
@@ -581,7 +580,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_sessions=args.max_sessions,
             max_bytes=args.max_bytes,  # workers map 0 to unbounded themselves
-            method=args.method,
             acyclicity=args.acyclicity,
         )
         service.start()
@@ -596,7 +594,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry = SessionRegistry(
             max_sessions=args.max_sessions,
             max_bytes=args.max_bytes if args.max_bytes > 0 else None,
-            method=args.method,
             acyclicity=args.acyclicity,
             store=store,
         )
@@ -923,13 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="forked processes per worker for large batch requests "
         "(default: 1, serial; 0 = one per core)",
-    )
-    p_serve.add_argument(
-        "--method",
-        choices=["seminaive", "naive"],
-        default="seminaive",
-        help="evaluation method baked into sessions and their digests "
-        "(default: seminaive)",
     )
     p_serve.add_argument(
         "--acyclicity",

@@ -52,7 +52,6 @@ from .fo_rewriting import (
 )
 from .parallel import (
     BatchResult,
-    EvaluationSnapshot,
     FactResult,
     ParallelProvenanceExplainer,
     explain_fact,
@@ -63,7 +62,6 @@ from .session import ProvenanceSession, SessionStats
 __all__ = [
     "BatchResult",
     "EncodingStats",
-    "EvaluationSnapshot",
     "FactResult",
     "ParallelProvenanceExplainer",
     "explain_fact",

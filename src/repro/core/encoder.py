@@ -112,9 +112,11 @@ class WhyProvenanceEncoding:
         start = time.perf_counter()
         closure = self.closure
         root_fact = closure.root
+        # The one node order every pass below walks, sorted once.
+        nodes = sorted(closure.nodes, key=str)
 
         # Allocate node variables.
-        for fact in sorted(closure.nodes, key=str):
+        for fact in nodes:
             for i in range(self._copies_of(fact)):
                 self.node_vars[(fact, i)] = self.pool.var(("x", fact, i))
         # Sorted so the blocking-clause literal order (and with it the
@@ -134,9 +136,9 @@ class WhyProvenanceEncoding:
         #   so repeated body facts may point at different copies (the
         #   Example 4 phenomenon).
         if self.copies == 1:
-            self._allocate_set_semantics()
+            targets = self._allocate_set_semantics(nodes)
         else:
-            self._allocate_instance_semantics()
+            self._allocate_instance_semantics(nodes)
 
         incoming: Dict[NodeKey, List[int]] = {node: [] for node in self.node_vars}
         for (src, dst), z in self.edge_vars.items():
@@ -158,9 +160,9 @@ class WhyProvenanceEncoding:
             self.cnf.add_clause((-x, *incoming[node]))
 
         if self.copies == 1:
-            self._emit_proof_set_semantics()
+            self._emit_proof_set_semantics(nodes, targets)
         else:
-            self._emit_proof_instance_semantics()
+            self._emit_proof_instance_semantics(nodes)
 
         # phi_acyclic over the z-guarded arc graph.
         arc_vars = {
@@ -189,9 +191,11 @@ class WhyProvenanceEncoding:
 
     # -- copies == 1: the paper's set-semantics formula -----------------------
 
-    def _allocate_set_semantics(self) -> None:
+    def _allocate_set_semantics(self, nodes: List[Atom]) -> Dict[Atom, List[Atom]]:
+        """Allocate ``y`` and ``z``; return each head's sorted target union."""
         closure = self.closure
-        for fact in sorted(closure.nodes, key=str):
+        unions: Dict[Atom, List[Atom]] = {}
+        for fact in nodes:
             edges = closure.hyperedges_by_head.get(fact, ())
             if not edges:
                 continue
@@ -201,13 +205,17 @@ class WhyProvenanceEncoding:
             targets: Set[Atom] = set()
             for edge in edges:
                 targets |= edge.targets
-            for target in sorted(targets, key=str):
+            ordered = unions[fact] = sorted(targets, key=str)
+            for target in ordered:
                 child = (target, 0)
                 self.edge_vars[(node, child)] = self.pool.var(("z", node, child))
+        return unions
 
-    def _emit_proof_set_semantics(self) -> None:
+    def _emit_proof_set_semantics(
+        self, nodes: List[Atom], targets: Dict[Atom, List[Atom]]
+    ) -> None:
         closure = self.closure
-        for fact in sorted(closure.nodes, key=str):
+        for fact in nodes:
             edges = closure.hyperedges_by_head.get(fact, ())
             node = (fact, 0)
             if not edges:
@@ -217,12 +225,10 @@ class WhyProvenanceEncoding:
                 continue
             y_vars = [self.hyperedge_vars[(node, edge)] for edge in edges]
             self.cnf.add_clause((-self.node_vars[node], *y_vars))
-            potential: Set[Atom] = set()
-            for edge in edges:
-                potential |= edge.targets
+            potential = targets[fact]
             for edge in edges:
                 y = self.hyperedge_vars[(node, edge)]
-                for target in sorted(potential, key=str):
+                for target in potential:
                     z = self.edge_vars[(node, (target, 0))]
                     if target in edge.targets:
                         self.cnf.implies(y, z)
@@ -231,10 +237,10 @@ class WhyProvenanceEncoding:
 
     # -- copies > 1: compact arbitrary proof DAGs (multiset semantics) ---------
 
-    def _allocate_instance_semantics(self) -> None:
+    def _allocate_instance_semantics(self, nodes: List[Atom]) -> None:
         closure = self.closure
         self._position_vars: Dict[Tuple[NodeKey, int, int, int], int] = {}
-        for fact in sorted(closure.nodes, key=str):
+        for fact in nodes:
             instances = closure.instances_by_head.get(fact, ())
             if not instances:
                 continue
@@ -255,13 +261,13 @@ class WhyProvenanceEncoding:
                                     ("z", node, child)
                                 )
 
-    def _emit_proof_instance_semantics(self) -> None:
+    def _emit_proof_instance_semantics(self, nodes: List[Atom]) -> None:
         closure = self.closure
         # Which position variables can justify an edge (node -> child)?
         edge_supporters: Dict[Tuple[NodeKey, NodeKey], List[int]] = {
             key: [] for key in self.edge_vars
         }
-        for fact in sorted(closure.nodes, key=str):
+        for fact in nodes:
             instances = closure.instances_by_head.get(fact, ())
             if not instances:
                 if fact not in self.database:
@@ -300,7 +306,7 @@ class WhyProvenanceEncoding:
         for key, z in self.edge_vars.items():
             self.cnf.add_clause((-z, *edge_supporters[key]))
         # Symmetry breaking between interchangeable copies of a fact.
-        for fact in sorted(closure.nodes, key=str):
+        for fact in nodes:
             for i in range(1, self._copies_of(fact)):
                 self.cnf.implies(
                     self.node_vars[(fact, i)], self.node_vars[(fact, i - 1)]

@@ -37,8 +37,8 @@ Datalog engines maintain materialized views incrementally.
    instances touch from the session's
    :class:`~repro.provenance.grounding.GriIndex`, which reads the head
    map the maintenance just patched;
-6. bumps the session version so pickled evaluation snapshots (the
-   parallel batch path) are recognizably stale and get rebuilt.
+6. bumps the session version, which stamps service responses and the
+   delta records of the durable log.
 
 Steps 4 and 5 rest on the canonical per-head order of the GRI
 (:func:`~repro.provenance.grounding.gri_maps_from_instances`): since a
@@ -88,8 +88,7 @@ class SessionUpdate:
         deletion can re-rank or remove), and how many cone facts stayed
         in the model at a higher rank.
     version:
-        The session version *after* the update (snapshots stamped with an
-        older version are stale).
+        The session version *after* the update.
     seconds:
         Wall-clock cost of the whole update, the number the
         ``bench_incremental_updates`` benchmark compares against full
@@ -164,7 +163,6 @@ def update_session(session: "ProvenanceSession", delta: Delta) -> SessionUpdate:
 
     session.stats.updates += 1
     session.version += 1
-    session._snapshot_cache = None
     evaluation = session._evaluation
     if session._gri is not None and not isinstance(evaluation.instances, TraceIndex):
         # One head map for the trace and the GRI, patched as one.

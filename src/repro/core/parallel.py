@@ -11,26 +11,24 @@ done **exactly once** in the parent.
 Design
 ------
 
-* :class:`EvaluationSnapshot` — the minimal picklable state a worker needs:
-  the query, the database, and the recorded
-  :class:`~repro.datalog.engine.EvaluationResult` (model, ranks, instance
-  trace). It is pickled **once** in the parent; every worker unpickles it
-  once in its pool initializer and rehydrates a private
-  :class:`~repro.core.session.ProvenanceSession` around it. Workers then
-  ground (GRI restriction), encode (CNF) and solve (CDCL enumeration)
-  per fact — exactly the per-fact work, never the evaluation.
-* :class:`ParallelProvenanceExplainer` — the pool driver. Tuples are cut
-  into contiguous chunks that workers *pull* from the shared task queue
-  (``imap_unordered`` with ``chunksize=1``), so a worker that drew facts
-  with small downward closures steals the next chunk instead of idling
-  behind one with a giant closure. Results carry their batch index and are
-  re-ordered in the parent, so the output is deterministic regardless of
-  completion order.
-* Serial fallback — ``workers=1``, a batch smaller than two facts, an
-  unavailable ``fork`` start method, or a snapshot that fails to pickle
-  all fall back to running the same per-fact routine in-process through
-  the parent session. The results are identical either way (same members,
-  same order); :attr:`BatchResult.fallback_reason` records why.
+* :class:`ParallelProvenanceExplainer` — the pool driver. Workers are
+  forked, and the pool initializer receives the parent's
+  :class:`~repro.core.session.ProvenanceSession` itself: a forked child
+  gets its initializer arguments in memory, never pickled, so every
+  worker starts with the evaluation and whatever GRI, closures and
+  encodings the parent had built, and does only the per-fact work —
+  ground (GRI restriction), encode (CNF) and solve (CDCL enumeration).
+  Tuples are cut into contiguous chunks that workers *pull* from the
+  shared task queue (``imap_unordered`` with ``chunksize=1``), so a
+  worker that drew facts with small downward closures steals the next
+  chunk instead of idling behind one with a giant closure. Results carry
+  their batch index and are re-ordered in the parent, so the output is
+  deterministic regardless of completion order.
+* Serial fallback — ``workers=1``, a batch smaller than two facts, or a
+  platform without the ``fork`` start method run the same per-fact
+  routine in-process through the parent session. The results are
+  identical either way (same members, same order);
+  :attr:`BatchResult.fallback_reason` records why.
 
 Determinism
 -----------
@@ -39,7 +37,13 @@ Workers are forked, so they inherit the parent's hash seed: closure
 construction, CNF variable numbering, and CDCL member discovery order are
 bit-for-bit the processes' replay of what the parent session would do.
 ``tests/test_parallel.py`` asserts parallel output equals serial output —
-same witnesses, same order — across scenarios.
+same witnesses, same order — across scenarios and after updates.
+
+The caller holds the session unchanged for the whole batch: the pool
+forks its workers (and any replacement for a dead one) from the parent's
+current session. The service's ``batch`` op runs under the session's
+entry lock throughout, and :data:`_FORK_LOCK` serializes the fork moment
+across the daemon's threads.
 
 Typical usage::
 
@@ -53,25 +57,21 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..datalog.database import Database
-from ..datalog.engine import EvaluationResult
-from ..datalog.program import DatalogQuery
 from ..provenance.grounding import FactNotDerivable
 from .session import ProvenanceSession
 
 #: Upper bound on pool size when ``workers=None`` asks for "all cores".
 MAX_AUTO_WORKERS = 16
 
-#: Below this many tuples a batch is not worth forking a pool for: the
-#: snapshot pickle plus worker start-up dominates the per-fact work. The
-#: service daemon uses this to route small batches through the serial
-#: in-process path and only large ones through the pool.
+#: Below this many tuples a batch is not worth forking a pool for: worker
+#: start-up dominates the per-fact work. The service daemon uses this to
+#: route small batches through the serial in-process path and only large
+#: ones through the pool.
 PARALLEL_BATCH_THRESHOLD = 8
 
 #: Serializes pool creation (the fork moment) across threads. A threaded
@@ -146,7 +146,6 @@ class BatchResult:
     chunk_size: int
     total_seconds: float
     evaluation_seconds: float
-    snapshot_bytes: int = 0
     fallback_reason: Optional[str] = None
 
     @property
@@ -168,81 +167,6 @@ class BatchResult:
     def failures(self) -> List[FactResult]:
         """Results that errored or were not answers."""
         return [r for r in self.results if not r.ok or not r.is_answer]
-
-
-class EvaluationSnapshot:
-    """The one-time picklable state a worker needs to rebuild a session.
-
-    Captures the query, the database, and the parent's
-    :class:`~repro.datalog.engine.EvaluationResult` — model, ranks, and
-    the recorded instance trace that lets workers build downward closures
-    in ``O(|closure|)`` without re-matching rule bodies. Derived caches
-    (GRI index, closures, encodings, solvers) are deliberately *not*
-    captured: they are cheap to rebuild per fact and expensive to ship.
-    """
-
-    def __init__(
-        self,
-        query: DatalogQuery,
-        database: Database,
-        evaluation: EvaluationResult,
-        method: str = "seminaive",
-        acyclicity: str = "vertex-elimination",
-        version: int = 0,
-    ):
-        self.query = query
-        self.database = database
-        self.evaluation = evaluation
-        self.method = method
-        self.acyclicity = acyclicity
-        #: The parent session's :attr:`~repro.core.session.ProvenanceSession.version`
-        #: at capture time, carried over by :meth:`restore`.
-        self.version = version
-
-    @classmethod
-    def capture(cls, session: ProvenanceSession) -> "EvaluationSnapshot":
-        """Snapshot a session, forcing its one-time evaluation if needed."""
-        evaluation = session.evaluation
-        # Re-wrap without the engine name and plan-cache counters: they
-        # are this process's bookkeeping, not state a restored session
-        # needs. A maintained trace ships as the plain instance tuple,
-        # not as its head and body maps.
-        pruned = EvaluationResult(
-            model=evaluation.model,
-            ranks=evaluation.ranks,
-            rounds=evaluation.rounds,
-            derivations=evaluation.derivations,
-            instances=tuple(evaluation.instances),
-        )
-        return cls(
-            query=session.query,
-            database=session.database,
-            evaluation=pruned,
-            method=session.method,
-            acyclicity=session.acyclicity,
-            version=session.version,
-        )
-
-    def restore(self) -> ProvenanceSession:
-        """Rehydrate a fresh session with the evaluation pre-installed."""
-        session = ProvenanceSession(
-            self.query,
-            self.database,
-            method=self.method,
-            acyclicity=self.acyclicity,
-        )
-        session._evaluation = self.evaluation
-        session.version = self.version
-        return session
-
-    def to_bytes(self) -> bytes:
-        """Pickle the snapshot (raises if some component is unpicklable)."""
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def from_bytes(blob: bytes) -> "EvaluationSnapshot":
-        """Inverse of :meth:`to_bytes`."""
-        return pickle.loads(blob)
 
 
 def explain_fact(
@@ -310,18 +234,17 @@ def explain_fact(
 
 # -- worker-side plumbing ----------------------------------------------------
 #
-# The pool initializer rehydrates one session per worker process from the
-# snapshot bytes; chunk tasks then only carry (index, tuple) pairs. Every
-# pool is forked from the snapshot the parent has just taken for this
-# batch, so a worker's session is never stale.
+# The pool initializer keeps the parent's session, which the fork handed
+# over in memory; chunk tasks then only carry (index, tuple) pairs. Every
+# pool is forked for one batch, so a worker's session is never stale.
 
 _WORKER_SESSION: Optional[ProvenanceSession] = None
 
 
-def _init_worker(snapshot_blob: bytes) -> None:
-    """Pool initializer: unpickle the snapshot once, rehydrate the session."""
+def _init_worker(session: ProvenanceSession) -> None:
+    """Pool initializer: keep the session the fork handed over."""
     global _WORKER_SESSION
-    _WORKER_SESSION = EvaluationSnapshot.from_bytes(snapshot_blob).restore()
+    _WORKER_SESSION = session
 
 
 def _run_chunk(
@@ -345,8 +268,8 @@ class ParallelProvenanceExplainer:
     ----------
     session:
         The parent :class:`~repro.core.session.ProvenanceSession`. Its
-        (one-time) evaluation is forced here, in the parent, and shipped
-        to the workers as a pickled snapshot.
+        (one-time) evaluation is forced here, in the parent, and the
+        forked workers inherit the session with it.
     workers:
         Pool size; ``None`` or ``0`` means one per available core (capped
         at :data:`MAX_AUTO_WORKERS`) — every entry point (CLI
@@ -356,11 +279,11 @@ class ParallelProvenanceExplainer:
         Tuples per work unit. Small chunks approximate work stealing —
         workers finishing early pull more — at the price of a little more
         queue traffic. Default: about four chunks per worker.
-    start_method:
-        ``multiprocessing`` start method. Only ``"fork"`` guarantees that
-        workers inherit the parent's hash seed (and with it bit-identical
-        member ordering); when unavailable the explainer falls back to
-        serial execution rather than silently losing determinism.
+
+    Workers are always forked: only ``fork`` hands them the parent's
+    session and hash seed (and with it bit-identical member ordering).
+    Where the platform lacks it the explainer serves the batch serially
+    rather than silently losing determinism.
     """
 
     def __init__(
@@ -368,12 +291,10 @@ class ParallelProvenanceExplainer:
         session: ProvenanceSession,
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        start_method: str = "fork",
     ):
         self.session = session
         self.workers = default_worker_count() if not workers else max(1, workers)
         self.chunk_size = chunk_size
-        self.start_method = start_method
 
     # -- public API ---------------------------------------------------------
 
@@ -403,23 +324,12 @@ class ParallelProvenanceExplainer:
             return self._serial(
                 tuples, limit, timeout_seconds, evaluation_seconds, reason
             )
-        if self.start_method not in multiprocessing.get_all_start_methods():
+        if "fork" not in multiprocessing.get_all_start_methods():
             return self._serial(
                 tuples, limit, timeout_seconds, evaluation_seconds,
-                f"start method {self.start_method!r} unavailable",
+                "start method 'fork' unavailable",
             )
-        try:
-            # Cached per session version: repeated batches over an
-            # unchanged database pickle once; any update() rebuilds.
-            blob = self.session.snapshot_bytes()
-        except Exception as exc:  # unpicklable component: stay correct
-            return self._serial(
-                tuples, limit, timeout_seconds, evaluation_seconds,
-                f"snapshot not picklable: {exc}",
-            )
-        return self._pooled(
-            tuples, limit, timeout_seconds, workers, blob, evaluation_seconds
-        )
+        return self._pooled(tuples, limit, timeout_seconds, workers, evaluation_seconds)
 
     # -- execution paths ----------------------------------------------------
 
@@ -461,7 +371,6 @@ class ParallelProvenanceExplainer:
         limit: Optional[int],
         timeout_seconds: Optional[float],
         workers: int,
-        snapshot_blob: bytes,
         evaluation_seconds: float,
     ) -> BatchResult:
         started = time.perf_counter()
@@ -471,13 +380,13 @@ class ParallelProvenanceExplainer:
             (tasks[offset : offset + chunk_size], limit, timeout_seconds)
             for offset in range(0, len(tasks), chunk_size)
         ]
-        context = multiprocessing.get_context(self.start_method)
         results: List[FactResult] = []
         with _FORK_LOCK:
-            pool = context.Pool(
+            # A forked child receives initargs in memory, never pickled.
+            pool = multiprocessing.get_context("fork").Pool(
                 processes=workers,
                 initializer=_init_worker,
-                initargs=(snapshot_blob,),
+                initargs=(self.session,),
             )
         with pool:
             # chunksize=1 keeps the pool's own batching out of the way:
@@ -492,5 +401,4 @@ class ParallelProvenanceExplainer:
             chunk_size=chunk_size,
             total_seconds=time.perf_counter() - started,
             evaluation_seconds=evaluation_seconds,
-            snapshot_bytes=len(snapshot_blob),
         )

@@ -23,8 +23,8 @@ dozens of facts shared one ``(D, Sigma)``.
   enumeration.
 
 All caches hang off one object, so the session can be invalidated
-(:meth:`invalidate`), forked onto another database (:meth:`fork`), or — in
-later work — snapshotted and distributed per shard.
+(:meth:`invalidate`), forked onto another database (:meth:`fork`), or
+inherited whole by forked batch workers (:meth:`explain_batch`).
 
 Typical batch usage (one evaluation, many target facts)::
 
@@ -47,7 +47,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, check_over_schema
-from ..datalog.engine import EvaluationResult, evaluate
+from ..datalog.engine import EvaluationResult, TraceIndex, evaluate
 from ..datalog.plans import PlanContext, resolve_engine
 from ..datalog.program import DatalogQuery, Program
 from ..provenance.grounding import (
@@ -63,12 +63,14 @@ from ..sat.solver import CDCLSolver
 from .encoder import WhyProvenanceEncoding, encode_why_provenance
 
 #: Byte-budget weights of :meth:`ProvenanceSession.estimated_bytes`: a
-#: least-squares fit to the size of the session's pickled
-#: :class:`~repro.core.parallel.EvaluationSnapshot` (query, database,
-#: model, ranks, trace) over the 13 synthetic instances the daemon
-#: benchmark admits, so budgets keep the scale they had when that size
-#: was the charge. It is within 8% on twelve of them and 20% on the
-#: smallest.
+#: least-squares fit to the size of the session's pickled query,
+#: database, model, ranks and trace over the 13 synthetic instances the
+#: daemon benchmark admits, so budgets keep the scale they had when that
+#: size was the charge. It is within 8% on twelve of them and 20% on the
+#: smallest. A maintained trace (a
+#: :class:`~repro.datalog.engine.TraceIndex`) pays ``INSTANCE_BYTES``
+#: twice per instance: its head and body maps plus the interned model
+#: roughly double a session's memory on its first update.
 FACT_BYTES = 14
 INSTANCE_BYTES = 35
 
@@ -112,9 +114,6 @@ class ProvenanceSession:
         The Datalog query ``Q = (Sigma, R)``.
     database:
         The input database over ``edb(Sigma)`` (validated on construction).
-    method:
-        Evaluation strategy forwarded to the engine (``"seminaive"`` or
-        ``"naive"``).
     acyclicity:
         Default acyclicity encoding for CNF compilations.
     engine:
@@ -138,7 +137,6 @@ class ProvenanceSession:
         self,
         query: DatalogQuery,
         database: Database,
-        method: str = "seminaive",
         acyclicity: str = "vertex-elimination",
         engine: Optional[str] = None,
         sat_mode: str = "fresh",
@@ -148,15 +146,13 @@ class ProvenanceSession:
         check_over_schema(database, query.program.edb)
         self.query = query
         self.database = database
-        self.method = method
         self.acyclicity = acyclicity
         self.engine = resolve_engine(engine)
         self._plan_context: Optional[PlanContext] = None
         self.stats = SessionStats()
         #: Monotonic database-state counter: bumped by every effective
-        #: :meth:`update` and every :meth:`invalidate`. It keys the cached
-        #: snapshot blob (:meth:`snapshot_bytes`), stamps service
-        #: responses, and stamps the delta records of the durable log.
+        #: :meth:`update` and every :meth:`invalidate`. It stamps service
+        #: responses and the delta records of the durable log.
         self.version = 0
         #: Per-session reentrant guard for multi-threaded callers. The
         #: session's caches are plain dicts, so concurrent cache fills
@@ -166,7 +162,6 @@ class ProvenanceSession:
         #: operation in ``with session.lock:``. Reentrant because session
         #: methods call each other (``why`` → ``encoding`` → ``closure``).
         self.lock = threading.RLock()
-        self._snapshot_cache: Optional[Tuple[int, bytes]] = None
         self._evaluation: Optional[EvaluationResult] = None
         self._gri: Optional[GriIndex] = None
         self._closures: Dict[Atom, Optional[DownwardClosure]] = {}
@@ -191,7 +186,6 @@ class ProvenanceSession:
             self._evaluation = evaluate(
                 self.query.program,
                 self.database,
-                method=self.method,
                 record_instances=True,
                 engine=self.engine,
                 plan_context=self.plan_context(),
@@ -468,8 +462,10 @@ class ProvenanceSession:
         ``tuples=None`` serves every answer of ``Q(D)``. With
         ``workers > 1`` the batch is sharded over forked worker processes
         by :class:`~repro.core.parallel.ParallelProvenanceExplainer`: the
-        session is evaluated once here in the parent, snapshotted, and
-        each worker grounds/encodes/solves its share of the facts.
+        session is evaluated once here in the parent, each worker
+        inherits it through the fork, and grounds/encodes/solves its
+        share of the facts. Keep the session unchanged until the call
+        returns (the service holds the session lock).
         Results come back in input order and are identical to the serial
         path (``workers=1``), which runs in-process through this
         session's caches. ``workers=None`` (or ``0``) uses one worker
@@ -508,22 +504,23 @@ class ProvenanceSession:
         return update_session(self, delta)
 
     def snapshot_bytes(self) -> bytes:
-        """The pickled evaluation snapshot for this session's version.
+        """The pickled query, database, model, ranks and trace, uncached.
 
-        Cached per :attr:`version`: repeated batches over an unchanged
-        database reuse one blob, and any :meth:`update` / :meth:`invalidate`
-        makes the next call rebuild it (stale snapshots never escape the
-        parent). Raises if some component is unpicklable — callers that
-        can fall back to serial execution catch that.
+        Its one caller is the tenants data builder of
+        ``perfbench/workloads.py``, which records the size; this method
+        goes with that caller at the next change to that benchmark.
         """
-        from .parallel import EvaluationSnapshot
+        import pickle
 
-        cached = self._snapshot_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        blob = EvaluationSnapshot.capture(self).to_bytes()
-        self._snapshot_cache = (self.version, blob)
-        return blob
+        evaluation = self.evaluation
+        state = (
+            self.query,
+            self.database,
+            evaluation.model,
+            evaluation.ranks,
+            tuple(evaluation.instances),
+        )
+        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
     def estimated_bytes(self) -> int:
         """Approximate resident cost of the session, for byte budgets.
@@ -533,20 +530,22 @@ class ProvenanceSession:
         keeps, so accounting after every update costs nothing:
         :data:`FACT_BYTES` per database and model fact plus
         :data:`INSTANCE_BYTES` per recorded rule instance (the trace that
-        dominates a warm session's footprint). Before the evaluation only
-        the database counts.
+        dominates a warm session's footprint), twice over once an update
+        has indexed the trace. Before the evaluation only the database
+        counts.
         """
         evaluation = self._evaluation
         facts = len(self.database)
         if evaluation is None:
             return FACT_BYTES * facts
         facts += len(evaluation.model)
-        return FACT_BYTES * facts + INSTANCE_BYTES * len(evaluation.instances or ())
+        instances = evaluation.instances or ()
+        per_instance = INSTANCE_BYTES * (2 if isinstance(instances, TraceIndex) else 1)
+        return FACT_BYTES * facts + per_instance * len(instances)
 
     def invalidate(self) -> None:
         """Drop every cached artifact (call after mutating the database)."""
         self.version += 1
-        self._snapshot_cache = None
         self._evaluation = None
         self._gri = None
         self._plan_context = None
@@ -564,7 +563,6 @@ class ProvenanceSession:
         return ProvenanceSession(
             self.query,
             self.database if database is None else database,
-            method=self.method,
             acyclicity=self.acyclicity,
             engine=self.engine,
         )

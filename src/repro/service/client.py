@@ -338,7 +338,6 @@ def local_sharded_service(
     max_batch: Optional[int] = None,
     max_sessions: Optional[int] = None,
     max_bytes: Optional[int] = None,
-    method: str = "seminaive",
     acyclicity: str = "vertex-elimination",
     spawn_timeout: float = 60.0,
 ) -> Iterator[ServiceClient]:
@@ -364,7 +363,6 @@ def local_sharded_service(
         max_batch=max_batch,
         max_sessions=max_sessions,
         max_bytes=max_bytes,
-        method=method,
         acyclicity=acyclicity,
         spawn_timeout=spawn_timeout,
     )

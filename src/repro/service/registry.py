@@ -2,7 +2,7 @@
 
 The daemon's working set is a map ``content digest -> ProvenanceSession``.
 The digest is computed over the *canonicalized* ``(program, database,
-answer, method, acyclicity)`` quintuple — rules and facts are parsed and
+answer, acyclicity)`` quadruple — rules and facts are parsed and
 re-rendered in sorted order before hashing — so two clients sending the
 same query in different rule order, fact order, or whitespace share one
 warm session instead of evaluating twice.
@@ -165,18 +165,20 @@ def canonicalize_query(
 def content_digest(
     query: DatalogQuery,
     database: Database,
-    method: str = "seminaive",
     acyclicity: str = "vertex-elimination",
 ) -> str:
     """The canonical content address of a ``(program, database)`` pair.
 
     Rules and facts are rendered sorted, so the digest is a pure function
-    of the *sets* (plus answer predicate and evaluation knobs), not of
+    of the *sets* (plus answer predicate and acyclicity encoding), not of
     the wire texts that produced them.
     """
     payload = "\n".join(
         [
-            method,
+            # Once the evaluation method. Kept constant so that digests do
+            # not change: logs on disk and clients holding a digest still
+            # address their sessions.
+            "seminaive",
             acyclicity,
             query.answer_predicate,
             "\n".join(sorted(str(rule) for rule in query.program.rules)),
@@ -190,21 +192,20 @@ def routing_digest(
     program_text: str,
     database_text: str,
     answer: Optional[str] = None,
-    method: str = "seminaive",
     acyclicity: str = "vertex-elimination",
 ) -> str:
     """The digest the given wire texts admit under: canonicalize + hash.
 
     The shard router routes inline-text requests with this — it has
     no registry of its own, but must compute *exactly* the address the
-    owning worker's registry will admit under, so the same ``method`` /
-    ``acyclicity`` knobs the workers were spawned with have to be passed
-    here. Raises the same canonical errors as admission would
-    (``program-error`` / ``bad-request``), which is what makes routing
-    failures byte-identical to single-process failures.
+    owning worker's registry will admit under, so the ``acyclicity``
+    the workers were spawned with has to be passed here. Raises the same
+    canonical errors as admission would (``program-error`` /
+    ``bad-request``), which is what makes routing failures
+    byte-identical to single-process failures.
     """
     query, database, _ = canonicalize_query(program_text, database_text, answer)
-    return content_digest(query, database, method, acyclicity)
+    return content_digest(query, database, acyclicity)
 
 
 class SessionRegistry:
@@ -218,10 +219,10 @@ class SessionRegistry:
         Byte budget across all entries, ``None`` for unbounded. The
         most-recently-admitted entry is exempt (a single session larger
         than the whole budget still serves).
-    method / acyclicity:
-        Evaluation knobs baked into every admitted session *and* into the
-        content digest, so registries with different knobs never share
-        addresses.
+    acyclicity:
+        The acyclicity encoding baked into every admitted session *and*
+        into the content digest, so registries with different encodings
+        never share addresses.
     store:
         A :class:`~repro.service.store.SnapshotStore` making sessions
         durable: cold admissions start a log with the admitted texts,
@@ -234,13 +235,11 @@ class SessionRegistry:
         self,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         max_bytes: Optional[int] = DEFAULT_MAX_BYTES,
-        method: str = "seminaive",
         acyclicity: str = "vertex-elimination",
         store: Optional[SnapshotStore] = None,
     ):
         self.max_sessions = max(1, max_sessions)
         self.max_bytes = max_bytes
-        self.method = method
         self.acyclicity = acyclicity
         self.store = store
         self.admissions = 0
@@ -264,9 +263,7 @@ class SessionRegistry:
         answer: Optional[str] = None,
     ) -> str:
         """The digest the given wire texts would be admitted under."""
-        return routing_digest(
-            program_text, database_text, answer, self.method, self.acyclicity
-        )
+        return routing_digest(program_text, database_text, answer, self.acyclicity)
 
     # -- admission / lookup --------------------------------------------------
 
@@ -290,7 +287,7 @@ class SessionRegistry:
         query, database, answer = canonicalize_query(
             program_text, database_text, answer
         )
-        digest = content_digest(query, database, self.method, self.acyclicity)
+        digest = content_digest(query, database, self.acyclicity)
         hit = self._await_admission_slot(digest)
         if hit is not None:
             return hit, False
@@ -342,12 +339,7 @@ class SessionRegistry:
         """Cold admission: build the session, pay the evaluation, persist."""
         started = time.perf_counter()
         try:
-            session = ProvenanceSession(
-                query,
-                database,
-                method=self.method,
-                acyclicity=self.acyclicity,
-            )
+            session = ProvenanceSession(query, database, acyclicity=self.acyclicity)
         except ValueError as exc:
             raise ServiceError("bad-request", str(exc))
         session.evaluation  # cold admission pays the evaluation up front
@@ -383,7 +375,7 @@ class SessionRegistry:
         started = time.perf_counter()
         try:
             session = self.store.rehydrate(
-                digest, method=self.method, acyclicity=self.acyclicity, parsed=parsed
+                digest, acyclicity=self.acyclicity, parsed=parsed
             )
         except Exception:
             # The store's own contract is to degrade, not raise; treat a
@@ -526,7 +518,6 @@ class SessionRegistry:
                 program_text,
                 database_text,
                 answer,
-                self.method,
                 self.acyclicity,
             )
         except Exception:
@@ -597,7 +588,6 @@ class SessionRegistry:
                 "evictions": self.evictions,
                 "rehydrations": self.rehydrations,
                 "persist_failures": self.persist_failures,
-                "method": self.method,
                 "acyclicity": self.acyclicity,
             }
         snapshot["sessions"] = [entry.describe() for entry in entries]

@@ -28,10 +28,12 @@ warm session serialize their cache fills instead of racing, while
 requests against *different* sessions proceed in parallel. Responses are
 stamped with the session ``version`` read inside the lock: a client
 interleaving ``update`` and read traffic can attribute every answer to
-the exact database state that produced it. Large ``batch`` requests
-reuse the version-stamped parallel snapshot path
-(:meth:`ProvenanceSession.explain_batch` with workers) — the fork moment
-itself is serialized process-wide by :data:`repro.core.parallel._FORK_LOCK`.
+the exact database state that produced it. Large ``batch`` requests fork
+worker processes that inherit the session
+(:meth:`ProvenanceSession.explain_batch` with workers) while the request
+holds that lock, so every worker serves the version the response is
+stamped with; the fork moment itself is serialized process-wide by
+:data:`repro.core.parallel._FORK_LOCK`.
 """
 
 from __future__ import annotations

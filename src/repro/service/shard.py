@@ -12,11 +12,11 @@ to them from the same TCP front-end
   worker, chosen by consistent hashing (:class:`HashRing`) over the
   session's content digest. Inline-text requests are canonicalized to
   the digest their admission would produce (:func:`~repro.service.
-  registry.routing_digest` with the same ``method``/``acyclicity`` knobs
-  the workers were spawned with), so texts and digests land on the same
-  shard. A digest's warm state therefore lives on exactly one worker —
-  the single-writer property that also makes a shared ``--state-dir``
-  safe across the pool.
+  registry.routing_digest` with the same ``acyclicity`` the workers
+  were spawned with), so texts and digests land on the same shard. A
+  digest's warm state therefore lives on exactly one worker — the
+  single-writer property that also makes a shared ``--state-dir`` safe
+  across the pool.
 * **byte identity** — request lines are forwarded to the owning worker
   *verbatim* and its response lines returned verbatim (each client
   connection keeps one downstream connection per shard, and a worker
@@ -225,7 +225,6 @@ class WorkerSupervisor:
         max_batch: Optional[int] = None,
         max_sessions: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        method: str = "seminaive",
         acyclicity: str = "vertex-elimination",
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
@@ -241,7 +240,6 @@ class WorkerSupervisor:
         self.max_batch = max_batch
         self.max_sessions = max_sessions
         self.max_bytes = max_bytes
-        self.method = method
         self.acyclicity = acyclicity
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -266,8 +264,6 @@ class WorkerSupervisor:
             "1",
             "--batch-workers",
             str(self.batch_workers),
-            "--method",
-            self.method,
             "--acyclicity",
             self.acyclicity,
         ]
@@ -474,7 +470,6 @@ class ShardRouter(Dispatcher):
         max_batch: Optional[int] = None,
         max_sessions: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        method: str = "seminaive",
         acyclicity: str = "vertex-elimination",
         replicas: int = DEFAULT_REPLICAS,
         spawn_timeout: float = 60.0,
@@ -482,7 +477,6 @@ class ShardRouter(Dispatcher):
         if workers < 1:
             raise ValueError("a sharded service needs at least 1 worker")
         super().__init__()
-        self.method = method
         self.acyclicity = acyclicity
         self.spawn_timeout = spawn_timeout
         self.supervisor = WorkerSupervisor(
@@ -494,7 +488,6 @@ class ShardRouter(Dispatcher):
             max_batch=max_batch,
             max_sessions=max_sessions,
             max_bytes=max_bytes,
-            method=method,
             acyclicity=acyclicity,
         )
         self.ring = HashRing(self.supervisor.slots, replicas=replicas)
@@ -531,9 +524,7 @@ class ShardRouter(Dispatcher):
         if digest is None:
             # Inline texts route by the digest their admission would get.
             program, database, answer = texts
-            digest = routing_digest(
-                program, database, answer, self.method, self.acyclicity
-            )
+            digest = routing_digest(program, database, answer, self.acyclicity)
         slot = self.ring.lookup(digest)
         handle = self.supervisor.handles[slot]
         op = request.get("op")
@@ -659,7 +650,6 @@ class ShardRouter(Dispatcher):
         )
         result["sessions"] = sessions
         result["store"] = self._merge_stores(stores)
-        result["method"] = self.method
         result["acyclicity"] = self.acyclicity
         result["protocol"] = PROTOCOL_VERSION
         result["uptime_seconds"] = time.time() - self.started_at

@@ -10,7 +10,7 @@ every update since.
 * :class:`SnapshotStore` — a content-addressed on-disk store mapping a
   registry digest to one append-only **log**. Record 0, the *base*,
   holds the program and database texts as admitted, the answer
-  predicate and the evaluation knobs (``method``, ``acyclicity``). Each
+  predicate and the acyclicity encoding (``acyclicity``). Each
   later record is one committed ``update`` delta, stamped ``v = 1, 2,
   ...`` and fsync'd before the response is sent.
 * :meth:`SnapshotStore.rehydrate` — rebuild a live session from its log:
@@ -84,8 +84,10 @@ logger = logging.getLogger("repro.service.store")
 LOG_DIR = "logs"
 LOG_SUFFIX = ".log"
 
-#: The base record's string fields (besides its stamp ``v = 0``).
-BASE_FIELDS = ("acyclicity", "answer", "database", "digest", "method", "program")
+#: The base record's string fields (besides its stamp ``v = 0``). Logs
+#: written before the evaluation method left the knobs also carry
+#: ``"method": "seminaive"``, which is ignored.
+BASE_FIELDS = ("acyclicity", "answer", "database", "digest", "program")
 
 
 def _frame(payload: Dict) -> bytes:
@@ -243,7 +245,6 @@ class SnapshotStore:
         program: str,
         database: str,
         answer: str,
-        method: str,
         acyclicity: str,
     ) -> int:
         """Start *digest*'s log afresh with its base record; returns bytes written.
@@ -261,7 +262,6 @@ class SnapshotStore:
                 "answer": answer,
                 "database": database,
                 "digest": digest,
-                "method": method,
                 "program": program,
                 "v": 0,
             }
@@ -363,18 +363,17 @@ class SnapshotStore:
     def rehydrate(
         self,
         digest: str,
-        method: Optional[str] = None,
         acyclicity: Optional[str] = None,
         parsed: Optional[Tuple[DatalogQuery, Database]] = None,
     ) -> Optional[ProvenanceSession]:
         """Rebuild the live session for *digest*, or ``None`` on a miss.
 
         Salvages the log (truncating a torn tail), checks the base
-        against *digest* and against ``method`` / ``acyclicity`` when
-        given (state directories mixed across differently-configured
-        registries), checks that the deltas are stamped ``1, 2, ...``,
-        applies them to the base's database, sets the session version to
-        the last stamp and evaluates once.
+        against *digest* and against ``acyclicity`` when given (state
+        directories mixed across differently-configured registries),
+        checks that the deltas are stamped ``1, 2, ...``, applies them to
+        the base's database, sets the session version to the last stamp
+        and evaluates once.
 
         *parsed* is the ``(query, database)`` the caller already parsed
         from the admitted texts of *digest*; it spares parsing the base
@@ -393,9 +392,7 @@ class SnapshotStore:
         base = records[0]
         if base["digest"] != digest:
             return self._miss(digest, "log-wrong-digest")
-        if (method is not None and base["method"] != method) or (
-            acyclicity is not None and base["acyclicity"] != acyclicity
-        ):
+        if acyclicity is not None and base["acyclicity"] != acyclicity:
             return self._miss(digest, "log-knob-mismatch")
         if any(record["v"] != stamp for stamp, record in enumerate(records)):
             # Some committed state is unreachable: serving the prefix
@@ -413,9 +410,7 @@ class SnapshotStore:
             else:
                 query, database = parsed
             deltas = [delta_from_lines(record["lines"]) for record in records[1:]]
-            session = ProvenanceSession(
-                query, database, method=base["method"], acyclicity=base["acyclicity"]
-            )
+            session = ProvenanceSession(query, database, acyclicity=base["acyclicity"])
         except ValueError:
             return self._miss(digest, "log-replay-failed")
         edb = query.program.edb

@@ -8,7 +8,10 @@ are all contractually byte-identical:
 * ``warm`` — the same session serving every tuple **twice**, recording
   the second pass (the memoized closure/encoding path);
 * ``parallel`` — :meth:`ProvenanceSession.explain_batch` with a forked
-  worker pool (snapshot pickling, worker rehydration, order restoration);
+  worker pool over one session that reaches each later state through
+  :meth:`ProvenanceSession.update`, so workers inherit a maintained
+  session (its trace index, its patched GRI) as the service's ``batch``
+  op forks them, and the parent restores the order;
 * ``incremental`` — one live session reaching each database state through
   :meth:`ProvenanceSession.update` (delta-semi-naive insertion, deletion
   by rank support, never re-evaluation);
@@ -245,12 +248,14 @@ def _run_warm(instance: SyntheticInstance, config: OracleConfig) -> List[str]:
 
 
 def _run_parallel(instance: SyntheticInstance, config: OracleConfig) -> List[str]:
-    return [
-        _observe_batch_state(
-            ProvenanceSession(instance.query, db, acyclicity=config.acyclicity), config
-        )
-        for db in _state_databases(instance)
-    ]
+    session = ProvenanceSession(
+        instance.query, instance.database.copy(), acyclicity=config.acyclicity
+    )
+    texts = [_observe_batch_state(session, config)]
+    for delta in instance.deltas:
+        session.update(delta)
+        texts.append(_observe_batch_state(session, config))
+    return texts
 
 
 def _run_incremental(instance: SyntheticInstance, config: OracleConfig) -> List[str]:

@@ -3,8 +3,9 @@
 The load-bearing property: a worker pool must be *invisible* in the
 results. ``explain_batch(workers=N)`` returns the same witnesses in the
 same order as the serial path for every tuple — across scenarios, across
-skewed closure sizes, and across every fallback (``workers=1``, tiny
-batches, unpicklable snapshots).
+skewed closure sizes, over maintained sessions, and across every fallback
+(``workers=1``, tiny batches, no ``fork`` start method). Workers inherit
+the parent's session through the fork, so nothing of it is pickled.
 """
 
 import pickle
@@ -14,15 +15,14 @@ import pytest
 import repro.core.parallel as parallel_module
 from repro.core.parallel import (
     BatchResult,
-    EvaluationSnapshot,
     FactResult,
     ParallelProvenanceExplainer,
     explain_fact,
 )
 from repro.core.session import ProvenanceSession
 from repro.datalog.atoms import Atom
-from repro.datalog.database import Database
-from repro.datalog.engine import evaluate
+from repro.datalog.database import Database, Delta
+from repro.datalog.engine import TraceIndex, evaluate
 from repro.datalog.parser import parse_database, parse_program, parse_rule
 from repro.datalog.program import DatalogQuery, Program
 from repro.datalog.terms import Variable
@@ -40,6 +40,13 @@ FORK_AVAILABLE = "fork" in __import__("multiprocessing").get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not FORK_AVAILABLE, reason="parallel pool requires the fork start method"
 )
+
+
+class _NoPickle(str):
+    """A string that refuses to cross a process boundary by pickle."""
+
+    def __reduce__(self):
+        raise pickle.PicklingError("this value stays in its process")
 
 
 def _assert_batches_identical(serial: BatchResult, parallel: BatchResult):
@@ -85,18 +92,19 @@ class TestPickling:
         assert set(clone.instances) == set(result.instances)
 
     def test_snapshot_sheds_gri_cache(self):
-        session = ProvenanceSession(TC_QUERY, TC_DB)
-        before = EvaluationSnapshot.capture(session).to_bytes()
+        session = ProvenanceSession(TC_QUERY, TC_DB.copy())
+        before = session.snapshot_bytes()
         session.gri()  # build the session's GRI index, every head sorted
-        snapshot = EvaluationSnapshot.capture(session)
-        blob = snapshot.to_bytes()
+        blob = session.snapshot_bytes()
         assert blob == before
         assert b"GriIndex" not in blob
-        restored = EvaluationSnapshot.from_bytes(blob).restore()
-        assert restored.stats.evaluations == 0  # evaluation came pre-installed
-        for tup in session.answers():
-            assert restored.why(tup) == session.why(tup)
-        assert restored.stats.evaluations == 0
+        query, database, model, ranks, trace = pickle.loads(blob)
+        assert (query, database) == (session.query, session.database)
+        assert (model, ranks) == (session.model, session.ranks)
+        assert set(trace) == set(session.evaluation.instances)
+        # A maintained trace ships as the plain instance tuple.
+        session.update(Delta.insert(Atom("e", ("d", "e"))))
+        assert b"TraceIndex" not in session.snapshot_bytes()
 
 
 class TestSerialBatch:
@@ -142,7 +150,6 @@ class TestParallelMatchesSerial:
         serial = ProvenanceSession(TC_QUERY, TC_DB).explain_batch(workers=1)
         parallel = ProvenanceSession(TC_QUERY, TC_DB).explain_batch(workers=2)
         assert parallel.parallel and parallel.workers == 2
-        assert parallel.snapshot_bytes > 0
         _assert_batches_identical(serial, parallel)
 
     def test_andersen_sampled_tuples(self):
@@ -182,6 +189,36 @@ class TestParallelMatchesSerial:
         parallel = ProvenanceSession(TC_QUERY, TC_DB).explain_batch(tuples, workers=2)
         _assert_batches_identical(serial, parallel)
 
+    def test_unpicklable_session_attribute_still_forks(self):
+        # Workers read the session's acyclicity; the fork hands it over
+        # in memory, so a value that cannot be pickled is no reason to
+        # serve serially.
+        session = ProvenanceSession(TC_QUERY, TC_DB)
+        session.acyclicity = _NoPickle(session.acyclicity)
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(session.acyclicity)
+        batch = session.explain_batch(workers=2)
+        assert batch.parallel and batch.fallback_reason is None
+        _assert_batches_identical(session.fork().explain_batch(workers=1), batch)
+
+    def test_batch_after_update_matches_cold_serial(self):
+        # Workers forked from a maintained session inherit its trace
+        # index, its GRI with the touched heads forgotten and its
+        # retained closures, and must answer as a cold session would.
+        session = ProvenanceSession(TC_QUERY, TC_DB.copy())
+        session.explain_batch(workers=1)  # warm the GRI, closures, encodings
+        for delta in (
+            Delta(inserted={Atom("e", ("d", "e"))}, deleted={Atom("e", ("a", "c"))}),
+            Delta.delete(Atom("e", ("b", "c"))),
+        ):
+            session.update(delta)
+            assert isinstance(session.evaluation.instances, TraceIndex)
+            parallel = session.explain_batch(workers=2)
+            assert parallel.parallel and parallel.fallback_reason is None
+            cold = ProvenanceSession(TC_QUERY, session.database.copy())
+            _assert_batches_identical(cold.explain_batch(workers=1), parallel)
+        assert session.stats.evaluations == 1
+
 
 class TestFallbacks:
     def test_workers_one_is_a_plain_serial_run(self):
@@ -197,25 +234,15 @@ class TestFallbacks:
         assert "smaller than two" in batch.fallback_reason
         assert batch.results[0].members == session.why(("a", "b"))
 
-    def test_unpicklable_snapshot_falls_back(self, monkeypatch):
-        def boom(self):
-            raise pickle.PicklingError("nope")
-
-        monkeypatch.setattr(parallel_module.EvaluationSnapshot, "to_bytes", boom)
+    def test_unavailable_start_method_falls_back(self, monkeypatch):
+        monkeypatch.setattr(
+            parallel_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
         session = ProvenanceSession(TC_QUERY, TC_DB)
         batch = session.explain_batch(workers=2)
         assert not batch.parallel
-        assert "snapshot not picklable" in batch.fallback_reason
+        assert "'fork' unavailable" in batch.fallback_reason
         _assert_batches_identical(session.fork().explain_batch(workers=1), batch)
-
-    def test_unavailable_start_method_falls_back(self):
-        session = ProvenanceSession(TC_QUERY, TC_DB)
-        explainer = ParallelProvenanceExplainer(
-            session, workers=2, start_method="no-such-method"
-        )
-        batch = explainer.explain_batch()
-        assert not batch.parallel
-        assert "unavailable" in batch.fallback_reason
 
     def test_workers_zero_means_one_per_core(self):
         from repro.core.parallel import default_worker_count

@@ -180,3 +180,9 @@ class TestRoutingDigest:
         assert routing_digest(program, "e(a, b).\n", "t") != routing_digest(
             program, "e(a, c).\n", "t"
         )
+
+    def test_digest_is_pinned(self):
+        """Logs on disk and clients holding digests address sessions by
+        this value: a change to the digest payload orphans them all."""
+        program = "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z)."
+        assert routing_digest(program, "e(a, b). e(b, c).", "tc") == "7d8825d49ef5f426"

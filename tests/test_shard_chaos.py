@@ -145,7 +145,11 @@ class TestChaosKill:
                         }
                     )
                 finally:
-                    killer.cancel()
+                    # Joined, not cancelled: the kill lands before, during
+                    # or after the response, never not at all, so the
+                    # respawn awaited below always comes.
+                    killer.join(timeout=30)
+                assert not killer.is_alive()
 
                 if response.get("ok"):
                     assert response["session"] == digest

@@ -19,7 +19,7 @@ from repro.datalog.io import delta_from_lines
 from repro.scenarios.synthetic import generate_instance
 from repro.service.protocol import ServiceError
 from repro.service.registry import SessionRegistry
-from repro.service.store import SnapshotStore
+from repro.service.store import SnapshotStore, _frame, _unframe
 
 
 @pytest.fixture
@@ -147,6 +147,28 @@ def test_knob_mismatch_is_a_counted_miss(tmp_path, instance):
     assert store.miss_reasons == {"log-knob-mismatch": 1}
 
 
+def test_base_record_carrying_method_still_rehydrates(tmp_path, instance):
+    """Every log written while the evaluation method was a registry knob
+    has ``"method": "seminaive"`` in its base record; it still serves."""
+    registry, entry = _admit(tmp_path, instance)
+    _apply_deltas(registry, entry, instance.deltas)
+    expected = entry.session.answers()
+    version = entry.session.version
+    path = registry.store.log_path(entry.digest)
+    with open(path, "rb") as handle:
+        base, *deltas = handle.read().splitlines(keepends=True)
+    record = _unframe(base.rstrip(b"\n"))
+    assert "method" not in record
+    with open(path, "wb") as handle:
+        handle.write(_frame({**record, "method": "seminaive"}) + b"".join(deltas))
+
+    store, recovered = _reacquire(tmp_path, instance)
+    assert recovered.rehydrated
+    assert recovered.session.version == version
+    assert recovered.session.answers() == expected
+    assert store.miss_reasons == {}
+
+
 def test_unreadable_log_is_a_counted_miss(tmp_path):
     program = "tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z)."
     database = "e(a, b). e(b, c)."
@@ -187,7 +209,6 @@ def test_concurrent_double_snapshot_put_is_safe(tmp_path, instance):
                 instance.program_text(),
                 instance.database_text(),
                 entry.answer,
-                registry.method,
                 registry.acyclicity,
             )
         except Exception as exc:  # pragma: no cover - the failure under test

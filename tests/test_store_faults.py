@@ -36,7 +36,6 @@ BASE = {
     "program": "tc(X, Y) :- e(X, Y).",
     "database": "e(a, b).",
     "answer": "tc",
-    "method": "seminaive",
     "acyclicity": "vertex-elimination",
 }
 
@@ -166,7 +165,6 @@ def test_session_workload_crash_sweep_rehydrates_consistently(tmp_path):
             instance.program_text(),
             instance.database_text(),
             answer,
-            session.method,
             session.acyclicity,
         )
         for delta in instance.deltas:
