@@ -22,121 +22,88 @@ differential oracle behind ``python -m repro fuzz``
 (:mod:`repro.testing.oracle`).
 """
 
-from .baselines import (
-    all_at_once_why,
-    answers_top_down,
-    explain_answer,
-    single_witness_why,
-)
-from .core import (
-    BatchResult,
-    FactResult,
-    FORewriting,
-    ParallelProvenanceExplainer,
-    ProvenanceSession,
-    SessionStats,
-    SessionUpdate,
-    WhyProvenanceEncoding,
-    WhyProvenanceEnumerator,
-    decide_membership,
-    decide_why,
-    decide_why_minimal_depth,
-    decide_why_nonrecursive,
-    decide_why_unambiguous,
-    decide_why_via_rewriting,
-    encode_why_provenance,
-    minimal_members,
-    rewrite,
-    smallest_member,
-    why_provenance_unambiguous,
-)
-from .semiring import (
-    SEMIRINGS,
-    get_semiring,
-    provenance_circuit,
-    semiring_provenance,
-)
-from .datalog import (
-    Atom,
-    Database,
-    DatalogQuery,
-    Delta,
-    Program,
-    Rule,
-    Variable,
-    answers,
-    evaluate,
-    parse_database,
-    parse_program,
-    parse_rule,
-)
-from .provenance import (
-    CompressedDAG,
-    DownwardClosure,
-    ProofDAG,
-    ProofTree,
-    downward_closure,
-    enumerate_why,
-    enumerate_why_minimal_depth,
-    enumerate_why_nonrecursive,
-    enumerate_why_unambiguous,
-)
-from .sat import CDCLSolver, CNF, solve_cnf
+from importlib import import_module
+
+#: Where each public name lives. :func:`__getattr__` imports a name's
+#: subpackage on first access (PEP 562), so ``import repro`` — and the
+#: daemon, which never touches the baselines or semirings — loads none.
+_EXPORTS = {
+    ".baselines": (
+        "all_at_once_why",
+        "answers_top_down",
+        "explain_answer",
+        "single_witness_why",
+    ),
+    ".core": (
+        "BatchResult",
+        "FactResult",
+        "FORewriting",
+        "ParallelProvenanceExplainer",
+        "ProvenanceSession",
+        "SessionStats",
+        "SessionUpdate",
+        "WhyProvenanceEncoding",
+        "WhyProvenanceEnumerator",
+        "decide_membership",
+        "decide_why",
+        "decide_why_minimal_depth",
+        "decide_why_nonrecursive",
+        "decide_why_unambiguous",
+        "decide_why_via_rewriting",
+        "encode_why_provenance",
+        "minimal_members",
+        "rewrite",
+        "smallest_member",
+        "why_provenance_unambiguous",
+    ),
+    ".semiring": (
+        "SEMIRINGS",
+        "get_semiring",
+        "provenance_circuit",
+        "semiring_provenance",
+    ),
+    ".datalog": (
+        "Atom",
+        "Database",
+        "DatalogQuery",
+        "Delta",
+        "Program",
+        "Rule",
+        "Variable",
+        "answers",
+        "evaluate",
+        "parse_database",
+        "parse_program",
+        "parse_rule",
+    ),
+    ".provenance": (
+        "CompressedDAG",
+        "DownwardClosure",
+        "ProofDAG",
+        "ProofTree",
+        "downward_closure",
+        "enumerate_why",
+        "enumerate_why_minimal_depth",
+        "enumerate_why_nonrecursive",
+        "enumerate_why_unambiguous",
+    ),
+    ".sat": ("CDCLSolver", "CNF", "solve_cnf"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "Atom",
-    "BatchResult",
-    "CDCLSolver",
-    "FactResult",
-    "ParallelProvenanceExplainer",
-    "CNF",
-    "CompressedDAG",
-    "Database",
-    "DatalogQuery",
-    "Delta",
-    "DownwardClosure",
-    "FORewriting",
-    "ProofDAG",
-    "ProofTree",
-    "Program",
-    "ProvenanceSession",
-    "SessionStats",
-    "SessionUpdate",
-    "Rule",
-    "Variable",
-    "WhyProvenanceEncoding",
-    "WhyProvenanceEnumerator",
-    "SEMIRINGS",
-    "all_at_once_why",
-    "answers",
-    "answers_top_down",
-    "decide_membership",
-    "decide_why",
-    "decide_why_minimal_depth",
-    "decide_why_nonrecursive",
-    "decide_why_unambiguous",
-    "decide_why_via_rewriting",
-    "downward_closure",
-    "encode_why_provenance",
-    "enumerate_why",
-    "enumerate_why_minimal_depth",
-    "enumerate_why_nonrecursive",
-    "enumerate_why_unambiguous",
-    "evaluate",
-    "explain_answer",
-    "get_semiring",
-    "minimal_members",
-    "parse_database",
-    "parse_program",
-    "parse_rule",
-    "provenance_circuit",
-    "rewrite",
-    "semiring_provenance",
-    "single_witness_why",
-    "smallest_member",
-    "solve_cnf",
-    "why_provenance_unambiguous",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

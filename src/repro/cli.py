@@ -59,18 +59,12 @@ import sys
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from .baselines.souffle_style import explain_answer
-from .core.decision import TREE_CLASSES, decide_membership
-from .core.encoder import encode_why_provenance
-from .core.enumerator import WhyProvenanceEnumerator
-from .core.minimal import minimal_members, smallest_member
+from .core.decision import TREE_CLASSES
 from .core.session import ProvenanceSession
 from .datalog.database import Database
-from .datalog.engine import answers
 from .datalog.parser import parse_database, parse_program
 from .datalog.program import DatalogQuery
 from .provenance.grounding import FactNotDerivable
-from .semiring import SEMIRINGS, get_semiring, semiring_provenance
 
 
 def _read(path: str) -> str:
@@ -117,6 +111,8 @@ def _load_tuple(args: argparse.Namespace, query: DatalogQuery) -> Tuple:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .datalog.engine import answers
+
     query, database = _load_query(args)
     result = sorted(answers(query, database))
     for tup in result:
@@ -142,6 +138,8 @@ def _cmd_why(args: argparse.Namespace) -> int:
             return 1
         print(f"% {count} members (smallest first)", file=sys.stderr)
         return 0
+    from .core.enumerator import WhyProvenanceEnumerator
+
     try:
         enumerator = WhyProvenanceEnumerator(query, database, tup)
     except FactNotDerivable:
@@ -307,6 +305,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
+    from .core.decision import decide_membership
+
     query, database = _load_query(args)
     tup = _load_tuple(args, query)
     subset = parse_database(_read(args.subset))
@@ -316,6 +316,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_dimacs(args: argparse.Namespace) -> int:
+    from .core.encoder import encode_why_provenance
+
     query, database = _load_query(args)
     tup = _load_tuple(args, query)
     try:
@@ -336,6 +338,8 @@ def _format_member(member) -> str:
 
 
 def _cmd_minimal(args: argparse.Namespace) -> int:
+    from .core.minimal import minimal_members, smallest_member
+
     query, database = _load_query(args)
     tup = _load_tuple(args, query)
     smallest = smallest_member(query, database, tup)
@@ -351,6 +355,8 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_semiring(args: argparse.Namespace) -> int:
+    from .semiring import get_semiring, semiring_provenance
+
     query, database = _load_query(args)
     tup = _load_tuple(args, query)
     semiring = get_semiring(args.semiring)
@@ -370,6 +376,8 @@ def _cmd_semiring(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from .baselines.souffle_style import explain_answer
+
     query, database = _load_query(args)
     tup = _load_tuple(args, query)
     tree = explain_answer(query, database, tup)
@@ -662,6 +670,21 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+class _SemiringNames:
+    """The ``--semiring`` choices, read from the registry only when argparse
+    checks or lists them, so the other commands never load the semirings."""
+
+    def __contains__(self, name) -> bool:
+        from .semiring import SEMIRINGS
+
+        return name in SEMIRINGS
+
+    def __iter__(self):
+        from .semiring import SEMIRINGS
+
+        return iter(sorted(SEMIRINGS))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for every subcommand."""
     parser = argparse.ArgumentParser(
@@ -762,9 +785,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_semiring)
     p_semiring.add_argument(
         "--semiring",
-        choices=sorted(SEMIRINGS),
+        choices=_SemiringNames(),
+        metavar="NAME",  # a choices list in the usage line is built eagerly
         default="why",
-        help="which semiring to evaluate in (default: why)",
+        help="which semiring to evaluate in: %(choices)s (default: why)",
     )
     p_semiring.set_defaults(func=_cmd_semiring)
 

@@ -55,7 +55,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
@@ -324,11 +323,6 @@ class ParallelProvenanceExplainer:
             return self._serial(
                 tuples, limit, timeout_seconds, evaluation_seconds, reason
             )
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return self._serial(
-                tuples, limit, timeout_seconds, evaluation_seconds,
-                "start method 'fork' unavailable",
-            )
         return self._pooled(tuples, limit, timeout_seconds, workers, evaluation_seconds)
 
     # -- execution paths ----------------------------------------------------
@@ -373,6 +367,15 @@ class ParallelProvenanceExplainer:
         workers: int,
         evaluation_seconds: float,
     ) -> BatchResult:
+        # Imported here, where the pool forks, so that a daemon which never
+        # runs a pooled batch never loads it.
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return self._serial(
+                tuples, limit, timeout_seconds, evaluation_seconds,
+                "start method 'fork' unavailable",
+            )
         started = time.perf_counter()
         chunk_size = self._effective_chunk_size(len(tuples), workers)
         tasks = list(enumerate(tuples))

@@ -624,7 +624,7 @@ def evaluate_seminaive_compiled(
                         fact_atoms[(pred, row)]
                         for pred, row in zip(body_preds, body_rows)
                     )
-                    trace.append(GroundRule(rule, head_atom, body_atoms))
+                    trace.append(GroundRule.unchecked(rule, head_atom, body_atoms))
             if head_row in model_rel.rows or head_row in rows_here:
                 continue
             rows_here.add(head_row)
@@ -764,7 +764,7 @@ def run_insertion_rounds(
                         fact_atoms[(pred, row)]
                         for pred, row in zip(body_preds, body_rows)
                     )
-                    ground = GroundRule(rule, head_atom, body_atoms)
+                    ground = GroundRule.unchecked(rule, head_atom, body_atoms)
                     if trace.add(ground):
                         added_instances.append(ground)
                     if head_row in model_rel.rows or head_row in rows_here:

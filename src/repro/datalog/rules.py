@@ -145,6 +145,22 @@ class GroundRule:
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "_hash", hash((head, body)))
 
+    @classmethod
+    def unchecked(cls, rule: Rule, head: Atom, body: Tuple[Atom, ...]) -> GroundRule:
+        """A ground rule over atoms known to be facts, built without checks.
+
+        For the compiled engine, whose join plans build every head and body
+        atom from interned constants: the variable scan of ``__init__``
+        would re-prove that for each recorded firing. *body* must be a
+        tuple. Equal to, and hashed and pickled like, the checked instance.
+        """
+        instance = object.__new__(cls)
+        _set_rule(instance, rule)
+        _set_head(instance, head)
+        _set_body(instance, body)
+        _set_hash(instance, hash((head, body)))
+        return instance
+
     def __setattr__(self, key, value):
         raise AttributeError("GroundRule is immutable")
 
@@ -180,6 +196,14 @@ class GroundRule:
     def body_set(self) -> frozenset:
         """The deduplicated body — a hyperedge target set (Definition 42)."""
         return frozenset(self.body)
+
+
+# The slots' own setters skip GroundRule.__setattr__, which refuses every
+# write, at about two thirds of object.__setattr__'s cost per call.
+_set_rule = GroundRule.rule.__set__
+_set_head = GroundRule.head.__set__
+_set_body = GroundRule.body.__set__
+_set_hash = GroundRule._hash.__set__
 
 
 def check_variable_matching(rule: Rule, head: Atom, body: Tuple[Atom, ...]) -> bool:

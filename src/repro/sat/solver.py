@@ -14,19 +14,35 @@ The solver is incremental: clauses may be added between ``solve`` calls
 (this is what blocking-clause enumeration needs) and ``solve`` accepts
 assumption literals (used by the membership deciders).
 
-Propagation hot path: assignments, decision levels, saved phases and the
-trail live in typed :mod:`array` buffers (contiguous machine ints instead
-of lists of boxed objects), and the two-watched-literal scheme indexes a
-dense list of watch lists by encoded literal (``2*var`` for the positive
-literal, ``2*var + 1`` for the negative) instead of hashing literals into
-a dict. The visible behavior — propagation order, learning, restarts,
-member discovery order — is bit-identical to the boxed representation.
+Propagation hot path, after MiniSat (Eén and Sörensson, "An Extensible
+SAT-solver", SAT 2003):
+
+* **Values indexed by literal.** ``_values`` is a list of ``2*cap + 1``
+  slots indexed by the signed literal itself: a positive literal from the
+  front, a negative one from the end (Python's own negative indexing), so
+  reading a literal's value is one subscript with no ``abs()`` and no
+  sign branch. Both slots of a variable are written on assignment. The
+  watch table ``_watches`` is indexed the same way. Both are re-laid out
+  when the variable count passes ``cap``.
+* **In-place watch compaction.** ``_propagate`` keeps the solver's state
+  in locals, reads values and enqueues inline, and compacts each watch
+  list with two indices instead of building a new list per literal.
+* **One live heap entry per variable.** ``_heap_key[var]`` is the key of
+  the variable's newest entry in the lazy VSIDS heap, or ``_POPPED`` once
+  that entry has left it. A variable is pushed only when its newest entry
+  is gone or carries an older activity, so every unassigned variable
+  still has an entry keyed by minus its current activity and
+  ``_pick_branch`` returns the unassigned variable of highest activity
+  (lowest index on ties) without the heap filling with stale entries.
+
+The search — decisions, propagation order, learned clauses, restarts,
+member discovery order — is bit-identical to the plain per-variable
+representation; ``tests/test_solver_search_pinned.py`` pins it.
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cnf import CNF
@@ -34,6 +50,9 @@ from .cnf import CNF
 _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
+#: ``_heap_key`` marker for a variable whose newest heap entry was popped;
+#: no key is positive, since keys are minus non-negative activities.
+_POPPED = 1.0
 
 
 class _Clause:
@@ -90,18 +109,18 @@ class CDCLSolver:
 
     def __init__(self, num_vars: int = 0):
         self._num_vars = 0
-        # Typed buffers indexed by variable (slot 0 unused): signed bytes
-        # for the three-valued assignment and the saved phase, machine
-        # ints for decision levels and the literal trail.
-        self._assign = array("b", (_UNASSIGNED,))
-        self._level = array("i", (0,))
+        # Indexed by signed literal (slot 0 unused; -v reads from the end):
+        # the literal's value, and the clauses watching it.
+        self._cap = 0
+        self._values: List[int] = [_UNASSIGNED]
+        self._watches: List[List[_Clause]] = [[]]
+        # Indexed by variable (slot 0 unused).
+        self._level: List[int] = [0]
         self._reason: List[Optional[_Clause]] = [None]
-        self._activity = array("d", (0.0,))
-        self._phase = array("b", (0,))
-        # Watch lists indexed by encoded literal: 2*var for the positive
-        # literal, 2*var + 1 for the negative (slots 0/1 unused).
-        self._watches: List[List[_Clause]] = [[], []]
-        self._trail = array("i")
+        self._activity: List[float] = [0.0]
+        self._phase: List[int] = [0]
+        self._heap_key: List[float] = [_POPPED]
+        self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._queue_head = 0
         self._clauses: List[_Clause] = []
@@ -112,34 +131,42 @@ class CDCLSolver:
         self._cla_inc = 1.0
         self._unsat = False
         self.stats = SolverStatistics()
-        for _ in range(num_vars):
-            self.new_var()
+        self.ensure_vars(num_vars)
 
     # -- variables and clauses ----------------------------------------------
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable."""
-        self._num_vars += 1
-        self._assign.append(_UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(None)
-        self._activity.append(0.0)
-        self._phase.append(0)
-        var = self._num_vars
-        self._watches.append([])  # encoded literal 2*var (positive)
-        self._watches.append([])  # encoded literal 2*var + 1 (negative)
-        heapq.heappush(self._heap, (0.0, var))
-        return var
-
-    @staticmethod
-    def _watch_index(lit: int) -> int:
-        """The dense watch-list slot of a literal."""
-        return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
+        self.ensure_vars(self._num_vars + 1)
+        return self._num_vars
 
     def ensure_vars(self, num_vars: int) -> None:
         """Grow the variable pool so that *num_vars* variables exist."""
-        while self._num_vars < num_vars:
-            self.new_var()
+        if num_vars <= self._num_vars:
+            return
+        cap = self._cap
+        if num_vars > cap:
+            # Re-lay out the literal-indexed lists: positives stay at the
+            # front, negatives move to the new end.
+            grown = max(num_vars, 2 * cap)
+            gap = 2 * (grown - cap)
+            self._values = (
+                self._values[: cap + 1] + [_UNASSIGNED] * gap + self._values[cap + 1:]
+            )
+            self._watches = (
+                self._watches[: cap + 1]
+                + [[] for _ in range(gap)]
+                + self._watches[cap + 1:]
+            )
+            self._cap = grown
+        for var in range(self._num_vars + 1, num_vars + 1):
+            self._level.append(0)
+            self._reason.append(None)
+            self._activity.append(0.0)
+            self._phase.append(0)
+            self._heap_key.append(0.0)
+            heapq.heappush(self._heap, (0.0, var))
+        self._num_vars = num_vars
 
     @property
     def num_vars(self) -> int:
@@ -179,7 +206,7 @@ class CDCLSolver:
             if lit in seen:
                 continue
             seen.add(lit)
-            value = self._value(lit)
+            value = self._values[lit]
             if value == _TRUE:
                 return True  # already satisfied at root level
             if value == _FALSE:
@@ -202,104 +229,137 @@ class CDCLSolver:
         return True
 
     def _attach(self, clause: _Clause) -> None:
-        self._watches[self._watch_index(clause.literals[0])].append(clause)
-        self._watches[self._watch_index(clause.literals[1])].append(clause)
+        self._watches[clause.literals[0]].append(clause)
+        self._watches[clause.literals[1]].append(clause)
 
     # -- assignment machinery --------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        value = self._assign[abs(lit)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if lit > 0 else -value
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        value = self._value(lit)
+        values = self._values
+        value = values[lit]
         if value == _FALSE:
             return False
         if value == _TRUE:
             return True
-        var = abs(lit)
-        self._assign[var] = _TRUE if lit > 0 else _FALSE
-        self._level[var] = self._decision_level()
+        values[lit] = _TRUE
+        values[-lit] = _FALSE
+        var = lit if lit > 0 else -lit
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._phase[var] = 1 if lit > 0 else 0
         self._trail.append(lit)
         return True
 
     def _propagate(self) -> Optional[_Clause]:
-        while self._queue_head < len(self._trail):
-            lit = self._trail[self._queue_head]
-            self._queue_head += 1
-            self.stats.propagations += 1
-            falsified = -lit
-            falsified_slot = (
-                (falsified << 1) if falsified > 0 else ((-falsified) << 1) | 1
-            )
-            watchers = self._watches[falsified_slot]
-            new_watchers: List[_Clause] = []
-            conflict: Optional[_Clause] = None
-            idx = 0
-            while idx < len(watchers):
-                clause = watchers[idx]
-                idx += 1
+        trail = self._trail
+        values = self._values
+        watches = self._watches
+        level_of = self._level
+        reason_of = self._reason
+        phase = self._phase
+        level = len(self._trail_lim)
+        head = self._queue_head
+        propagations = 0
+        conflict: Optional[_Clause] = None
+        while head < len(trail):
+            falsified = -trail[head]
+            head += 1
+            propagations += 1
+            watchers = watches[falsified]
+            i = j = 0
+            for clause in watchers:
+                i += 1
                 lits = clause.literals
-                if lits[0] == falsified:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) == _TRUE:
-                    new_watchers.append(clause)
+                if first == falsified:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = falsified
+                if values[first] == 1:
+                    watchers[j] = clause
+                    j += 1
                     continue
-                found = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != _FALSE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[self._watch_index(lits[1])].append(clause)
-                        found = True
+                    other = lits[k]
+                    if values[other] != -1:
+                        lits[1] = other
+                        lits[k] = falsified
+                        watches[other].append(clause)
                         break
-                if found:
-                    continue
-                new_watchers.append(clause)
-                if not self._enqueue(first, clause):
-                    conflict = clause
-                    new_watchers.extend(watchers[idx:])
-                    break
-            self._watches[falsified_slot] = new_watchers
+                else:
+                    watchers[j] = clause
+                    j += 1
+                    if values[first] == -1:
+                        conflict = clause
+                        break
+                    values[first] = 1
+                    values[-first] = -1
+                    if first > 0:
+                        level_of[first] = level
+                        reason_of[first] = clause
+                        phase[first] = 1
+                    else:
+                        level_of[-first] = level
+                        reason_of[-first] = clause
+                        phase[-first] = 0
+                    trail.append(first)
+            del watchers[j:i]
             if conflict is not None:
-                self._queue_head = len(self._trail)
-                return conflict
-        return None
+                break
+        self._queue_head = len(trail)
+        self.stats.propagations += propagations
+        return conflict
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            var = abs(lit)
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-            heapq.heappush(self._heap, (-self._activity[var], var))
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._queue_head = len(self._trail)
+        limit = trail_lim[level]
+        trail = self._trail
+        values = self._values
+        reason_of = self._reason
+        activity = self._activity
+        heap = self._heap
+        heap_key = self._heap_key
+        push = heapq.heappush
+        for index in range(len(trail) - 1, limit - 1, -1):
+            lit = trail[index]
+            values[lit] = 0
+            values[-lit] = 0
+            var = lit if lit > 0 else -lit
+            reason_of[var] = None
+            key = -activity[var]
+            if heap_key[var] != key:
+                heap_key[var] = key
+                push(heap, (key, var))
+        del trail[limit:]
+        del trail_lim[level:]
+        self._queue_head = len(trail)
 
     # -- activities ----------------------------------------------------------
 
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        activity[var] += self._var_inc
+        if activity[var] > 1e100:
             for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self._var_inc *= 1e-100
-            self._heap = [(-self._activity[v], v) for v in range(1, self._num_vars + 1)
-                          if self._assign[v] == _UNASSIGNED]
+            values = self._values
+            heap_key = self._heap_key
+            self._heap = []
+            for v in range(1, self._num_vars + 1):
+                if values[v] == _UNASSIGNED:
+                    heap_key[v] = -activity[v]
+                    self._heap.append((-activity[v], v))
+                else:
+                    heap_key[v] = _POPPED
             heapq.heapify(self._heap)
             return
-        if self._assign[var] == _UNASSIGNED:
-            heapq.heappush(self._heap, (-self._activity[var], var))
+        if self._values[var] == _UNASSIGNED:
+            key = -activity[var]
+            self._heap_key[var] = key
+            heapq.heappush(self._heap, (key, var))
 
     def _decay_var_activity(self) -> None:
         self._var_inc /= self._var_decay
@@ -317,11 +377,13 @@ class CDCLSolver:
         """First-UIP learning; returns (learned clause, backjump level, lbd)."""
         learned: List[int] = [0]  # slot 0: the asserting literal
         seen = bytearray(self._num_vars + 1)
+        level_of = self._level
+        trail = self._trail
         counter = 0
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         resolved_lit: Optional[int] = None
         reason: Optional[_Clause] = conflict
-        current_level = self._decision_level()
+        current_level = len(self._trail_lim)
         while True:
             assert reason is not None
             self._bump_clause(reason)
@@ -329,17 +391,17 @@ class CDCLSolver:
                 if resolved_lit is not None and q == resolved_lit:
                     continue
                 var = abs(q)
-                if seen[var] or self._level[var] == 0:
+                if seen[var] or level_of[var] == 0:
                     continue
                 seen[var] = 1
                 self._bump_var(var)
-                if self._level[var] >= current_level:
+                if level_of[var] >= current_level:
                     counter += 1
                 else:
                     learned.append(q)
-            while not seen[abs(self._trail[index])]:
+            while not seen[abs(trail[index])]:
                 index -= 1
-            resolved_lit = self._trail[index]
+            resolved_lit = trail[index]
             index -= 1
             var = abs(resolved_lit)
             seen[var] = 0
@@ -354,11 +416,11 @@ class CDCLSolver:
         else:
             max_idx = 1
             for i in range(2, len(learned)):
-                if self._level[abs(learned[i])] > self._level[abs(learned[max_idx])]:
+                if level_of[abs(learned[i])] > level_of[abs(learned[max_idx])]:
                     max_idx = i
             learned[1], learned[max_idx] = learned[max_idx], learned[1]
-            backjump = self._level[abs(learned[1])]
-        lbd = len({self._level[abs(q)] for q in learned})
+            backjump = level_of[abs(learned[1])]
+        lbd = len({level_of[abs(q)] for q in learned})
         return learned, backjump, lbd
 
     def _minimize(self, learned: List[int]) -> List[int]:
@@ -388,12 +450,18 @@ class CDCLSolver:
     # -- search ---------------------------------------------------------------------
 
     def _pick_branch(self) -> int:
-        while self._heap:
-            _, var = heapq.heappop(self._heap)
-            if self._assign[var] == _UNASSIGNED:
+        heap = self._heap
+        heap_key = self._heap_key
+        values = self._values
+        pop = heapq.heappop
+        while heap:
+            key, var = pop(heap)
+            if heap_key[var] == key:
+                heap_key[var] = _POPPED
+            if values[var] == _UNASSIGNED:
                 return var if self._phase[var] else -var
         for var in range(1, self._num_vars + 1):
-            if self._assign[var] == _UNASSIGNED:
+            if values[var] == _UNASSIGNED:
                 return var if self._phase[var] else -var
         return 0
 
@@ -425,7 +493,7 @@ class CDCLSolver:
 
     def _detach(self, clause: _Clause) -> None:
         for lit in clause.literals[:2]:
-            watchers = self._watches[self._watch_index(lit)]
+            watchers = self._watches[lit]
             try:
                 watchers.remove(clause)
             except ValueError:
@@ -458,17 +526,21 @@ class CDCLSolver:
             self._unsat = True
             return False
 
-        conflicts_at_start = self.stats.conflicts
+        stats = self.stats
+        values = self._values
+        trail = self._trail
+        trail_lim = self._trail_lim
+        conflicts_at_start = stats.conflicts
         restart_unit = 64
         luby_index = 1
-        next_restart = self.stats.conflicts + restart_unit * _luby(luby_index)
+        next_restart = stats.conflicts + restart_unit * _luby(luby_index)
         max_learned = max(1000, len(self._clauses) // 2)
 
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
-                if self._decision_level() == 0:
+                stats.conflicts += 1
+                if not trail_lim:
                     self._unsat = True
                     return False
                 learned, backjump, lbd = self._analyze(conflict)
@@ -481,11 +553,11 @@ class CDCLSolver:
                     clause = _Clause(learned, learned=True, lbd=lbd)
                     self._attach(clause)
                     self._learned.append(clause)
-                    self.stats.learned += 1
+                    stats.learned += 1
                     self._enqueue(learned[0], clause)
                 self._decay_var_activity()
                 if conflict_limit is not None and (
-                    self.stats.conflicts - conflicts_at_start >= conflict_limit
+                    stats.conflicts - conflicts_at_start >= conflict_limit
                 ):
                     self._backtrack(0)
                     return None
@@ -497,10 +569,10 @@ class CDCLSolver:
                         if time.monotonic() > deadline:
                             self._backtrack(0)
                             return None
-                if self.stats.conflicts >= next_restart:
-                    self.stats.restarts += 1
+                if stats.conflicts >= next_restart:
+                    stats.restarts += 1
                     luby_index += 1
-                    next_restart = self.stats.conflicts + restart_unit * _luby(luby_index)
+                    next_restart = stats.conflicts + restart_unit * _luby(luby_index)
                     self._backtrack(0)
                 if len(self._learned) > max_learned:
                     self._reduce_db()
@@ -510,7 +582,7 @@ class CDCLSolver:
             # No conflict: establish assumptions first, then decide.
             pending_assumption = None
             for lit in assumptions:
-                value = self._value(lit)
+                value = values[lit]
                 if value == _FALSE:
                     self._backtrack(0)
                     return False
@@ -518,7 +590,7 @@ class CDCLSolver:
                     pending_assumption = lit
                     break
             if pending_assumption is not None:
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(trail))
                 self._enqueue(pending_assumption, None)
                 continue
             decision = self._pick_branch()
@@ -532,20 +604,18 @@ class CDCLSolver:
                     if time.monotonic() > deadline:
                         self._backtrack(0)
                         return None
-            self.stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
+            stats.decisions += 1
+            trail_lim.append(len(trail))
             self._enqueue(decision, None)
 
     def model(self) -> Dict[int, bool]:
         """The satisfying assignment found by the last ``solve`` (total)."""
-        return {
-            var: self._assign[var] == _TRUE
-            for var in range(1, self._num_vars + 1)
-        }
+        values = self._values
+        return {var: values[var] == _TRUE for var in range(1, self._num_vars + 1)}
 
     def value(self, var: int) -> Optional[bool]:
         """Current value of *var* (``None`` if unassigned)."""
-        value = self._assign[var]
+        value = self._values[var]
         if value == _UNASSIGNED:
             return None
         return value == _TRUE

@@ -12,7 +12,6 @@ import pickle
 
 import pytest
 
-import repro.core.parallel as parallel_module
 from repro.core.parallel import (
     BatchResult,
     FactResult,
@@ -235,9 +234,9 @@ class TestFallbacks:
         assert batch.results[0].members == session.why(("a", "b"))
 
     def test_unavailable_start_method_falls_back(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         session = ProvenanceSession(TC_QUERY, TC_DB)
         batch = session.explain_batch(workers=2)
         assert not batch.parallel

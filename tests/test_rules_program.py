@@ -1,5 +1,7 @@
 """Unit tests for rules, ground rules, programs, and queries."""
 
+import pickle
+
 import pytest
 
 from repro.datalog.atoms import Atom
@@ -71,6 +73,21 @@ class TestGroundRule:
         ground = rule.instantiate({X: "a", Y: "b", Z: "b"})
         assert ground.body == (Atom("q", ("a", "b")), Atom("q", ("a", "b")))
         assert ground.body_set() == frozenset({Atom("q", ("a", "b"))})
+
+    def test_unchecked_constructor_matches_checked(self):
+        rule = tc_rules()[1]
+        head = Atom("tc", ("a", "c"))
+        body = (Atom("tc", ("a", "b")), Atom("e", ("b", "c")))
+        checked = GroundRule(rule, head, body)
+        unchecked = GroundRule.unchecked(rule, head, body)
+        assert unchecked == checked and hash(unchecked) == hash(checked)
+        assert (unchecked.rule, unchecked.head, unchecked.body) == (rule, head, body)
+        with pytest.raises(AttributeError):
+            unchecked.head = head
+        for instance in (checked, unchecked):
+            restored = pickle.loads(pickle.dumps(instance))
+            assert restored == checked and hash(restored) == hash(checked)
+            assert restored.rule == rule
 
     def test_equality_ignores_source_rule(self):
         r1, r2 = tc_rules()

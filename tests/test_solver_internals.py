@@ -6,13 +6,13 @@ statistics bookkeeping.
 """
 
 import random
-from array import array
 
 import pytest
 
 from repro.sat.cnf import CNF
 from repro.sat.dpll import solve_dpll
 from repro.sat.solver import CDCLSolver
+from strategies import pigeonhole
 
 
 def random_cnf(num_vars, num_clauses, seed):
@@ -169,34 +169,92 @@ class TestStatistics:
 
 
 def assert_watch_invariant(solver):
-    """Every multi-literal clause is watched at exactly literals[0:2]."""
+    """The literal-indexed state agrees with the clauses, trail and heap.
+
+    * Every clause of width >= 2 is watched exactly at ``literals[0:2]``,
+      and no watch entry points at a dropped clause.
+    * Every trail literal reads true and its negation false; every other
+      variable reads unassigned in both signs.
+    * Every unassigned variable has a heap entry keyed by minus its
+      current activity, and ``_heap_key`` names that entry, so the next
+      branch pick is the unassigned variable of highest activity.
+    """
+    variables = range(1, solver.num_vars + 1)
+    literals = [lit for var in variables for lit in (var, -var)]
     live = {}
     for clause in solver._clauses + solver._learned:
         if len(clause.literals) >= 2:
-            live[id(clause)] = sorted(
-                CDCLSolver._watch_index(lit) for lit in clause.literals[:2]
-            )
+            live[id(clause)] = sorted(clause.literals[:2])
     watched = {}
-    for slot, bucket in enumerate(solver._watches):
-        for clause in bucket:
+    for lit in literals:
+        for clause in solver._watches[lit]:
             assert id(clause) in live, "stale watch entry for a dropped clause"
-            watched.setdefault(id(clause), []).append(slot)
-    for key, slots in live.items():
-        assert sorted(watched.get(key, [])) == slots
-    # Trail/assignment coherence: assigned vars and trail entries agree.
-    assigned = sum(1 for v in solver._assign[1:] if v != 0)
-    assert assigned == len(solver._trail)
+            watched.setdefault(id(clause), []).append(lit)
+    for key, lits in live.items():
+        assert sorted(watched.get(key, [])) == lits
+    # Slots past the last variable (room for growth) watch nothing.
+    assert sum(len(bucket) for bucket in solver._watches) == sum(
+        len(solver._watches[lit]) for lit in literals
+    )
+    values = solver._values
+    on_trail = set(solver._trail)
+    assert len(on_trail) == len(solver._trail)
     for lit in solver._trail:
-        assert solver._assign[abs(lit)] != 0
+        assert values[lit] == 1 and values[-lit] == -1
+    for var in variables:
+        if var not in on_trail and -var not in on_trail:
+            assert values[var] == 0 and values[-var] == 0
+    entries = set(solver._heap)
+    for var in variables:
+        if values[var] == 0:
+            key = -solver._activity[var]
+            assert (key, var) in entries, f"unassigned variable {var} has no current heap entry"
+            assert solver._heap_key[var] == key
+
+
+class TestLiteralIndexedState:
+    def test_values_are_indexed_by_signed_literal(self):
+        solver = CDCLSolver(2)
+        assert solver.add_clause((-2,))
+        # Both signs of variable 2 are written; -2 reads from the end.
+        assert solver._values[2] == -1 and solver._values[-2] == 1
+        assert solver.value(2) is False and solver.value(1) is None
+        assert solver.add_clause((1, 2))  # unit on 1 after 2 is false
+        assert solver.value(1) is True
+        # Growing past the capacity re-lays out both literal-indexed lists:
+        # assignments and watches stay with their literals.
+        assert solver.add_clause((3, 4, -5))
+        capacity = solver._cap
+        assert solver.add_clause((-3, 6, 4 + capacity))
+        assert solver._cap >= 4 + capacity
+        assert len(solver._values) == len(solver._watches) == 2 * solver._cap + 1
+        assert solver._values[1] == 1 and solver._values[-1] == -1
+        assert solver._values[2] == -1 and solver._values[-2] == 1
+        assert [clause.literals for clause in solver._watches[4]] == [[3, 4, -5]]
+        assert_watch_invariant(solver)
+        assert solver.solve() is True
+        assert_watch_invariant(solver)
+
+    def test_heap_invariant_across_conflict_limited_slices(self):
+        # Each slice ends with a backtrack to level 0 after bumping the
+        # activities of the conflict's variables, so unassigned variables
+        # carry fresh and stale heap entries alike.
+        solver = CDCLSolver()
+        solver.add_cnf(pigeonhole(5, 4))  # unsatisfiable, dozens of conflicts
+        slices = 0
+        while solver.solve(conflict_limit=3) is None:
+            slices += 1
+            assert_watch_invariant(solver)
+        assert slices > 0
+        assert_watch_invariant(solver)
 
 
 class TestTypedArrays:
-    def test_buffers_are_typed_arrays(self):
-        solver = CDCLSolver(4)
-        assert isinstance(solver._assign, array) and solver._assign.typecode == "b"
-        assert isinstance(solver._level, array) and solver._level.typecode == "i"
-        assert isinstance(solver._trail, array) and solver._trail.typecode == "i"
-        assert isinstance(solver._phase, array) and solver._phase.typecode == "b"
+    """Watch, trail and heap invariants after solving, backtracking and blocking.
+
+    The class is named for the typed arrays that held this state before the
+    literal-indexed lists; the name is kept so that these cases keep their ids.
+    """
 
     @pytest.mark.parametrize("seed", range(6))
     def test_watch_invariant_after_solve(self, seed):

@@ -44,6 +44,16 @@ SCRIPT = textwrap.dedent(
     # A session's cold GRI build must pass through the wrapped module
     # attribute, or the trace reports no GRI work at all.
     assert "grounding.gri_build" in names, sorted(names)
+    # A why's SAT calls must pass through the wrapped CDCLSolver.solve,
+    # and solve must keep stats.propagations current when it returns, or
+    # traced sat.solve_s and sat.propagations read 0. (The database above
+    # is solved by root-level propagation while loading, so this one has
+    # several members.)
+    paths = Database(parse_database("e(a, b). e(b, c). e(a, c). e(c, d). e(b, d)."))
+    assert len(ProvenanceSession(DatalogQuery(program, "tc"), paths).why(("a", "d"))) == 3
+    solves = [span[6] for span in launcher.RECORDER.spans if span[1] == "sat.solve"]
+    assert solves, sorted(names)
+    assert sum(extra["propagations"] for extra in solves) > 0, solves
     # Updating an evaluated session must pass through the wrapped
     # maintain_evaluation too, or traced engine.maintain_s reads 0.
     session.update(delta_from_lines(["+e(c, d)."]))
