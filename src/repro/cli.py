@@ -568,7 +568,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service.server import ProvenanceService, TCPServiceServer, serve_stdio
+    from .service.server import DaemonService, TCPServiceServer, serve_stdio
 
     if args.workers > 1:
         if args.stdio:
@@ -605,7 +605,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             acyclicity=args.acyclicity,
             store=store,
         )
-        service = ProvenanceService(
+        service = DaemonService(
             registry=registry,
             threads=args.threads,
             batch_workers=args.batch_workers,

@@ -25,14 +25,14 @@ except for the minimal-depth budget, which by Definition 26 refers to the
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, check_over_schema
 from ..datalog.engine import evaluate
 from ..datalog.program import DatalogQuery
 from ..provenance.enumerate import (
+    _SupportSearch,
     enumerate_why,
     enumerate_why_minimal_depth,
     enumerate_why_nonrecursive,
@@ -261,25 +261,4 @@ def _bounded_depth_supports(
         closure = downward_closure(query.program, database, fact)
     except FactNotDerivable:
         return frozenset()
-    instances_of = closure.instances_by_head
-    cache: Dict[Tuple[Atom, int], FrozenSet[FrozenSet[Atom]]] = {}
-
-    def supports(node: Atom, depth_budget: int) -> FrozenSet[FrozenSet[Atom]]:
-        key = (node, depth_budget)
-        if key in cache:
-            return cache[key]
-        out: Set[FrozenSet[Atom]] = set()
-        if node in database:
-            out.add(frozenset((node,)))
-        if depth_budget >= 1:
-            for instance in instances_of.get(node, ()):
-                families = [supports(t, depth_budget - 1) for t in instance.body]
-                if any(not fam for fam in families):
-                    continue
-                for combo in itertools.product(*families):
-                    out.add(frozenset().union(*combo))
-        result = frozenset(out)
-        cache[key] = result
-        return result
-
-    return supports(fact, budget)
+    return _SupportSearch(database, closure.instances_by_head).within_depth(fact, budget)

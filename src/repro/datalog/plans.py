@@ -510,7 +510,9 @@ def compile_rule(
         source = _codegen(steps, head_entries, body_step_of)
         namespace = {"_EMPTY": _EMPTY_RELATION}
         exec(compile(source, f"<plan:{rule.head.pred}/{delta_pos}>", "exec"), namespace)
-        fn = namespace["_join"]
+        # Popped, not read: a namespace still holding the function would
+        # be its own ``__globals__``, a cycle only a full collection frees.
+        fn = namespace.pop("_join")
     else:
         source = None
         fn = _generic_join(steps, head_entries, body_step_of, len(reg_of))

@@ -148,6 +148,76 @@ def enumerate_why_unambiguous(
     return frozenset(results)
 
 
+class _SupportSearch:
+    """Memoised recursive search for supports over a closure's rule instances.
+
+    The recursion runs through methods rather than through a nested
+    function that calls itself: such a function reaches itself through
+    its own closure cell, a reference cycle that keeps it and the whole
+    memo alive until a full collection of the cyclic garbage collector.
+    *max_supports* bounds the support combinations explored (``None``:
+    unbounded).
+    """
+
+    def __init__(
+        self,
+        database: Database,
+        instances_of: Dict,
+        max_supports: Optional[int] = None,
+    ):
+        self.database = database
+        self.instances_of = instances_of
+        self.max_supports = max_supports
+        self.cache: Dict[Tuple, SupportFamily] = {}
+        self.explored = 0
+
+    def _combine(self, occurrence_families: List[SupportFamily], out: Set) -> None:
+        """Add one support per combination of the body's families to *out*."""
+        if any(not family for family in occurrence_families):
+            return
+        for combo in itertools.product(*occurrence_families):
+            out.add(frozenset().union(*combo))
+            self.explored += 1
+            if self.max_supports is not None and self.explored > self.max_supports:
+                raise EnumerationBudgetExceeded(
+                    f"more than {self.max_supports} support combinations explored"
+                )
+
+    def non_recursive(self, fact: Atom, ancestors: FrozenSet[Atom]) -> SupportFamily:
+        """Supports of proof trees of *fact* that repeat no fact on a path."""
+        if fact in self.database:
+            return frozenset({frozenset((fact,))})
+        key = (fact, ancestors)
+        if key in self.cache:
+            return self.cache[key]
+        out: Set[FrozenSet[Atom]] = set()
+        below = ancestors | {fact}
+        for instance in self.instances_of.get(fact, ()):
+            if any(t in below for t in instance.body):
+                continue
+            self._combine([self.non_recursive(t, below) for t in instance.body], out)
+        result = frozenset(out)
+        self.cache[key] = result
+        return result
+
+    def within_depth(self, fact: Atom, depth_budget: int) -> SupportFamily:
+        """Supports of proof trees of *fact* with depth at most *depth_budget*."""
+        key = (fact, depth_budget)
+        if key in self.cache:
+            return self.cache[key]
+        out: Set[FrozenSet[Atom]] = set()
+        if fact in self.database:
+            out.add(frozenset((fact,)))
+        if depth_budget >= 1:
+            for instance in self.instances_of.get(fact, ()):
+                self._combine(
+                    [self.within_depth(t, depth_budget - 1) for t in instance.body], out
+                )
+        result = frozenset(out)
+        self.cache[key] = result
+        return result
+
+
 def enumerate_why_nonrecursive(
     query: DatalogQuery,
     database: Database,
@@ -163,36 +233,8 @@ def enumerate_why_nonrecursive(
     closure = _closure_or_empty(query, database, tup)
     if closure is None:
         return frozenset()
-    instances_of = closure.instances_by_head
-    cache: Dict[Tuple[Atom, FrozenSet[Atom]], FrozenSet[FrozenSet[Atom]]] = {}
-    counter = [0]
-
-    def supports(fact: Atom, ancestors: FrozenSet[Atom]) -> FrozenSet[FrozenSet[Atom]]:
-        if fact in database:
-            return frozenset({frozenset((fact,))})
-        key = (fact, ancestors)
-        if key in cache:
-            return cache[key]
-        out: Set[FrozenSet[Atom]] = set()
-        below = ancestors | {fact}
-        for instance in instances_of.get(fact, ()):
-            if any(t in below for t in instance.body):
-                continue
-            occurrence_families = [supports(t, below) for t in instance.body]
-            if any(not family for family in occurrence_families):
-                continue
-            for combo in itertools.product(*occurrence_families):
-                out.add(frozenset().union(*combo))
-                counter[0] += 1
-                if counter[0] > max_supports:
-                    raise EnumerationBudgetExceeded(
-                        f"more than {max_supports} support combinations explored"
-                    )
-        result = frozenset(out)
-        cache[key] = result
-        return result
-
-    return supports(closure.root, frozenset())
+    search = _SupportSearch(database, closure.instances_by_head, max_supports)
+    return search.non_recursive(closure.root, frozenset())
 
 
 def enumerate_why_minimal_depth(
@@ -213,36 +255,8 @@ def enumerate_why_minimal_depth(
         return frozenset()
     evaluation = evaluate(query.program, database)
     budget = evaluation.ranks[closure.root]
-    instances_of = closure.instances_by_head
-    cache: Dict[Tuple[Atom, int], FrozenSet[FrozenSet[Atom]]] = {}
-    counter = [0]
-
-    def supports(fact: Atom, depth_budget: int) -> FrozenSet[FrozenSet[Atom]]:
-        key = (fact, depth_budget)
-        if key in cache:
-            return cache[key]
-        out: Set[FrozenSet[Atom]] = set()
-        if fact in database:
-            out.add(frozenset((fact,)))
-        if depth_budget >= 1:
-            for instance in instances_of.get(fact, ()):
-                occurrence_families = [
-                    supports(t, depth_budget - 1) for t in instance.body
-                ]
-                if any(not family for family in occurrence_families):
-                    continue
-                for combo in itertools.product(*occurrence_families):
-                    out.add(frozenset().union(*combo))
-                    counter[0] += 1
-                    if counter[0] > max_supports:
-                        raise EnumerationBudgetExceeded(
-                            f"more than {max_supports} support combinations explored"
-                        )
-        result = frozenset(out)
-        cache[key] = result
-        return result
-
-    return supports(closure.root, budget)
+    search = _SupportSearch(database, closure.instances_by_head, max_supports)
+    return search.within_depth(closure.root, budget)
 
 
 def why_families(

@@ -4,7 +4,10 @@
 decode a line, check its op, answer every failure in-protocol, count.
 :class:`ProvenanceService` is the transport-independent heart: it owns a
 :class:`~repro.service.registry.SessionRegistry` and turns one request
-object into one response object. Two transports carry a dispatcher:
+object into one response object. :class:`DaemonService`, the one a
+``repro serve`` process runs, also keeps the cyclic garbage collector
+off its warm sessions by freezing its heap between requests. Two
+transports carry a dispatcher:
 
 * :class:`TCPServiceServer` — the one TCP front-end, speaking
   newline-delimited JSON for ``serve``, ``serve --workers N``,
@@ -38,6 +41,7 @@ stamped with; the fork moment itself is serialized process-wide by
 
 from __future__ import annotations
 
+import gc
 import socketserver
 import sys
 import threading
@@ -223,6 +227,10 @@ class Dispatcher:
 
 class ProvenanceService(Dispatcher):
     """Transport-independent dispatcher over a session registry.
+
+    It leaves the host process's garbage collector alone, so it is the
+    service to embed; :class:`DaemonService` adds the heap freeze of a
+    process that owns its heap.
 
     Parameters
     ----------
@@ -550,6 +558,10 @@ class ProvenanceService(Dispatcher):
         # pool-wide stats carry its worker table here, so clients can
         # always read result["sharding"] to tell the two apart.
         result["sharding"] = None
+        result["gc"] = {
+            "frozen": gc.get_freeze_count(),
+            "collections": [gen["collections"] for gen in gc.get_stats()],
+        }
         with self._counter_lock:
             result["requests_served"] = self.requests_served
         digest = request.get("session")
@@ -569,6 +581,44 @@ class ProvenanceService(Dispatcher):
         return ok_response(
             request.get("id"), "stats", result, session=session_field, version=version
         )
+
+
+class DaemonService(ProvenanceService):
+    """The :class:`ProvenanceService` of a ``repro serve`` process.
+
+    Such a process owns its heap, so it keeps CPython's cyclic collector
+    off its warm sessions: whenever the last request in flight finishes,
+    one collection reclaims the cyclic garbage that requests left, and
+    ``gc.freeze()`` moves every surviving object (admitted sessions with
+    their model, trace, GRI, closures, encodings and solvers) to the
+    permanent generation, which later collections skip. A frozen object
+    is never examined again, so what outlives a request must be freed by
+    reference counting alone: session state stays acyclic
+    (``tests/test_service_gc.py``). While another request is in flight
+    nothing is frozen, since its objects may still become garbage. In
+    process, serve through a plain :class:`ProvenanceService`, which
+    leaves the host's collector alone.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._in_flight = 0
+        self._in_flight_lock = threading.Lock()
+
+    def _respond(
+        self, request: Dict, line: Optional[str], conns: Optional[Dict]
+    ) -> Union[Dict, str]:
+        with self._in_flight_lock:
+            self._in_flight += 1
+        try:
+            return super()._respond(request, line, conns)
+        finally:
+            # Under the lock, so no request starts between the two calls.
+            with self._in_flight_lock:
+                self._in_flight -= 1
+                if not self._in_flight:
+                    gc.collect()
+                    gc.freeze()
 
 
 # -- transports ---------------------------------------------------------------

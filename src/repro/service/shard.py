@@ -638,6 +638,7 @@ class ShardRouter(Dispatcher):
                 stores.append(result["store"])
             row["requests_served"] = result.get("requests_served")
             row["session_count"] = result.get("session_count")
+            row["gc"] = result.get("gc")
             per_worker.append(row)
         with self._counter_lock:
             served = self.requests_served
@@ -654,6 +655,9 @@ class ShardRouter(Dispatcher):
         result["protocol"] = PROTOCOL_VERSION
         result["uptime_seconds"] = time.time() - self.started_at
         result["requests_served"] = served
+        # The router holds no sessions; each worker's collector is in its
+        # per_worker row.
+        result["gc"] = None
         result["sharding"] = {
             "workers": len(self.ring.slots),
             "replicas": self.ring.replicas,

@@ -497,6 +497,10 @@ class TestDispatcher:
         response = self.service.handle_request({"op": "stats"})
         assert response["result"]["requests_served"] >= 1
         assert response["result"]["protocol"] == PROTOCOL_VERSION
+        collector = response["result"]["gc"]
+        assert isinstance(collector["frozen"], int)
+        assert len(collector["collections"]) == 3
+        assert all(isinstance(n, int) for n in collector["collections"])
 
     def test_internal_errors_become_responses(self):
         # A request the handlers cannot serve must still produce a
@@ -1021,6 +1025,12 @@ class TestSharded:
                 assert row["alive"] is True
                 assert row["restarts"] == 0
                 assert isinstance(row["pid"], int)
+                assert len(row["gc"]["collections"]) == 3
+            # Each row carries its worker's collector; the session's owner
+            # froze it. The router holds no sessions and reports none.
+            [owner] = [r for r in sharding["per_worker"] if r["session_count"] == 1]
+            assert owner["gc"]["frozen"] > 0
+            assert result["gc"] is None
             # Exactly one worker holds the admitted session; the summed
             # counters see it exactly once.
             assert result["session_count"] == 1

@@ -149,23 +149,14 @@ class TestStatistics:
         }
 
     def test_clause_db_reduction_triggers_on_long_runs(self):
-        # Pigeonhole 7/6 generates plenty of learned clauses.
-        n = 7
-        cnf = CNF(n * (n - 1))
-
-        def var(i, h):
-            return i * (n - 1) + h + 1
-
-        for i in range(n):
-            cnf.add_clause(tuple(var(i, h) for h in range(n - 1)))
-        for h in range(n - 1):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    cnf.add_clause((-var(i, h), -var(j, h)))
+        # Pigeonhole 8/7 learns past the 1,000 clauses at which the first
+        # reduction runs.
         solver = CDCLSolver()
-        solver.add_cnf(cnf)
+        solver.add_cnf(pigeonhole(8, 7))
         assert solver.solve() is False
-        assert solver.stats.learned > 0
+        assert solver.stats.removed > 0
+        assert len(solver._learned) < solver.stats.learned
+        assert_watch_invariant(solver)
 
 
 def assert_watch_invariant(solver):
