@@ -11,12 +11,10 @@ multi-million-fact databases; this pure-Python reproduction defaults to
 ``REPRO_BENCH_TUPLES`` / ``REPRO_BENCH_MEMBERS`` / ``REPRO_BENCH_TIMEOUT``
 environment variables to run closer to paper scale).
 
+Experiments run through a :class:`~repro.core.session.ProvenanceSession`
+(one instrumented evaluation per database, closures by GRI restriction).
 Two additions on top of the figure tables:
 
-* experiments run through a :class:`~repro.core.session.ProvenanceSession`
-  by default (one instrumented evaluation per database, closures by GRI
-  restriction); set ``REPRO_BENCH_SESSION=0`` to fall back to the seed's
-  per-tuple re-matching path, the foil for speedup measurements;
 * every figure benchmark can dump a machine-readable ``BENCH_<name>.json``
   via :func:`write_bench_json` (directory: ``REPRO_BENCH_JSON_DIR``,
   default ``benchmarks/out``) so future PRs can track build-time trends
@@ -45,7 +43,6 @@ from repro.scenarios import get_scenario
 BENCH_TUPLES = int(os.environ.get("REPRO_BENCH_TUPLES", "3"))
 BENCH_MEMBERS = int(os.environ.get("REPRO_BENCH_MEMBERS", "60"))
 BENCH_TIMEOUT = float(os.environ.get("REPRO_BENCH_TIMEOUT", "4.0"))
-BENCH_USE_SESSION = os.environ.get("REPRO_BENCH_SESSION", "1") != "0"
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 BENCH_JSON_DIR = os.environ.get(
     "REPRO_BENCH_JSON_DIR", os.path.join(os.path.dirname(__file__), "out")
@@ -58,7 +55,7 @@ if BENCH_ENGINE not in ("compiled", "interpreted", "both"):
 #: The engine ordinary (non-ablation) measurements run under.
 BENCH_PRIMARY_ENGINE = "compiled" if BENCH_ENGINE == "both" else BENCH_ENGINE
 
-_CACHE: Dict[Tuple[str, str, bool, int, str], DatabaseRun] = {}
+_CACHE: Dict[Tuple[str, str, int, str], DatabaseRun] = {}
 
 
 def engines_under_test() -> List[str]:
@@ -86,22 +83,15 @@ def git_commit() -> Optional[str]:
 def cached_run(
     scenario_name: str,
     database_name: str,
-    use_session: Optional[bool] = None,
     workers: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> DatabaseRun:
     """Run (or reuse) the standard experiment for one scenario database."""
-    if use_session is None:
-        use_session = BENCH_USE_SESSION
     if workers is None:
         workers = BENCH_WORKERS
     if engine is None:
         engine = BENCH_PRIMARY_ENGINE
-    if not use_session:
-        # The re-matching foil has no parallel mode (run_database rejects
-        # the combination); REPRO_BENCH_WORKERS applies to session runs.
-        workers = 1
-    key = (scenario_name, database_name, use_session, workers, engine)
+    key = (scenario_name, database_name, workers, engine)
     if key not in _CACHE:
         scenario = get_scenario(scenario_name)
         _CACHE[key] = run_database(
@@ -111,7 +101,6 @@ def cached_run(
             member_limit=BENCH_MEMBERS,
             timeout_seconds=BENCH_TIMEOUT,
             seed=7,
-            use_session=use_session,
             workers=workers,
             engine=engine,
         )
@@ -120,17 +109,13 @@ def cached_run(
 
 def scenario_runs(
     scenario_name: str,
-    use_session: Optional[bool] = None,
     workers: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> List[DatabaseRun]:
     """Run (or reuse) the standard experiment for every scenario database."""
     scenario = get_scenario(scenario_name)
     return [
-        cached_run(
-            scenario_name, name, use_session=use_session, workers=workers,
-            engine=engine,
-        )
+        cached_run(scenario_name, name, workers=workers, engine=engine)
         for name in scenario.database_names()
     ]
 
@@ -177,7 +162,6 @@ def write_bench_json(name: str, payload: Dict) -> str:
             "tuples_per_database": BENCH_TUPLES,
             "member_limit": BENCH_MEMBERS,
             "timeout_seconds": BENCH_TIMEOUT,
-            "use_session": BENCH_USE_SESSION,
             "workers": BENCH_WORKERS,
             "engine": BENCH_ENGINE,
             "primary_engine": BENCH_PRIMARY_ENGINE,

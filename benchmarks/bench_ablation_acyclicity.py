@@ -16,6 +16,7 @@ from repro.harness.runner import sample_answer_tuples
 from repro.harness.tables import render_table
 from repro.core.encoder import encode_why_provenance
 from repro.core.enumerator import WhyProvenanceEnumerator
+from repro.core.session import ProvenanceSession
 from repro.scenarios import get_scenario
 
 from _common import print_banner, run_once
@@ -83,12 +84,14 @@ def test_enumeration_kernel(benchmark, acyclicity):
     scenario = get_scenario("Andersen")
     query = scenario.query()
     database = scenario.database("D1").restrict(query.program.edb)
-    evaluation = evaluate(query.program, database)
-    tup = sample_answer_tuples(query, database, count=1, seed=7, evaluation=evaluation)[0]
+    session = ProvenanceSession(query, database, acyclicity=acyclicity)
+    tup = sample_answer_tuples(
+        query, database, count=1, seed=7, evaluation=session.evaluation
+    )[0]
 
     def run():
         enumerator = WhyProvenanceEnumerator(
-            query, database, tup, acyclicity=acyclicity, evaluation=evaluation
+            query, database, tup, acyclicity=acyclicity, session=session
         )
         return enumerator.members(limit=10, timeout_seconds=10)
 

@@ -5,12 +5,10 @@ Paper shape to reproduce: total build time grows with database size,
 dominated by the downward-closure construction, with formula construction
 negligible.
 
-On top of the paper's figure, this module measures the instrumented
-grounding of :class:`~repro.core.session.ProvenanceSession` against the
-seed's re-matching path: the session builds the GRI once from the engine's
-recorded instance trace and serves every closure by reachability
-restriction, while the foil re-grounds rule bodies against the full model
-for every tuple.
+Closures come from :class:`~repro.core.session.ProvenanceSession`, which
+builds the GRI once from the engine's recorded instance trace and serves
+every closure by reachability restriction. On top of the paper's figure,
+this module ablates the evaluation engine on the same input.
 """
 
 import time
@@ -35,11 +33,7 @@ from _common import (
 def test_print_figure1(benchmark, capsys):
     runs = run_once(benchmark, lambda: scenario_runs("Andersen"))
     with capsys.disabled():
-        from _common import BENCH_USE_SESSION
-
-        grounding = "session (instrumented GRI)" if BENCH_USE_SESSION else "re-matching (paper path)"
         print_banner("Figure 1: downward closure + formula build time (Andersen)")
-        print(f"grounding path: {grounding}")
         print(figure_build_times(runs, ""))
         closure = sum(r.closure_seconds for run in runs for r in run.tuple_runs)
         formula = sum(r.formula_seconds for run in runs for r in run.tuple_runs)
@@ -47,51 +41,11 @@ def test_print_figure1(benchmark, capsys):
         if closure > formula:
             print("shape check OK: closure construction dominates (paper: 'almost "
                   "all the time is spent for computing the downward closure')")
-        elif BENCH_USE_SESSION:
-            print("shape note: instrumented grounding has inverted the paper's "
-                  "shape — closures no longer dominate. The paper-faithful "
-                  "profile needs REPRO_BENCH_SESSION=0 (the re-matching foil).")
         else:
-            print("shape check FAILED: formula construction dominates even on "
-                  "the re-matching path; investigate before citing this table.")
+            print("shape note: instrumented grounding has inverted the paper's "
+                  "shape — closures no longer dominate.")
         path = write_bench_json("figure1_andersen_build", [run_payload(r) for r in runs])
         print(f"machine-readable record: {path}")
-
-
-def test_session_vs_rematching_closures(benchmark, capsys):
-    """Instrumented grounding must not lose to the seed's re-matching path.
-
-    Both sides amortize evaluation across the same sampled tuples; the
-    only difference is how closures are built — GRI restriction from the
-    recorded trace (session) versus per-tuple top-down re-matching
-    (foil). Compares pure closure seconds, the Figure 1 dominating cost.
-    """
-    def both():
-        session_runs = scenario_runs("Andersen", use_session=True)
-        foil_runs = scenario_runs("Andersen", use_session=False)
-        return session_runs, foil_runs
-
-    session_runs, foil_runs = run_once(benchmark, both)
-    session_closure = sum(
-        r.closure_seconds for run in session_runs for r in run.tuple_runs
-    )
-    foil_closure = sum(r.closure_seconds for run in foil_runs for r in run.tuple_runs)
-    with capsys.disabled():
-        print_banner("Instrumented grounding vs re-matching (Andersen closures)")
-        speedup = foil_closure / session_closure if session_closure > 0 else float("inf")
-        print(f"session (GRI restriction): {session_closure:.3f}s")
-        print(f"foil (re-matching):        {foil_closure:.3f}s")
-        print(f"closure speedup: {speedup:.1f}x")
-        write_bench_json(
-            "figure1_session_vs_rematching",
-            {
-                "session_closure_seconds": session_closure,
-                "foil_closure_seconds": foil_closure,
-                "speedup": speedup,
-            },
-        )
-    # "No slower" with generous slack for timer noise on tiny closures.
-    assert session_closure <= foil_closure * 1.25
 
 
 def test_compiled_vs_interpreted_evaluation(benchmark, capsys):
@@ -158,21 +112,6 @@ def test_compiled_vs_interpreted_evaluation(benchmark, capsys):
             f"compiled evaluation ({total_compiled:.3f}s) slower than "
             f"interpreted ({total_interpreted:.3f}s) on the Andersen build"
         )
-
-
-def _build_once(query, database, tup, evaluation):
-    return WhyProvenanceEnumerator(query, database, tup, evaluation=evaluation)
-
-
-def test_build_kernel(benchmark):
-    """Timed kernel: one closure+formula build on Andersen/D2 (seed path)."""
-    scenario = get_scenario("Andersen")
-    query = scenario.query()
-    database = scenario.database("D2").restrict(query.program.edb)
-    evaluation = evaluate(query.program, database)
-    tup = sample_answer_tuples(query, database, count=1, seed=7, evaluation=evaluation)[0]
-    enumerator = benchmark(_build_once, query, database, tup, evaluation)
-    assert enumerator.closure.nodes
 
 
 def test_build_kernel_session(benchmark):

@@ -15,10 +15,13 @@ a session::
         session.decide(tup, subset, tree_class="unambiguous")
         session.smallest_member(tup)
 
-The historical free functions (``decide_membership``,
-``why_provenance_unambiguous``, ``smallest_member``, ...) remain as thin
-wrappers for one-shot use; each accepts an optional ``session=`` argument
-to opt into the shared caches.
+The free functions (``decide_membership``,
+``why_provenance_unambiguous``, ``smallest_member``, ...) serve one-shot
+use; each accepts an optional ``session=`` argument to share the caches.
+Without one they build a throwaway session, or ground the database they
+search with :func:`~repro.provenance.grounding.downward_closure`, which
+restricts the same canonically ordered GRI: one-shot and session calls
+return the same members in the same order.
 """
 
 from .decision import (

@@ -40,6 +40,7 @@ from ..provenance.enumerate import (
 from ..provenance.grounding import FactNotDerivable, downward_closure
 from ..sat.solver import CDCLSolver
 from .encoder import encode_why_provenance
+from .session import ProvenanceSession
 
 TREE_CLASSES = ("arbitrary", "unambiguous", "nonrecursive", "minimal-depth")
 
@@ -92,35 +93,26 @@ def decide_why_unambiguous(
     then satisfiable iff a compressed DAG with support exactly ``D'``
     exists (Lemma 44), iff ``D'`` is a member (Proposition 41).
 
-    With a *session*, the encoding comes from the session cache and the
-    query runs on the session's warm assumption-only solver, so N
-    membership checks for one tuple pay for one encoding and share
-    learned clauses.
+    The encoding comes from the *session*'s cache (a session is built
+    for this call when none is given) and the query runs on its warm
+    assumption-only solver, so N membership checks for one tuple through
+    one session pay for one encoding and share learned clauses.
     """
     check_over_schema(database, query.program.edb)
     facts = _validated_subset(database, subset)
+    if session is None:
+        session = ProvenanceSession(query, database)
     if acyclicity is None:
         # Follow the session's configured encoding so one session never
         # mixes acyclicity regimes across its own methods.
-        acyclicity = session.acyclicity if session is not None else "vertex-elimination"
-    if session is not None:
-        encoding = session.encoding_or_none(tup, acyclicity=acyclicity)
-        if encoding is None:
-            return False
-        assumptions = encoding.membership_assumptions(facts)
-        if assumptions is None:
-            return False
-        solver = session.decision_solver(tup, acyclicity=acyclicity)
-        return bool(solver.solve(assumptions=assumptions))
-    try:
-        encoding = encode_why_provenance(query, database, tup, acyclicity=acyclicity)
-    except FactNotDerivable:
+        acyclicity = session.acyclicity
+    encoding = session.encoding_or_none(tup, acyclicity=acyclicity)
+    if encoding is None:
         return False
     assumptions = encoding.membership_assumptions(facts)
     if assumptions is None:
         return False
-    solver = CDCLSolver()
-    solver.add_cnf(encoding.cnf)
+    solver = session.decision_solver(tup, acyclicity=acyclicity)
     return bool(solver.solve(assumptions=assumptions))
 
 

@@ -21,11 +21,11 @@ from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
-from ..datalog.engine import EvaluationResult, evaluate
 from ..datalog.program import DatalogQuery
-from ..provenance.grounding import DownwardClosure, FactNotDerivable, downward_closure
+from ..provenance.grounding import DownwardClosure, FactNotDerivable
 from ..sat.solver import CDCLSolver
-from .encoder import WhyProvenanceEncoding, encode_why_provenance
+from .encoder import WhyProvenanceEncoding
+from .session import ProvenanceSession
 
 
 @dataclass
@@ -62,18 +62,13 @@ class WhyProvenanceEnumerator:
     ----------
     acyclicity:
         ``"vertex-elimination"`` (paper default) or ``"transitive-closure"``.
-    evaluation:
-        Optional pre-computed evaluation of the query over the database
-        (lets the harness amortize evaluation across tuples; the closure
-        timing then excludes model computation, matching the paper, which
-        also computes ``Q(D)`` separately before building closures).
     session:
-        Optional :class:`~repro.core.session.ProvenanceSession` owning the
-        ``(query, database)`` pair. The enumerator then sources the
-        evaluation, the downward closure, and the CNF encoding from the
-        session caches; ``closure_seconds`` / ``formula_seconds`` time the
-        (possibly cached) session lookups, so amortization shows up in the
-        Figure 1/3 numbers.
+        The :class:`~repro.core.session.ProvenanceSession` owning the
+        ``(query, database)`` pair; without one the enumerator builds its
+        own. The evaluation, the downward closure and the CNF encoding
+        come from the session caches; ``closure_seconds`` /
+        ``formula_seconds`` time the (possibly cached) session lookups, so
+        amortization shows up in the Figure 1/3 numbers.
     """
 
     def __init__(
@@ -82,46 +77,33 @@ class WhyProvenanceEnumerator:
         database: Database,
         tup: Tuple,
         acyclicity: str = "vertex-elimination",
-        evaluation: Optional[EvaluationResult] = None,
-        session=None,
+        session: Optional[ProvenanceSession] = None,
     ):
         self.query = query
         self.database = database
         self.tup = tuple(tup)
         fact = query.answer_atom(tup)
-        if session is not None:
-            evaluation = session.evaluation
-        elif evaluation is None:
-            # The paper computes Q(D) with the Datalog engine before any
-            # per-tuple work; do the same so closure timing measures only
-            # the downward-closure construction.
-            evaluation = evaluate(query.program, database)
+        if session is None:
+            session = ProvenanceSession(query, database, acyclicity=acyclicity)
+        # The paper computes Q(D) with the Datalog engine before any
+        # per-tuple work; do the same so closure timing measures only
+        # the downward-closure construction.
+        ranks = session.ranks
 
         start = time.perf_counter()
-        if session is not None:
-            self.closure: DownwardClosure = session.closure(fact)
-        else:
-            self.closure = downward_closure(
-                query.program, database, fact, evaluation=evaluation
-            )
+        self.closure: DownwardClosure = session.closure(fact)
         self.closure_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        if session is not None:
-            self.encoding: WhyProvenanceEncoding = session.encoding(
-                tup, acyclicity=acyclicity
-            )
-        else:
-            self.encoding = encode_why_provenance(
-                query, database, tup, closure=self.closure, acyclicity=acyclicity
-            )
+        self.encoding: WhyProvenanceEncoding = session.encoding(
+            tup, acyclicity=acyclicity
+        )
         self.formula_seconds = time.perf_counter() - start
 
         self._solver = CDCLSolver()
         self._solver.add_cnf(self.encoding.cnf)
-        if evaluation is not None:
-            # Warm start: seed the phases with a minimal-rank derivation.
-            self._solver.set_phases(self.encoding.phase_hints(evaluation.ranks))
+        # Warm start: seed the phases with a minimal-rank derivation.
+        self._solver.set_phases(self.encoding.phase_hints(ranks))
         self._exhausted = False
         self._count = 0
 

@@ -27,10 +27,10 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from ..datalog.database import Database
 from ..datalog.program import DatalogQuery
-from ..provenance.grounding import FactNotDerivable
 from ..sat.cardinality import Totalizer
 from ..sat.solver import CDCLSolver
 from .encoder import WhyProvenanceEncoding, encode_why_provenance
+from .session import ProvenanceSession
 
 
 @dataclass
@@ -113,9 +113,7 @@ def minimal_members(
         support = _shrink(encoding, solver, support, report)
         results.append(support)
         # Block this member and every superset of it.
-        solver.add_clause(
-            [-encoding.database_fact_vars[fact] for fact in support]
-        )
+        solver.add_clause(_support_literals(encoding, support))
         if not support:
             break  # the empty support subsumes everything
     report.members = list(results)
@@ -135,10 +133,7 @@ def _shrink(
     while True:
         activator = solver.new_var()
         # Under the activator: some fact of the current support is false...
-        solver.add_clause(
-            [-activator]
-            + [-encoding.database_fact_vars[fact] for fact in support]
-        )
+        solver.add_clause([-activator] + _support_literals(encoding, support))
         # ... while everything outside the support stays false.
         assumptions = [activator] + [
             literal for fact, literal in outside_literals.items() if fact not in support
@@ -196,11 +191,22 @@ def members_by_size(
             yield member, size
             produced += 1
             solver.add_clause(
-                [-encoding.database_fact_vars[fact] for fact in member]
+                _support_literals(encoding, member)
                 + [encoding.database_fact_vars[fact] for fact in projection_facts(encoding) if fact not in member]
             )
         if limit is not None and produced >= limit:
             return
+
+
+def _support_literals(encoding: WhyProvenanceEncoding, support: FrozenSet) -> List[int]:
+    """``not x(fact)`` for each fact of *support*, in the encoding's order.
+
+    Not in the frozenset's own order, which follows the string-hash seed
+    and would reorder the clause, and with it the search.
+    """
+    return [
+        -var for fact, var in encoding.database_fact_vars.items() if fact in support
+    ]
 
 
 def projection_facts(encoding: WhyProvenanceEncoding):
@@ -216,19 +222,16 @@ def _encode_or_none(
 ) -> Optional[WhyProvenanceEncoding]:
     """Encode ``phi_(t, D, Q)`` or return ``None`` for non-answers.
 
-    With a *session*, the downward closure comes from the session cache
-    but the encoding itself is rebuilt: the minimality procedures splice
-    totalizer clauses into the CNF, which must not leak into the session's
-    shared encoding.
+    The downward closure comes from the *session*'s cache (a session is
+    built for this call when none is given) but the encoding itself is
+    rebuilt: the minimality procedures splice totalizer clauses into the
+    CNF, which must not leak into the session's shared encoding.
     """
-    if session is not None:
-        closure = session.closure_or_none(query.answer_atom(tup))
-        if closure is None:
-            return None
-        return encode_why_provenance(
-            query, database, tup, closure=closure, acyclicity=session.acyclicity
-        )
-    try:
-        return encode_why_provenance(query, database, tup)
-    except FactNotDerivable:
+    if session is None:
+        session = ProvenanceSession(query, database)
+    closure = session.closure_or_none(query.answer_atom(tup))
+    if closure is None:
         return None
+    return encode_why_provenance(
+        query, database, tup, closure=closure, acyclicity=session.acyclicity
+    )

@@ -33,9 +33,9 @@ Design
 Determinism
 -----------
 
-Workers are forked, so they inherit the parent's hash seed: closure
-construction, CNF variable numbering, and CDCL member discovery order are
-bit-for-bit the processes' replay of what the parent session would do.
+Closure construction, CNF variable numbering and CDCL member discovery
+order depend only on the session's data, never on the string-hash seed,
+so each worker replays bit for bit what the parent session would do.
 ``tests/test_parallel.py`` asserts parallel output equals serial output —
 same witnesses, same order — across scenarios and after updates.
 
@@ -280,9 +280,8 @@ class ParallelProvenanceExplainer:
         queue traffic. Default: about four chunks per worker.
 
     Workers are always forked: only ``fork`` hands them the parent's
-    session and hash seed (and with it bit-identical member ordering).
-    Where the platform lacks it the explainer serves the batch serially
-    rather than silently losing determinism.
+    session without pickling it. Where the platform lacks it the
+    explainer serves the batch serially.
     """
 
     def __init__(

@@ -34,9 +34,9 @@ Typical batch usage (one evaluation, many target facts)::
         verdict = session.decide(tup, subset)
 
 The free functions of :mod:`repro.core.decision`,
-:mod:`repro.core.enumerator` and :mod:`repro.core.minimal` remain as thin
-non-cached wrappers; they accept an optional ``session=`` argument to opt
-into the shared caches.
+:mod:`repro.core.enumerator` and :mod:`repro.core.minimal` accept an
+optional ``session=`` argument to share these caches; without one they
+build a throwaway session, so there is one grounding path either way.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ implements the classical transformation for a fully bound goal ``R(t)``:
 
 Evaluating the rewritten program derives ``R(t)`` iff the original program
 does, while typically materializing a fraction of the model — the same
-effect the demand-driven downward closure exploits, obtained here purely
-at the program level.
+restriction to what the target needs that the downward closure makes,
+obtained here purely at the program level.
 """
 
 from __future__ import annotations

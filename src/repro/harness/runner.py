@@ -6,13 +6,11 @@ closure, compile the Boolean formula, and enumerate the members of the
 why-provenance (capped by member count and timeout). The records returned
 carry the Figure 1/3 build times and the Figure 2/4 delay distributions.
 
-By default each database is served through one
+Each database is served through one
 :class:`~repro.core.session.ProvenanceSession`: the program is evaluated
 once with instance recording on, and every sampled tuple's closure is a
-reachability restriction of the shared GRI instead of a fresh matching
-pass. Pass ``use_session=False`` to measure the seed's per-tuple
-re-matching path as a foil, or ``workers > 1`` to shard the sampled
-tuples across the worker pool of
+reachability restriction of the shared GRI. Pass ``workers > 1`` to
+shard the sampled tuples across the worker pool of
 :class:`~repro.core.parallel.ParallelProvenanceExplainer` (one parent
 evaluation, per-fact grounding/encoding/solving in forked workers).
 Pass ``deltas=[...]`` to replay database updates through the live
@@ -144,14 +142,15 @@ def run_tuple(
     database_name: str = "",
     member_limit: Optional[int] = DEFAULT_MEMBER_LIMIT,
     timeout_seconds: Optional[float] = DEFAULT_TIMEOUT_SECONDS,
-    evaluation: Optional[EvaluationResult] = None,
     acyclicity: str = "vertex-elimination",
     session: Optional[ProvenanceSession] = None,
 ) -> TupleRun:
-    """The per-tuple experiment: build + enumerate with limits."""
+    """The per-tuple experiment: build + enumerate with limits.
+
+    Without a *session* the enumerator builds one for this tuple.
+    """
     enumerator = WhyProvenanceEnumerator(
-        query, database, tup, acyclicity=acyclicity, evaluation=evaluation,
-        session=session,
+        query, database, tup, acyclicity=acyclicity, session=session
     )
     report: EnumerationReport = enumerator.run(
         limit=member_limit, timeout_seconds=timeout_seconds
@@ -169,53 +168,33 @@ def run_tuple(
 
 
 def _serve_tuples(
-    query: DatalogQuery,
-    database: Database,
+    session: ProvenanceSession,
     tuples: Sequence[Tuple],
     scenario_name: str,
     database_name: str,
     member_limit: Optional[int],
     timeout_seconds: Optional[float],
-    acyclicity: str,
-    session: Optional[ProvenanceSession],
-    evaluation: EvaluationResult,
     workers: int,
 ) -> List[TupleRun]:
-    """Serve the sampled tuples (serial or sharded) and collect TupleRuns."""
-    if workers != 1 and session is not None:
-        batch = session.explain_batch(
-            tuples,
-            workers=workers,
-            limit=member_limit,
-            timeout_seconds=timeout_seconds,
-        )
-        return [
-            TupleRun(
-                scenario=scenario_name,
-                database=database_name,
-                tuple_value=result.tuple_value,
-                closure_seconds=result.closure_seconds,
-                formula_seconds=result.formula_seconds,
-                members=len(result.members),
-                delays=result.delays,
-                exhausted=result.exhausted,
-            )
-            for result in batch.results
-        ]
+    """Serve the sampled tuples through *session* (serial or sharded)."""
+    batch = session.explain_batch(
+        tuples,
+        workers=workers,
+        limit=member_limit,
+        timeout_seconds=timeout_seconds,
+    )
     return [
-        run_tuple(
-            query,
-            database,
-            tup,
-            scenario_name=scenario_name,
-            database_name=database_name,
-            member_limit=member_limit,
-            timeout_seconds=timeout_seconds,
-            evaluation=evaluation,
-            acyclicity=acyclicity,
-            session=session,
+        TupleRun(
+            scenario=scenario_name,
+            database=database_name,
+            tuple_value=result.tuple_value,
+            closure_seconds=result.closure_seconds,
+            formula_seconds=result.formula_seconds,
+            members=len(result.members),
+            delays=result.delays,
+            exhausted=result.exhausted,
         )
-        for tup in tuples
+        for result in batch.results
     ]
 
 
@@ -345,7 +324,6 @@ def run_database(
     timeout_seconds: Optional[float] = DEFAULT_TIMEOUT_SECONDS,
     seed: int = 7,
     acyclicity: str = "vertex-elimination",
-    use_session: bool = True,
     workers: int = 1,
     deltas: Optional[Sequence[Delta]] = None,
     service=None,
@@ -356,23 +334,19 @@ def run_database(
     """Run the full per-database experiment of Section 5.3.
 
     ``engine`` selects the evaluation engine (``"compiled"`` /
-    ``"interpreted"``; ``None`` consults ``REPRO_ENGINE``) for both the
-    session path and the foil evaluation — the ablation axis of the
-    engine benchmarks. Service routing ignores it: the daemon's registry
-    builds sessions under its own (environment-resolved) engine.
+    ``"interpreted"``; ``None`` consults ``REPRO_ENGINE``) for the
+    session — the ablation axis of the engine benchmarks. Service routing
+    ignores it: the daemon's registry builds sessions under its own
+    (environment-resolved) engine.
 
-    With ``use_session=True`` (default) the sampled tuples share one
-    :class:`ProvenanceSession` — one instrumented evaluation, one GRI,
-    per-tuple closures by restriction. With ``use_session=False`` the
-    seed's path is used: one shared evaluation, but each closure is
-    grounded by re-matching rule bodies (the foil for the instrumented
-    grounding benchmarks). With ``workers > 1`` (requires the session
-    path) the sampled tuples are sharded across a forked worker pool; the
-    per-tuple measurements are then taken inside the workers.
+    The sampled tuples share one :class:`ProvenanceSession` — one
+    instrumented evaluation, one GRI, per-tuple closures by restriction.
+    With ``workers > 1`` the sampled tuples are sharded across a forked
+    worker pool; the per-tuple measurements are then taken inside the
+    workers.
 
     ``deltas`` replays a sequence of database updates through the live
-    session (requires the session path): after the initial serve, each
-    delta is applied with :meth:`ProvenanceSession.update` — incremental
+    session: after the initial serve, each delta is applied with :meth:`ProvenanceSession.update` — incremental
     view maintenance, no re-evaluation — the answer tuples are re-sampled
     over the updated model with the same seed, and the batch is re-served;
     each re-serve lands in :attr:`DatabaseRun.update_runs`.
@@ -383,8 +357,7 @@ def run_database(
     a private local daemon for this call. Every step — session admission,
     answer sampling, batch serving, delta replay — becomes a wire
     request, and the results are byte-identical to the in-process path.
-    Requires the session path (``use_session=True``); ``workers`` is
-    forwarded as the batch request's worker count.
+    ``workers`` is forwarded as the batch request's worker count.
 
     ``state_dir`` (with ``service=True``) attaches the durable
     store to the private daemon: each of the experiment's sessions keeps
@@ -405,12 +378,6 @@ def run_database(
     # decision problems require a database over the extensional schema.
     database = database.restrict(query.program.edb)
     if service is not None and service is not False:
-        if not use_session:
-            # The daemon *is* the session path; a foil run through it
-            # would silently measure the wrong grounding algorithm.
-            raise ValueError(
-                "service routing requires the session path (use_session=True)"
-            )
         if service is True:
             if shards > 1:
                 from ..service.client import local_sharded_service
@@ -457,8 +424,7 @@ def run_database(
         daemon_acyclicity = service.stats()["result"].get("acyclicity")
         if daemon_acyclicity is not None and daemon_acyclicity != acyclicity:
             # Refuse rather than silently measuring the daemon's encoding
-            # labeled as the requested one (same logic as the foil
-            # refusals below).
+            # labeled as the requested one.
             raise ValueError(
                 f"service daemon uses acyclicity {daemon_acyclicity!r}; "
                 f"this experiment requested {acyclicity!r}"
@@ -478,36 +444,14 @@ def run_database(
             "shards > 1 requires service routing (service=True); the "
             "in-process session path has no worker pool to shard over"
         )
-    if workers != 1 and not use_session:
-        # Refuse rather than silently running serial: the BENCH_*.json
-        # envelope records the requested worker count, and a serial run
-        # labeled "4 workers" would poison cross-machine comparisons.
-        raise ValueError(
-            "workers != 1 requires the session path (use_session=True); "
-            "the re-matching foil has no parallel mode"
-        )
-    if deltas and not use_session:
-        # Same refusal logic: the foil path has no incremental
-        # maintenance — replaying updates there would silently measure
-        # full re-evaluations labeled as incremental serves.
-        raise ValueError(
-            "deltas require the session path (use_session=True); "
-            "the re-matching foil has no incremental maintenance"
-        )
-    session: Optional[ProvenanceSession] = None
-    if use_session:
-        session = ProvenanceSession(
-            query, database, acyclicity=acyclicity, engine=engine
-        )
-        evaluation = session.evaluation
-    else:
-        evaluation = evaluate(query.program, database, engine=engine)
+    session = ProvenanceSession(query, database, acyclicity=acyclicity, engine=engine)
     tuples = sample_answer_tuples(
-        query, database, count=tuples_per_database, seed=seed, evaluation=evaluation
+        query, database, count=tuples_per_database, seed=seed,
+        evaluation=session.evaluation,
     )
     runs = _serve_tuples(
-        query, database, tuples, scenario.name, database_name,
-        member_limit, timeout_seconds, acyclicity, session, evaluation, workers,
+        session, tuples, scenario.name, database_name,
+        member_limit, timeout_seconds, workers,
     )
     result = DatabaseRun(
         scenario=scenario.name,
@@ -516,17 +460,15 @@ def run_database(
         tuple_runs=runs,
     )
     for index, delta in enumerate(deltas or ()):
-        assert session is not None  # guarded above
         session.update(delta)
-        evaluation = session.evaluation
         label = f"{database_name}+u{index + 1}"
         tuples = sample_answer_tuples(
             query, database, count=tuples_per_database, seed=seed,
-            evaluation=evaluation,
+            evaluation=session.evaluation,
         )
         update_runs = _serve_tuples(
-            query, database, tuples, scenario.name, label,
-            member_limit, timeout_seconds, acyclicity, session, evaluation, workers,
+            session, tuples, scenario.name, label,
+            member_limit, timeout_seconds, workers,
         )
         result.update_runs.append(
             DatabaseRun(
@@ -546,7 +488,6 @@ def run_scenario(
     timeout_seconds: Optional[float] = DEFAULT_TIMEOUT_SECONDS,
     seed: int = 7,
     acyclicity: str = "vertex-elimination",
-    use_session: bool = True,
     workers: int = 1,
     engine: Optional[str] = None,
 ) -> List[DatabaseRun]:
@@ -560,7 +501,6 @@ def run_scenario(
             timeout_seconds=timeout_seconds,
             seed=seed,
             acyclicity=acyclicity,
-            use_session=use_session,
             workers=workers,
             engine=engine,
         )

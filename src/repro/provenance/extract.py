@@ -40,7 +40,7 @@ def extract_minimal_depth_tree(
     also unambiguous: each fact is always expanded the same way.
     """
     if evaluation is None:
-        evaluation = evaluate(program, database)
+        evaluation = evaluate(program, database, record_instances=True)
     ranks = evaluation.ranks
     if fact not in ranks:
         raise FactNotDerivable(f"{fact} is not derivable from the database")

@@ -9,8 +9,9 @@ reachable from ``alpha``; it "contains" every compressed DAG of ``alpha``
 
 Two constructions are provided:
 
-* :func:`downward_closure` — direct: evaluate, enumerate ground instances,
-  restrict to the part reachable from the target fact;
+* :func:`downward_closure` — direct: evaluate with the instance trace,
+  group it by head into the GRI, restrict to the part reachable from the
+  target fact;
 * :func:`downward_closure_via_rewriting` — the paper's route (App. D.3):
   build the modified query ``Q-down`` and database ``D-down`` with
   ``CurNode`` / ``HEdge`` predicates encoding atoms as fixed-width tuples,
@@ -34,7 +35,6 @@ from ..datalog.engine import (
 )
 from ..datalog.program import DatalogQuery, Program
 from ..datalog.rules import GroundRule, Rule
-from ..datalog.terms import Variable
 
 
 @dataclass(frozen=True)
@@ -283,77 +283,25 @@ def downward_closure(
     fact: Atom,
     evaluation: Optional[EvaluationResult] = None,
 ) -> DownwardClosure:
-    """Compute ``down(D, Sigma, fact)`` demand-driven.
+    """Compute ``down(D, Sigma, fact)`` by restricting the GRI to *fact*.
 
-    Two construction strategies, picked automatically:
-
-    * the evaluation carries an instrumented instance trace
-      (``record_instances=True``) — group it by head (``O(|gri|)``, no
-      re-matching) and restrict to the part reachable from the target,
-      sorting only the heads the closure reaches;
-      :class:`~repro.core.session.ProvenanceSession` keeps one such
-      :class:`GriIndex` for all its facts instead of regrouping per call;
-    * no trace — ground rule instances top-down, only for facts already
-      known to be reachable from the target; the closure is usually a
-      small fragment of the model, so this avoids materializing the GRI.
+    The GRI comes from the evaluation's instance trace, grouped by head in
+    ``O(|gri|)`` (an evaluation without a trace has its model re-grounded
+    once); without an *evaluation* the program is evaluated here with
+    ``record_instances=True``. Only the heads the closure reaches are
+    sorted, so its per-head lists follow the canonical order of
+    :func:`gri_maps_from_instances` — the same closure a
+    :class:`~repro.core.session.ProvenanceSession`, which keeps one
+    :class:`GriIndex` for all its facts, serves for *fact*.
 
     Raises :class:`FactNotDerivable` if the fact is not in the least model.
     """
     if evaluation is None:
-        evaluation = evaluate(program, database)
-    model = evaluation.model
-    if fact not in model:
+        evaluation = evaluate(program, database, record_instances=True)
+    if fact not in evaluation.model:
         raise FactNotDerivable(f"{fact} is not derivable; its closure is empty")
-
-    if evaluation.instances is not None:
-        index = _gri_index(program, evaluation)
-        return _restrict_to_reachable(fact, index.edges, database, index.instances)
-
-    from ..datalog.unify import match_atom, match_body
-
-    edges_by_head: Dict[Atom, List[HyperEdge]] = {}
-    instances_by_head: Dict[Atom, List[RuleInstance]] = {}
-    reachable: Set[Atom] = {fact}
-    frontier: List[Atom] = [fact]
-    while frontier:
-        node = frontier.pop()
-        edges: List[HyperEdge] = []
-        instances: List[RuleInstance] = []
-        seen_edges: Set[FrozenSet[Atom]] = set()
-        seen_instances: Set[Tuple[Atom, ...]] = set()
-        for rule in program.rules_for(node.pred):
-            base = match_atom(rule.head, node)
-            if base is None:
-                continue
-            for subst in match_body(rule.body, model, base):
-                body = tuple(atom.ground(subst) for atom in rule.body)
-                instance = RuleInstance(node, body)
-                instance_key = instance.multiset_key()
-                if instance_key not in seen_instances:
-                    seen_instances.add(instance_key)
-                    instances.append(instance)
-                targets = frozenset(body)
-                if targets not in seen_edges:
-                    seen_edges.add(targets)
-                    edges.append(HyperEdge(node, targets))
-                for target in targets:
-                    if target not in reachable:
-                        reachable.add(target)
-                        frontier.append(target)
-        edges_by_head[node] = edges
-        instances_by_head[node] = instances
-    db_nodes = frozenset(node for node in reachable if node in database)
-    return DownwardClosure(
-        root=fact,
-        nodes=frozenset(reachable),
-        hyperedges_by_head={
-            node: tuple(edges_by_head.get(node, ())) for node in reachable
-        },
-        database_nodes=db_nodes,
-        instances_by_head={
-            node: tuple(instances_by_head.get(node, ())) for node in reachable
-        },
-    )
+    index = _gri_index(program, evaluation)
+    return _restrict_to_reachable(fact, index.edges, database, index.instances)
 
 
 def _restrict_to_reachable(

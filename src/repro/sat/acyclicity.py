@@ -129,18 +129,21 @@ def encode_vertex_elimination(
             arcs[(u, v)] = a
         cnf.implies(z, a)
 
-    out_nbrs: Dict[Node, Set[Node]] = {v: set() for v in node_list}
-    in_nbrs: Dict[Node, Set[Node]] = {v: set() for v in node_list}
+    # Neighbours in insertion-ordered dicts, not sets: the fill-in
+    # variables are numbered in this order, which must not depend on the
+    # string-hash seed.
+    out_nbrs: Dict[Node, Dict[Node, None]] = {v: {} for v in node_list}
+    in_nbrs: Dict[Node, Dict[Node, None]] = {v: {} for v in node_list}
     for (u, v) in arcs:
-        out_nbrs[u].add(v)
-        in_nbrs[v].add(u)
+        out_nbrs[u][v] = None
+        in_nbrs[v][u] = None
 
     remaining: Set[Node] = set(node_list)
     elimination_order = list(order) if order is not None else []
     width = 0
 
     def degree(v: Node) -> int:
-        return len((out_nbrs[v] | in_nbrs[v]) & remaining)
+        return len((out_nbrs[v].keys() | in_nbrs[v].keys()) & remaining)
 
     # Min-degree order from a lazy heap keyed (degree, str, position): an
     # entry is live while its node remains and its degree is current.
@@ -186,8 +189,8 @@ def encode_vertex_elimination(
                     existing = cnf.new_var()
                     auxiliary += 1
                     arcs[(u, w)] = existing
-                    out_nbrs[u].add(w)
-                    in_nbrs[w].add(u)
+                    out_nbrs[u][w] = None
+                    in_nbrs[w][u] = None
                 cnf.add_clause((-a_uv, -a_vw, existing))
         if order is None:
             for n in neighbours:

@@ -148,11 +148,18 @@ class _Builder:
 
 
 def _closure_topological_order(closure: DownwardClosure) -> List[Atom]:
-    """Topological order of closure facts (children first); None if cyclic."""
-    dependents: Dict[Atom, List[Atom]] = {fact: [] for fact in closure.nodes}
-    indegree: Dict[Atom, int] = {fact: 0 for fact in closure.nodes}
-    for head, edges in closure.hyperedges_by_head.items():
-        targets = {target for edge in edges for target in edge.targets}
+    """Topological order of closure facts, children first.
+
+    Raises :class:`CyclicClosure` on a derivation cycle. Nodes and
+    targets are visited in ``str`` order, so the circuit's gate numbering
+    does not depend on the string-hash seed.
+    """
+    nodes = sorted(closure.nodes, key=str)
+    dependents: Dict[Atom, List[Atom]] = {fact: [] for fact in nodes}
+    indegree: Dict[Atom, int] = {fact: 0 for fact in nodes}
+    for head in nodes:
+        edges = closure.hyperedges_by_head.get(head, ())
+        targets = sorted({target for edge in edges for target in edge.targets}, key=str)
         indegree[head] = len(targets)
         for target in targets:
             dependents[target].append(head)

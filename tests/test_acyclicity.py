@@ -145,7 +145,8 @@ def scan_vertex_elimination(cnf, arc_vars, nodes=None):
 
     Every step re-keys every remaining vertex by ``(degree, str)`` and
     takes the minimum — quadratic, but obviously the min-degree order.
-    Otherwise the same construction as :func:`encode_vertex_elimination`.
+    Otherwise the same construction as :func:`encode_vertex_elimination`,
+    neighbours kept in insertion order.
     """
     node_list = _node_list(arc_vars, nodes)
     arcs = {}
@@ -158,15 +159,15 @@ def scan_vertex_elimination(cnf, arc_vars, nodes=None):
             a = cnf.new_var()
             arcs[(u, v)] = a
         cnf.implies(z, a)
-    out_nbrs = {v: set() for v in node_list}
-    in_nbrs = {v: set() for v in node_list}
+    out_nbrs = {v: {} for v in node_list}
+    in_nbrs = {v: {} for v in node_list}
     for (u, v) in arcs:
-        out_nbrs[u].add(v)
-        in_nbrs[v].add(u)
+        out_nbrs[u][v] = None
+        in_nbrs[v][u] = None
     remaining = set(node_list)
 
     def degree(v):
-        return len((out_nbrs[v] | in_nbrs[v]) & remaining)
+        return len((out_nbrs[v].keys() | in_nbrs[v].keys()) & remaining)
 
     while remaining:
         v = min(remaining, key=lambda n: (degree(n), str(n)))
@@ -184,8 +185,8 @@ def scan_vertex_elimination(cnf, arc_vars, nodes=None):
                 if existing is None:
                     existing = cnf.new_var()
                     arcs[(u, w)] = existing
-                    out_nbrs[u].add(w)
-                    in_nbrs[w].add(u)
+                    out_nbrs[u][w] = None
+                    in_nbrs[w][u] = None
                 cnf.add_clause((-a_uv, -a_vw, existing))
 
 

@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, parse_tuple
+from repro.core.session import ProvenanceSession
+from repro.datalog.io import database_to_text, program_to_text
+from repro.scenarios import get_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PROGRAM_TEXT = """
 tc(X, Y) :- e(X, Y).
@@ -18,6 +28,32 @@ def files(tmp_path):
     database = tmp_path / "data.dl"
     database.write_text(DATABASE_TEXT)
     return str(program), str(database)
+
+
+def _andersen_d1_files(tmp_path):
+    """Andersen/D1's query and database, and the files they are written to."""
+    scenario = get_scenario("Andersen")
+    query = scenario.query()
+    database = scenario.database("D1").restrict(query.program.edb)
+    program_path = tmp_path / "program.dl"
+    program_path.write_text(program_to_text(query.program))
+    database_path = tmp_path / "data.dl"
+    database_path.write_text(database_to_text(database))
+    return query, database, str(program_path), str(database_path)
+
+
+def _stdout_under_hash_seeds(argv):
+    """The stdout lines of ``python -m repro *argv`` under two hash seeds."""
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout.splitlines())
+    return outputs
 
 
 class TestParseTuple:
@@ -77,6 +113,27 @@ class TestWhy:
         program, database = files
         code = main(["why", program, database, "--answer", "tc", "--tuple", "c,a"])
         assert code == 1
+
+    def test_members_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """``why`` prints the session's members whatever the hash seed.
+
+        The first three sorted Andersen/D1 answers each reach the limit of
+        20 members, so the search order decides which members are printed.
+        """
+        query, database, program, data = _andersen_d1_files(tmp_path)
+        session = ProvenanceSession(query, database)
+        for tup in session.answers()[:3]:
+            expected = [
+                f"member {index}: " + " ".join(sorted(f"{fact}." for fact in member))
+                for index, member in enumerate(session.why(tup, limit=20))
+            ]
+            assert len(expected) == 20
+            argv = [
+                "why", program, data, "--answer", query.answer_predicate,
+                "--tuple", ",".join(tup), "--limit", "20",
+            ]
+            for lines in _stdout_under_hash_seeds(argv):
+                assert lines == expected, tup
 
     def test_limit(self, files, capsys):
         program, database = files
@@ -301,6 +358,26 @@ class TestMinimal:
         code = main(["minimal", program, database, "--answer", "tc", "--tuple", "c,a"])
         assert code == 1
         assert "not an answer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["minimal"], ["why", "--order", "size", "--limit", "40"]]
+    )
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path, capsys, command):
+        """Subset-minimal and size-ordered members come in one order.
+
+        Their blocking and shrinking clauses must list a support's
+        literals in the encoding's order: on Andersen/D1's (obj0, obj4),
+        frozenset order reordered both lists with the hash seed.
+        """
+        query, _, program, data = _andersen_d1_files(tmp_path)
+        argv = [
+            command[0], program, data, "--answer", query.answer_predicate,
+            "--tuple", "obj0,obj4", *command[1:],
+        ]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.splitlines()
+        for lines in _stdout_under_hash_seeds(argv):
+            assert lines == expected
 
 
 class TestSemiring:

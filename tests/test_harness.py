@@ -134,16 +134,6 @@ class TestRunner:
         # The second update's fact count reflects both deltas.
         assert run.update_runs[1].fact_count == run.fact_count
 
-    def test_run_database_deltas_require_session_path(self):
-        from repro.datalog.database import Delta
-
-        scenario = get_scenario("TransClosure")
-        with pytest.raises(ValueError, match="incremental maintenance"):
-            run_database(
-                scenario, "bitcoin", tuples_per_database=1,
-                use_session=False, deltas=[Delta()],
-            )
-
 
 class TestTables:
     def test_render_alignment(self):

@@ -15,6 +15,7 @@ from repro import (
     parse_program,
     why_provenance_unambiguous,
 )
+from repro.core.session import ProvenanceSession
 from repro.datalog.engine import evaluate
 from repro.harness.runner import run_tuple, sample_answer_tuples
 from repro.scenarios import get_scenario
@@ -71,8 +72,10 @@ class TestScenarioPipelines:
         scenario = get_scenario(scenario_name)
         query = scenario.query()
         db = scenario.database(db_name).restrict(query.program.edb)
-        evaluation = evaluate(query.program, db)
-        tuples = sample_answer_tuples(query, db, count=1, seed=3, evaluation=evaluation)
+        session = ProvenanceSession(query, db)
+        tuples = sample_answer_tuples(
+            query, db, count=1, seed=3, evaluation=session.evaluation
+        )
         assert tuples, "scenario produced no answers"
         run = run_tuple(
             query,
@@ -80,13 +83,11 @@ class TestScenarioPipelines:
             tuples[0],
             member_limit=5,
             timeout_seconds=20,
-            evaluation=evaluation,
+            session=session,
         )
         assert run.members >= 1
         # Every enumerated member must be a verified unambiguous witness.
-        enumerator = WhyProvenanceEnumerator(
-            query, db, tuples[0], evaluation=evaluation
-        )
+        enumerator = WhyProvenanceEnumerator(query, db, tuples[0], session=session)
         for record in enumerator.enumerate(limit=3, timeout_seconds=20):
             assert decide_membership(
                 query, db, tuples[0], record.support, "unambiguous"

@@ -251,15 +251,6 @@ class TestFallbacks:
             explainer = ParallelProvenanceExplainer(session, workers=auto)
             assert explainer.workers == default_worker_count()
 
-    def test_harness_rejects_workers_on_the_foil_path(self):
-        from repro.harness.runner import run_database
-        from repro.scenarios import get_scenario
-
-        scenario = get_scenario("TransClosure")
-        name = scenario.database_names()[0]
-        with pytest.raises(ValueError, match="use_session"):
-            run_database(scenario, name, use_session=False, workers=2)
-
     def test_explain_fact_is_the_shared_routine(self):
         session = ProvenanceSession(TC_QUERY, TC_DB)
         result = explain_fact(session, ("a", "d"), index=5)

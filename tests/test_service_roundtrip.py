@@ -159,12 +159,6 @@ def test_shared_daemon_drifted_session_refused():
             run_database(scenario, "bitcoin", service=client, **BUDGET)
 
 
-def test_service_refuses_foil_path():
-    scenario = get_scenario("TransClosure")
-    with pytest.raises(ValueError):
-        run_database(scenario, "bitcoin", use_session=False, service=True, **BUDGET)
-
-
 def test_service_honors_non_default_acyclicity():
     """service=True spins a daemon with the experiment's encoding knob.
 

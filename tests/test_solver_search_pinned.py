@@ -9,9 +9,10 @@ per-variable solver; any change that alters the search fails here.
 Pigeonhole 8/7 learns more than 1,000 clauses, so it covers restarts and
 learned-clause database reduction (``removed > 0``); 7/6 stops short of
 the reduction threshold. The Andersen/D1 stream covers the enumerator's
-pattern: phase hints, blocking clauses and incremental re-solves. Its
-variable numbering follows the iteration order of string sets, so it
-runs in a subprocess with a fixed ``PYTHONHASHSEED``.
+pattern: phase hints, blocking clauses and incremental re-solves. It runs
+in subprocesses under two ``PYTHONHASHSEED`` values, and both must match
+the same pins: variable numbering and member order may not depend on the
+string-hash seed.
 """
 
 import json
@@ -52,20 +53,17 @@ ANDERSEN_SCRIPT = textwrap.dedent(
     import json
 
     from repro.core.enumerator import WhyProvenanceEnumerator
-    from repro.datalog.engine import evaluate
+    from repro.core.session import ProvenanceSession
     from repro.scenarios import get_scenario
 
     scenario = get_scenario("Andersen")
     query = scenario.query()
     database = scenario.database("D1").restrict(query.program.edb)
-    evaluation = evaluate(query.program, database)
-    answers = sorted(
-        fact.args for fact in evaluation.model.relation(query.answer_predicate)
-    )
+    session = ProvenanceSession(query, database)
     totals = {}
     rows = []
-    for tup in answers[:20]:
-        enumerator = WhyProvenanceEnumerator(query, database, tup, evaluation=evaluation)
+    for tup in session.answers()[:20]:
+        enumerator = WhyProvenanceEnumerator(query, database, tup, session=session)
         members = [sorted(map(str, member)) for member in enumerator.members(limit=20)]
         digest = hashlib.sha256(json.dumps(members).encode()).hexdigest()[:16]
         rows.append([list(tup), len(members), digest])
@@ -78,22 +76,22 @@ ANDERSEN_SCRIPT = textwrap.dedent(
 #: (answer tuple, members found at limit 20, sha256 prefix of the member
 #: list in enumeration order, each member a sorted list of fact texts).
 ANDERSEN_D1_ROWS = [
-    (("obj0", "obj0"), 20, "12d325bf553e0a95"),
-    (("obj0", "obj1"), 20, "12897af3f7d36247"),
-    (("obj0", "obj4"), 20, "362aeb2984b4b4d5"),
-    (("obj0", "obj5"), 20, "54ad0d9b75d588b1"),
-    (("obj1", "obj0"), 20, "f091b75271bc6592"),
-    (("obj1", "obj1"), 20, "fb1a9d6ee80444e5"),
-    (("obj1", "obj4"), 20, "3735e5b3d15c39fe"),
-    (("obj1", "obj5"), 20, "51e74c29b1559b90"),
-    (("obj4", "obj0"), 20, "f492eab52691f297"),
-    (("obj4", "obj1"), 20, "aae2842d1f252e36"),
-    (("obj4", "obj4"), 20, "a4cb1d6258d260d4"),
-    (("obj4", "obj5"), 20, "54578623a8124bb9"),
-    (("obj5", "obj0"), 20, "93b93aca30c7d05f"),
-    (("obj5", "obj1"), 20, "b5e29d99d0afd541"),
-    (("obj5", "obj4"), 20, "6cc4f4df1ad0556d"),
-    (("obj5", "obj5"), 20, "e54f5f49e34cb899"),
+    (("obj0", "obj0"), 20, "d1df165626af1ec4"),
+    (("obj0", "obj1"), 20, "deaf2ce27ba8a67c"),
+    (("obj0", "obj4"), 20, "8f832acc8ba7dd54"),
+    (("obj0", "obj5"), 20, "fef3109a09c0c3e6"),
+    (("obj1", "obj0"), 20, "b8136751cebd464e"),
+    (("obj1", "obj1"), 20, "6ba347bb0f148c3b"),
+    (("obj1", "obj4"), 20, "28fa9f34b8ca1027"),
+    (("obj1", "obj5"), 20, "110e86d8dc530a89"),
+    (("obj4", "obj0"), 20, "b5e9ac5a8871648a"),
+    (("obj4", "obj1"), 20, "2f34d72cbc01a476"),
+    (("obj4", "obj4"), 20, "9f9eeeaf0527cdf1"),
+    (("obj4", "obj5"), 20, "cb6de2a0b2d7c138"),
+    (("obj5", "obj0"), 20, "c973e9d5acf8c265"),
+    (("obj5", "obj1"), 20, "002291cf1656670a"),
+    (("obj5", "obj4"), 20, "cce27efbd51ec706"),
+    (("obj5", "obj5"), 20, "e25c9d0c0b6e5f47"),
     (("x0", "obj1"), 1, "b7d00c6a0b0230a6"),
     (("x0", "obj5"), 1, "c0ac0097ef4759c1"),
     (("x1", "obj1"), 1, "e3ab8875f44332cb"),
@@ -101,23 +99,24 @@ ANDERSEN_D1_ROWS = [
 ]
 
 ANDERSEN_D1_TOTALS = dict(
-    conflicts=2846, decisions=82102, propagations=491438,
-    restarts=7, learned=2828, removed=0,
+    conflicts=2841, decisions=81871, propagations=495700,
+    restarts=4, learned=2821, removed=0,
 )
 
 
 def test_andersen_d1_member_streams_are_pinned():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
-    result = subprocess.run(
-        [sys.executable, "-c", ANDERSEN_SCRIPT],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
-    rows = [(tuple(tup), count, digest) for tup, count, digest in report["rows"]]
-    assert rows == ANDERSEN_D1_ROWS
-    assert report["totals"] == ANDERSEN_D1_TOTALS
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+        result = subprocess.run(
+            [sys.executable, "-c", ANDERSEN_SCRIPT],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        rows = [(tuple(tup), count, digest) for tup, count, digest in report["rows"]]
+        assert rows == ANDERSEN_D1_ROWS, hash_seed
+        assert report["totals"] == ANDERSEN_D1_TOTALS, hash_seed
