@@ -132,7 +132,7 @@ def run_payload(run: DatabaseRun) -> Dict:
                 "closure_seconds": r.closure_seconds,
                 "formula_seconds": r.formula_seconds,
                 "build_seconds": r.build_seconds,
-                "members": r.members,
+                "members": len(r.members),
                 "exhausted": r.exhausted,
             }
             for r in run.tuple_runs

@@ -116,7 +116,7 @@ def _run_curves():
                     ),
                     "build_seconds": run.build_times(),
                     "mean_delay": (sum(delays) / len(delays)) if delays else None,
-                    "members": sum(r.members for r in run.tuple_runs),
+                    "members": sum(len(r.members) for r in run.tuple_runs),
                 }
             )
         curves[family] = rows

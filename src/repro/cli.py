@@ -813,12 +813,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="seed band LO:HI (half-open) or one seed N (default: 0:8)",
     )
-    from .scenarios.synthetic import FAMILIES as _families
-
     p_fuzz.add_argument(
         "--family",
         default="all",
-        help=f"workload family ({', '.join(_families)}) or 'all' (default)",
+        help="one workload family (an unknown name lists them) or 'all' (default)",
     )
     p_fuzz.add_argument(
         "--size", type=int, default=None, help="family size parameter (default: 16)"

@@ -34,7 +34,6 @@ from .decision import (
 )
 from .encoder import EncodingStats, WhyProvenanceEncoding, encode_why_provenance
 from .enumerator import (
-    EnumerationReport,
     MemberRecord,
     WhyProvenanceEnumerator,
     why_provenance_unambiguous,
@@ -72,7 +71,6 @@ __all__ = [
     "SessionStats",
     "SessionUpdate",
     "update_session",
-    "EnumerationReport",
     "FORewriting",
     "InducedCQ",
     "MemberRecord",

@@ -33,8 +33,7 @@ from ..datalog.engine import evaluate
 from ..datalog.program import DatalogQuery
 from ..provenance.enumerate import (
     _SupportSearch,
-    enumerate_why,
-    enumerate_why_minimal_depth,
+    _why_supports,
     enumerate_why_nonrecursive,
 )
 from ..provenance.grounding import FactNotDerivable, downward_closure
@@ -139,6 +138,9 @@ def decide_why(
        fixpoint oracle on the subset database — complete, exponential in
        the worst case (the problem is NP-hard, Theorem 3).
 
+    The subset database is evaluated once: its closure serves every SAT
+    attempt and the fixpoint oracle.
+
     With ``use_oracle_fallback=False`` the procedure is sound but may
     return ``False`` for exotic members that need more than *max_copies*
     nodes per fact in every witnessing compact proof DAG.
@@ -175,8 +177,7 @@ def decide_why(
             return True
     if not use_oracle_fallback:
         return False
-    family = enumerate_why(query, sub_db, tup)
-    return facts in family
+    return facts in _why_supports(closure, sub_db)
 
 
 def decide_why_nonrecursive(
@@ -218,7 +219,10 @@ def decide_why_minimal_depth(
     lives over ``D'``; if even the best tree over ``D'`` is deeper than
     the global minimum, membership fails. With a *session*, the budget
     comes from the session's cached ranks — the full-database evaluation
-    is not repeated per query.
+    is not repeated per query. The subset database is evaluated once,
+    with its trace: its ranks decide the depth check and its closure
+    feeds the depth-bounded search, which "depth <= budget" makes a
+    search for minimal-depth trees (none is shallower, Prop. 28).
     """
     check_over_schema(database, query.program.edb)
     facts = _validated_subset(database, subset)
@@ -228,29 +232,9 @@ def decide_why_minimal_depth(
         return False
     budget = evaluation.ranks[fact]
     sub_db = Database(facts)
-    sub_eval = evaluate(query.program, sub_db)
+    sub_eval = evaluate(query.program, sub_db, record_instances=True)
     if fact not in sub_eval.ranks or sub_eval.ranks[fact] > budget:
         return False
-    family = _bounded_depth_supports(query, sub_db, tup, budget)
-    return facts in family
-
-
-def _bounded_depth_supports(
-    query: DatalogQuery,
-    database: Database,
-    tup: Tuple,
-    budget: int,
-) -> FrozenSet[FrozenSet[Atom]]:
-    """Supports of proof trees with depth <= budget over *database*.
-
-    Depth ``budget`` equals the global minimum here, so "depth <= budget"
-    coincides with "minimal depth" for the root fact (every tree is at
-    least rank-deep, Prop. 28) — but only when ``rank`` w.r.t. this
-    database equals the budget, which the caller has checked.
-    """
-    fact = query.answer_atom(tup)
-    try:
-        closure = downward_closure(query.program, database, fact)
-    except FactNotDerivable:
-        return frozenset()
-    return _SupportSearch(database, closure.instances_by_head).within_depth(fact, budget)
+    closure = downward_closure(query.program, sub_db, fact, evaluation=sub_eval)
+    search = _SupportSearch(sub_db, closure.instances_by_head)
+    return facts in search.within_depth(fact, budget)

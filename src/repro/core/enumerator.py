@@ -16,8 +16,8 @@ The :class:`WhyProvenanceEnumerator` ties the whole pipeline together:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
@@ -35,24 +35,6 @@ class MemberRecord:
     support: FrozenSet[Atom]
     delay_seconds: float
     index: int
-
-
-@dataclass
-class EnumerationReport:
-    """Summary of a full enumeration run (one tuple)."""
-
-    tuple_value: Tuple
-    closure_seconds: float
-    formula_seconds: float
-    members: int
-    delays: List[float]
-    exhausted: bool
-    timed_out: bool
-
-    @property
-    def build_seconds(self) -> float:
-        """Closure plus formula construction — one bar of Figure 1."""
-        return self.closure_seconds + self.formula_seconds
 
 
 class WhyProvenanceEnumerator:
@@ -170,29 +152,6 @@ class WhyProvenanceEnumerator:
     ) -> List[FrozenSet[Atom]]:
         """Materialize the member supports as a list."""
         return [rec.support for rec in self.enumerate(limit=limit, timeout_seconds=timeout_seconds)]
-
-    def run(
-        self,
-        limit: Optional[int] = None,
-        timeout_seconds: Optional[float] = None,
-    ) -> EnumerationReport:
-        """Enumerate and summarize (the per-tuple unit of the experiments)."""
-        delays: List[float] = []
-        start = time.perf_counter()
-        timed_out = False
-        for record in self.enumerate(limit=limit, timeout_seconds=timeout_seconds):
-            delays.append(record.delay_seconds)
-        if timeout_seconds is not None and time.perf_counter() - start > timeout_seconds:
-            timed_out = not self._exhausted
-        return EnumerationReport(
-            tuple_value=self.tup,
-            closure_seconds=self.closure_seconds,
-            formula_seconds=self.formula_seconds,
-            members=len(delays),
-            delays=delays,
-            exhausted=self._exhausted,
-            timed_out=timed_out,
-        )
 
 
 def why_provenance_unambiguous(

@@ -98,13 +98,17 @@ def default_worker_count() -> int:
 class FactResult:
     """The outcome of explaining one target tuple of a batch.
 
-    Mirrors one :class:`~repro.harness.runner.TupleRun` cell plus batch
-    bookkeeping: the batch ``index`` (results are re-ordered on it), the
-    wall-clock ``seconds`` the fact took end to end in its process, and an
-    ``error`` string for tuples that could not be served (arity mismatch).
-    A derivable tuple has ``is_answer=True`` and its members of
-    ``whyUN(t, D, Q)`` in solver discovery order; a non-answer has
-    ``is_answer=False`` and no members.
+    The per-tuple record of every experiment: the build times of Figures
+    1/3 (``closure_seconds``, ``formula_seconds``), the member delays of
+    Figures 2/4 and whether enumeration ``exhausted`` the members, as
+    :func:`~repro.harness.runner.run_database` collects them in
+    :attr:`~repro.harness.runner.DatabaseRun.tuple_runs`. Batch
+    bookkeeping rides along: the batch ``index`` (results are re-ordered
+    on it), the wall-clock ``seconds`` the fact took end to end in its
+    process, and an ``error`` string for tuples that could not be served
+    (arity mismatch). A derivable tuple has ``is_answer=True`` and its
+    members of ``whyUN(t, D, Q)`` in solver discovery order; a non-answer
+    has ``is_answer=False`` and no members.
     """
 
     index: int

@@ -5,10 +5,8 @@ from .runner import (
     DEFAULT_TIMEOUT_SECONDS,
     DEFAULT_TUPLES_PER_DATABASE,
     DatabaseRun,
-    TupleRun,
     run_database,
     run_scenario,
-    run_tuple,
     sample_answer_tuples,
 )
 from .stats import BoxStats, box_stats, mean, quantile
@@ -26,7 +24,6 @@ __all__ = [
     "DEFAULT_TIMEOUT_SECONDS",
     "DEFAULT_TUPLES_PER_DATABASE",
     "DatabaseRun",
-    "TupleRun",
     "box_stats",
     "figure_build_times",
     "figure_comparison",
@@ -36,7 +33,6 @@ __all__ = [
     "render_table",
     "run_database",
     "run_scenario",
-    "run_tuple",
     "sample_answer_tuples",
     "table1",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from ..scenarios.base import Scenario
-from .runner import DatabaseRun, TupleRun
+from .runner import DatabaseRun
 from .stats import box_stats
 
 

@@ -17,14 +17,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
-from ..datalog.engine import evaluate
+from ..datalog.engine import EvaluationResult, evaluate
 from ..datalog.program import DatalogQuery, Program
-from .grounding import (
-    DownwardClosure,
-    FactNotDerivable,
-    downward_closure,
-    min_dag_depth,
-)
+from .grounding import DownwardClosure, FactNotDerivable, downward_closure
 from .proof_dag import CompressedDAG
 
 SupportFamily = FrozenSet[FrozenSet[Atom]]
@@ -38,10 +33,11 @@ def _closure_or_empty(
     query: DatalogQuery,
     database: Database,
     tup: Tuple,
+    evaluation: Optional[EvaluationResult] = None,
 ) -> Optional[DownwardClosure]:
     fact = query.answer_atom(tup)
     try:
-        return downward_closure(query.program, database, fact)
+        return downward_closure(query.program, database, fact, evaluation=evaluation)
     except FactNotDerivable:
         return None
 
@@ -64,6 +60,15 @@ def enumerate_why(
     closure = _closure_or_empty(query, database, tup)
     if closure is None:
         return frozenset()
+    return _why_supports(closure, database, max_supports_per_fact)
+
+
+def _why_supports(
+    closure: DownwardClosure,
+    database: Database,
+    max_supports_per_fact: int = 100_000,
+) -> SupportFamily:
+    """The fixpoint of :func:`enumerate_why` over an already built *closure*."""
     supports: Dict[Atom, Set[FrozenSet[Atom]]] = {}
     for fact in closure.nodes:
         supports[fact] = {frozenset((fact,))} if fact in database else set()
@@ -248,15 +253,15 @@ def enumerate_why_minimal_depth(
     A proof tree of ``alpha`` has depth at least ``rank(alpha)`` (Prop. 28),
     so trees with depth budget ``rank(root)`` are exactly the minimal-depth
     trees; supports are collected by depth-bounded recursion (no cycles can
-    occur because the budget strictly decreases).
+    occur because the budget strictly decreases). The ranks come from the
+    evaluation the closure is restricted from.
     """
-    closure = _closure_or_empty(query, database, tup)
+    evaluation = evaluate(query.program, database, record_instances=True)
+    closure = _closure_or_empty(query, database, tup, evaluation)
     if closure is None:
         return frozenset()
-    evaluation = evaluate(query.program, database)
-    budget = evaluation.ranks[closure.root]
     search = _SupportSearch(database, closure.instances_by_head, max_supports)
-    return search.within_depth(closure.root, budget)
+    return search.within_depth(closure.root, evaluation.ranks[closure.root])
 
 
 def why_families(

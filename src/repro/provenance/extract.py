@@ -72,19 +72,24 @@ def extract_tree_with_support(
     database: Database,
     tup: Tuple,
     support,
+    session=None,
 ) -> Optional[ProofTree]:
     """An unambiguous proof tree of ``R(t)`` with exactly *support*.
 
     Returns ``None`` when *support* is not a member of ``whyUN``. The tree
     is obtained by solving ``phi(t, D, Q)`` under exact-support
-    assumptions and unravelling the model's compressed DAG.
+    assumptions and unravelling the model's compressed DAG. The formula
+    comes from the *session*'s cache (a session is built for this call
+    when none is given); each call solves on a fresh solver, so the tree
+    depends only on the formula and *support*, not on earlier calls.
     """
-    from ..core.encoder import encode_why_provenance
+    from ..core.session import ProvenanceSession
     from ..sat.solver import CDCLSolver
 
-    try:
-        encoding = encode_why_provenance(query, database, tup)
-    except FactNotDerivable:
+    if session is None:
+        session = ProvenanceSession(query, database)
+    encoding = session.encoding_or_none(tup)
+    if encoding is None:
         return None
     assumptions = encoding.membership_assumptions(frozenset(support))
     if assumptions is None:
@@ -104,14 +109,22 @@ def enumerate_witness_trees(
     limit: Optional[int] = None,
     timeout_seconds: Optional[float] = None,
 ) -> Iterator[ProofTree]:
-    """Stream one unambiguous proof tree per member of ``whyUN(t, D, Q)``."""
-    from ..core.enumerator import WhyProvenanceEnumerator
+    """Stream one unambiguous proof tree per member of ``whyUN(t, D, Q)``.
 
+    The enumerator and every tree extraction share one session, so the
+    database is evaluated and the formula built once for all trees.
+    """
+    from ..core.enumerator import WhyProvenanceEnumerator
+    from ..core.session import ProvenanceSession
+
+    session = ProvenanceSession(query, database)
     try:
-        enumerator = WhyProvenanceEnumerator(query, database, tup)
+        enumerator = WhyProvenanceEnumerator(query, database, tup, session=session)
     except FactNotDerivable:
         return
     for record in enumerator.enumerate(limit=limit, timeout_seconds=timeout_seconds):
-        tree = extract_tree_with_support(query, database, tup, record.support)
+        tree = extract_tree_with_support(
+            query, database, tup, record.support, session=session
+        )
         if tree is not None:
             yield tree

@@ -11,9 +11,10 @@ Thread use: a client holds one connection and serializes calls on it
 client *per thread* — connections are cheap, and the daemon's
 per-session locks do the real coordination server-side.
 
-:func:`local_service` is the one-liner for tests, the harness round-trip
-and the benchmarks: spin a real daemon on an ephemeral localhost port in
-a background thread, yield a connected client, tear everything down::
+:func:`local_service` is the one-liner for tests, the differential
+oracle and the benchmarks: spin a real daemon on an ephemeral localhost
+port in a background thread, yield a connected client, tear everything
+down::
 
     with local_service() as client:
         opened = client.open(program_text, database_text, "tc")
@@ -161,19 +162,9 @@ class ServiceClient:
             "open", program=program_text, database=database_text, answer=answer
         )
 
-    def answers(
-        self,
-        session: str,
-        sample: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> Dict:
-        """The sorted answer tuples of ``Q(D)``.
-
-        With ``sample``, the daemon applies the harness's seeded
-        sampling kernel server-side and ships only that many tuples
-        (the full count still comes back as ``result["total"]``).
-        """
-        return self.call("answers", session=session, sample=sample, seed=seed)
+    def answers(self, session: str) -> Dict:
+        """The sorted answer tuples of ``Q(D)``."""
+        return self.call("answers", session=session)
 
     def why(
         self,
@@ -308,7 +299,8 @@ def local_service(
     background thread, yields a connected :class:`ServiceClient`, and
     tears the whole stack down on exit. Every request genuinely crosses
     the TCP wire — this is the fixture behind the byte-identity tests,
-    ``run_database(service=True)`` and the throughput benchmark.
+    the differential oracle's ``service`` and ``restart`` paths and the
+    throughput benchmark.
 
     ``state_dir`` attaches a durable store
     (:class:`~repro.service.store.SnapshotStore`) to a default registry,

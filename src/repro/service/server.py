@@ -103,7 +103,6 @@ def _preload_handler_modules() -> None:
     from ..core import incremental  # noqa: F401
     from ..core import minimal  # noqa: F401
     from ..core import parallel  # noqa: F401
-    from ..harness import runner  # noqa: F401
 
 
 def _answer_count(session) -> int:
@@ -313,29 +312,21 @@ class ProvenanceService(Dispatcher):
         )
 
     def _op_answers(self, request: Dict) -> Dict:
-        entry, _ = self._entry_for(request)
-        sample = _optional_number(request, "sample")
-        seed = _optional_number(request, "seed")
-        with entry.lock:
-            answers = entry.session.answers()
-            total = len(answers)
-            if sample is not None:
-                # Server-side sampling with the harness's own seeded
-                # kernel: experiments get their handful of tuples
-                # without shipping the whole answer relation.
-                from ..harness.runner import sample_from_answers
-
-                answers = sample_from_answers(
-                    answers,
-                    count=int(sample),
-                    seed=7 if seed is None else int(seed),
+        for name in ("sample", "seed"):
+            # The list is never sampled: a request asking for a sample
+            # gets an error, not the full list it would take for one.
+            if name in request:
+                raise ServiceError(
+                    "bad-request", f"'answers' takes no {name!r} field"
                 )
-            payload = [list(tup) for tup in answers]
+        entry, _ = self._entry_for(request)
+        with entry.lock:
+            payload = [list(tup) for tup in entry.session.answers()]
             version = entry.session.version
         return ok_response(
             request.get("id"),
             "answers",
-            {"answers": payload, "total": total},
+            {"answers": payload, "total": len(payload)},
             session=entry.digest,
             version=version,
         )
@@ -675,8 +666,8 @@ class TCPServiceServer(socketserver.ThreadingTCPServer):
     sharded daemon's :class:`~repro.service.shard.ShardRouter`. Bind to
     port ``0`` for an ephemeral port (read it back from :attr:`port` —
     the CLI prints it on stderr). ``serve_in_thread`` starts the accept
-    loop on a daemon thread and returns it, the shape the tests, the
-    harness round-trip, and :func:`local_service` use.
+    loop on a daemon thread and returns it, the shape the tests and
+    :func:`local_service` use.
     """
 
     allow_reuse_address = True

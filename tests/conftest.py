@@ -15,3 +15,25 @@ def _thawed_heap():
     """
     yield
     gc.unfreeze()
+
+
+@pytest.fixture
+def evaluated_databases(monkeypatch):
+    """The databases evaluated while the test runs, one fact set per evaluation.
+
+    Counts every least-model computation that goes through
+    :func:`repro.datalog.engine.evaluate`, whichever module calls it and
+    under either engine or method.
+    """
+    from repro.datalog import engine
+
+    seen = []
+    for name in ("evaluate_seminaive_compiled", "_evaluate_seminaive", "_evaluate_naive"):
+        real = getattr(engine, name)
+
+        def counting(program, database, *args, _real=real, **kwargs):
+            seen.append(frozenset(database))
+            return _real(program, database, *args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counting)
+    return seen

@@ -19,6 +19,8 @@ from repro.core.decision import (
     decide_why_unambiguous,
 )
 from repro.core.enumerator import WhyProvenanceEnumerator, why_provenance_unambiguous
+from repro.core.parallel import explain_fact
+from repro.core.session import ProvenanceSession
 
 PROGRAM = parse_program(
     """
@@ -71,12 +73,10 @@ class TestEnumerator:
         assert len(enumerator.members(limit=1)) == 1
 
     def test_run_report(self):
-        enumerator = WhyProvenanceEnumerator(QUERY, DB4, ("d",))
-        report = enumerator.run()
-        assert report.members == 2
+        report = explain_fact(ProvenanceSession(QUERY, DB4), ("d",))
+        assert len(report.members) == 2
         assert len(report.delays) == 2
         assert report.exhausted
-        assert not report.timed_out
         assert report.build_seconds == report.closure_seconds + report.formula_seconds
 
     def test_non_answer_tuple(self):
@@ -149,6 +149,27 @@ class TestDecideMembershipFrontend:
     def test_subset_validation(self):
         with pytest.raises(ValueError):
             decide_why(QUERY, DB1, ("d",), parse_database("s(zzz)."))
+
+
+class TestSubsetDecisionEvaluatesOnce:
+    """A subset decision evaluates its subset database once, with the trace."""
+
+    SMALL_TC_DB = Database(parse_database("e(a, b). e(b, c). e(a, c)."))
+
+    @pytest.mark.parametrize("tree_class", ["arbitrary", "minimal-depth"])
+    def test_one_evaluation_per_decide(self, tree_class, evaluated_databases):
+        session = ProvenanceSession(TC_QUERY, self.SMALL_TC_DB)
+        session.evaluation  # the full database, evaluated before counting
+        subset = self.SMALL_TC_DB.facts()
+        evaluated_databases.clear()
+        # Not a member: no single tree has all three edges as leaves.
+        assert not session.decide(("a", "c"), subset, tree_class)
+        assert evaluated_databases == [frozenset(subset)]
+        evaluated_databases.clear()
+        # A member: the subset still costs exactly one evaluation.
+        member = frozenset(parse_database("e(a, c)."))
+        assert session.decide(("a", "c"), member, tree_class)
+        assert evaluated_databases == [member]
 
 
 class TestMinimalDepthUsesFullDatabase:

@@ -12,8 +12,10 @@ from repro.provenance.extract import (
     extract_minimal_depth_tree,
     extract_tree_with_support,
 )
+from repro.core.session import ProvenanceSession
 from repro.provenance.grounding import FactNotDerivable
 from repro.provenance.proof_tree import is_minimal_depth
+from repro.scenarios import get_scenario
 
 PROGRAM = parse_program(
     """
@@ -105,3 +107,19 @@ class TestWitnessStream:
 
     def test_non_answer_streams_nothing(self):
         assert list(enumerate_witness_trees(QUERY, DB1, ("zzz",))) == []
+
+
+class TestWitnessTreesShareOneSession:
+    def test_trees_cost_one_evaluation(self, evaluated_databases):
+        scenario = get_scenario("Andersen")
+        query = scenario.query()
+        database = scenario.database("D1").restrict(query.program.edb)
+        tup = ProvenanceSession(query, database).answers()[0]
+        evaluated_databases.clear()
+        trees = list(enumerate_witness_trees(query, database, tup, limit=5))
+        assert len(trees) == 5
+        assert len(evaluated_databases) == 1
+        # Sharing the enumerator's session changes no tree.
+        for tree in trees:
+            alone = extract_tree_with_support(query, database, tup, tree.support())
+            assert alone.pretty() == tree.pretty()

@@ -2,16 +2,12 @@
 
 import pytest
 
+from repro.core.parallel import explain_fact
+from repro.core.session import ProvenanceSession
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_database, parse_program
 from repro.datalog.program import DatalogQuery
-from repro.harness.runner import (
-    DatabaseRun,
-    TupleRun,
-    run_database,
-    run_tuple,
-    sample_answer_tuples,
-)
+from repro.harness.runner import DatabaseRun, run_database, sample_answer_tuples
 from repro.harness.stats import BoxStats, box_stats, mean, quantile
 from repro.harness.tables import (
     figure_build_times,
@@ -30,6 +26,11 @@ TC = parse_program(
 )
 TC_QUERY = DatalogQuery(TC, "tc")
 TC_DB = Database(parse_database("e(a, b). e(b, c). e(c, d). e(a, c)."))
+
+
+def tc_record(limit):
+    """The per-tuple record of ``tc(a, c)`` (what ``run_database`` keeps)."""
+    return explain_fact(ProvenanceSession(TC_QUERY, TC_DB), ("a", "c"), limit=limit)
 
 
 class TestStats:
@@ -86,13 +87,13 @@ class TestSampling:
 
 
 class TestRunner:
-    def test_run_tuple_records_everything(self):
-        run = run_tuple(TC_QUERY, TC_DB, ("a", "c"), member_limit=10)
-        assert run.members == 2  # direct edge or two-hop path
+    def test_tuple_record_holds_everything(self):
+        run = tc_record(limit=10)
+        assert len(run.members) == 2  # direct edge or two-hop path
         assert len(run.delays) == 2
         assert run.exhausted
         assert run.build_seconds >= 0
-        assert run.delay_box() is not None
+        assert box_stats(run.delays).count == 2
 
     def test_run_database_smallest_scenario(self):
         scenario = get_scenario("Doctors-2")
@@ -102,37 +103,12 @@ class TestRunner:
         assert run.scenario == "Doctors-2"
         assert len(run.tuple_runs) == 2
         assert run.fact_count > 0
-        assert all(r.members >= 1 for r in run.tuple_runs)
+        assert all(len(r.members) >= 1 for r in run.tuple_runs)
 
     def test_member_limit(self):
-        run = run_tuple(TC_QUERY, TC_DB, ("a", "c"), member_limit=1)
-        assert run.members == 1
+        run = tc_record(limit=1)
+        assert len(run.members) == 1
         assert not run.exhausted
-
-    def test_run_database_with_deltas_reserves_after_updates(self):
-        from repro.datalog.atoms import Atom
-        from repro.datalog.database import Delta
-
-        scenario = get_scenario("TransClosure")
-        database = scenario.database("bitcoin")
-        some_edge = sorted(database.facts(), key=str)[0]
-        deltas = [
-            Delta.delete(some_edge),
-            Delta.insert(Atom("e", ("tnew", "tnew2"))),
-        ]
-        run = run_database(
-            scenario, "bitcoin", tuples_per_database=2, member_limit=3,
-            timeout_seconds=5, deltas=deltas,
-        )
-        assert len(run.update_runs) == 2
-        assert [u.database for u in run.update_runs] == [
-            "bitcoin+u1", "bitcoin+u2",
-        ]
-        for update_run in run.update_runs:
-            assert update_run.tuple_runs  # re-sampled and re-served
-            assert all(r.members >= 1 for r in update_run.tuple_runs)
-        # The second update's fact count reflects both deltas.
-        assert run.update_runs[1].fact_count == run.fact_count
 
 
 class TestTables:
@@ -150,13 +126,13 @@ class TestTables:
         assert "non-linear, recursive" in text
 
     def test_figure_build_times(self):
-        run = run_tuple(TC_QUERY, TC_DB, ("a", "c"), member_limit=5)
+        run = tc_record(limit=5)
         db_run = DatabaseRun("TC", "toy", len(TC_DB), [run])
         text = figure_build_times([db_run], "Figure X")
         assert "Closure (s)" in text and "toy" in text
 
     def test_figure_delays(self):
-        run = run_tuple(TC_QUERY, TC_DB, ("a", "c"), member_limit=5)
+        run = tc_record(limit=5)
         db_run = DatabaseRun("TC", "toy", len(TC_DB), [run])
         text = figure_delays([db_run], "Figure Y")
         assert "Median (ms)" in text

@@ -15,9 +15,10 @@ from repro import (
     parse_program,
     why_provenance_unambiguous,
 )
+from repro.core.parallel import explain_fact
 from repro.core.session import ProvenanceSession
 from repro.datalog.engine import evaluate
-from repro.harness.runner import run_tuple, sample_answer_tuples
+from repro.harness.runner import sample_answer_tuples
 from repro.scenarios import get_scenario
 
 
@@ -77,15 +78,8 @@ class TestScenarioPipelines:
             query, db, count=1, seed=3, evaluation=session.evaluation
         )
         assert tuples, "scenario produced no answers"
-        run = run_tuple(
-            query,
-            db,
-            tuples[0],
-            member_limit=5,
-            timeout_seconds=20,
-            session=session,
-        )
-        assert run.members >= 1
+        run = explain_fact(session, tuples[0], limit=5, timeout_seconds=20)
+        assert len(run.members) >= 1
         # Every enumerated member must be a verified unambiguous witness.
         enumerator = WhyProvenanceEnumerator(query, db, tuples[0], session=session)
         for record in enumerator.enumerate(limit=3, timeout_seconds=20):

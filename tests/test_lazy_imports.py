@@ -3,10 +3,10 @@
 ``python -m repro serve`` imports the CLI, builds its parser and
 constructs a :class:`~repro.service.server.ProvenanceService` before it
 listens. None of that, nor an ``open`` and a ``why``, may load the
-baselines, the semirings or ``multiprocessing``: the package's exports
-resolve on first access, the offline commands import their dependencies
-when they run, and the batch pool imports ``multiprocessing`` where it
-forks. Each check runs in a fresh interpreter, since this test process
+baselines, the semirings, the experiment harness, the scenarios or
+``multiprocessing``: the package's exports resolve on first access, the
+offline commands import their dependencies when they run, and the batch
+pool imports ``multiprocessing`` where it forks. Each check runs in a fresh interpreter, since this test process
 has long since loaded everything.
 """
 
@@ -39,7 +39,13 @@ def test_daemon_start_and_serving_load_no_offline_package():
 
         import repro.cli, repro.service.server, repro.service.registry, repro.service.store
 
-        OFFLINE = ("repro.baselines", "repro.semiring", "multiprocessing")
+        OFFLINE = (
+            "repro.baselines",
+            "repro.semiring",
+            "multiprocessing",
+            "repro.harness",
+            "repro.scenarios",
+        )
 
         def loaded():
             return [name for name in OFFLINE if name in sys.modules]

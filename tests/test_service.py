@@ -428,6 +428,19 @@ class TestDispatcher:
         response = self.service.handle_request({"op": "batch", "session": digest})
         assert response["error"]["code"] == "bad-request"
 
+    @pytest.mark.parametrize("field", ["sample", "seed"])
+    def test_answers_refuses_sampling_fields(self, field):
+        digest = self.open_session()
+        response = self.service.handle_request(
+            {"op": "answers", "session": digest, field: 1}
+        )
+        assert response["error"]["code"] == "bad-request"
+        full = self.service.handle_request({"op": "answers", "session": digest})
+        assert full["result"]["answers"] == [
+            list(tup) for tup in make_session().answers()
+        ]
+        assert full["result"]["total"] == 3
+
     def test_update_bumps_version_and_stamps_responses(self):
         digest = self.open_session()
         before = self.service.handle_request(

@@ -1,12 +1,17 @@
-"""Harness round-trips through the service daemon: byte-identical output.
+"""Table-1 scenarios through the daemon: byte-identical to in-process.
 
-The acceptance contract of the serving layer: routing an experiment
-through a real local daemon (`run_database(service=...)` — admission,
-sampling, batch, delta replay, all over TCP) produces *exactly* the
-in-process results — same sampled tuples, same witnesses in the same
-order, same exhaustion flags — over TransClosure and Andersen, including
-after update sequences.
+The acceptance contract of the serving layer, checked on two scenarios
+of the paper's Table 1 (TransClosure/bitcoin and Andersen/D1) by the
+differential oracle (:func:`repro.testing.oracle.run_oracle`): a real
+local daemon and the sharded one return the answers of an in-process
+session and, for a seeded sample of answer tuples, the same witnesses in
+the same order, before and after an insert-then-delete update pair. The
+oracle reaches each later database state through wire ``update``
+requests on the daemon and through :meth:`ProvenanceSession.update` in
+process, and compares one canonical text per state byte for byte.
 """
+
+import functools
 
 import pytest
 
@@ -14,27 +19,20 @@ from repro.core.session import ProvenanceSession
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Delta
 from repro.datalog.io import database_to_text, program_to_text
-from repro.harness.runner import run_database
+from repro.harness.runner import sample_from_answers
 from repro.scenarios import get_scenario
+from repro.scenarios.synthetic import SyntheticInstance
 from repro.service.client import local_service
 from repro.service.protocol import render_members
+from repro.testing.oracle import OracleConfig, OracleReport, run_oracle
 
-#: Small budgets: the contract is identity, not scale.
-BUDGET = dict(tuples_per_database=3, member_limit=8, timeout_seconds=10.0)
+#: Small budgets: the contract is identity, not scale. No wall clock: a
+#: timeout could stop two paths at different members depending on host
+#: speed; the member limit alone bounds them.
+LIMIT = 8
+TUPLES = 3
 
-
-def strip_timings(run):
-    """A DatabaseRun as comparable data (timings excluded, counts kept)."""
-    return {
-        "scenario": run.scenario,
-        "database": run.database,
-        "fact_count": run.fact_count,
-        "tuples": [
-            (r.tuple_value, r.members, r.exhausted, len(r.delays))
-            for r in run.tuple_runs
-        ],
-        "updates": [strip_timings(u) for u in run.update_runs],
-    }
+CASES = [("TransClosure", "bitcoin"), ("Andersen", "D1")]
 
 
 def deltas_for(scenario_name: str):
@@ -47,61 +45,79 @@ def deltas_for(scenario_name: str):
     return [Delta.insert(fact), Delta.delete(fact)]
 
 
-CASES = [("TransClosure", "bitcoin"), ("Andersen", "D1")]
+def scenario_instance(
+    scenario_name: str, database_name: str, updates: bool = True
+) -> SyntheticInstance:
+    """A scenario database (plus, with *updates*, its delta pair) as oracle input."""
+    scenario = get_scenario(scenario_name)
+    query = scenario.query()
+    database = scenario.database(database_name).restrict(query.program.edb)
+    return SyntheticInstance(
+        family=scenario_name,
+        size=0,
+        seed=0,
+        query=query,
+        database=database,
+        deltas=tuple(deltas_for(scenario_name)) if updates else (),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def table1_report(scenario_name: str, database_name: str) -> OracleReport:
+    """One oracle run per scenario database, shared by the four tests below.
+
+    States: 0 is the scenario database, 1 and 2 follow the insert and
+    the delete. ``incremental`` (one in-process session maintained
+    across the deltas) is the reference.
+    """
+    return run_oracle(
+        scenario_instance(scenario_name, database_name),
+        OracleConfig(
+            paths=("incremental", "service", "sharded"),
+            limit=LIMIT,
+            tuples_per_state=TUPLES,
+        ),
+    )
+
+
+def assert_agrees_in_process(report: OracleReport, path: str, states) -> None:
+    """*path* observed the in-process texts at each of *states*."""
+    reference = report.observations["incremental"]
+    observed = report.observations[path]
+    assert len(observed) == len(reference) == 3
+    for state in states:
+        assert observed[state] == reference[state], f"{path} diverges at state {state}"
 
 
 @pytest.mark.parametrize("scenario_name,database_name", CASES)
 def test_service_round_trip_matches_in_process(scenario_name, database_name):
-    scenario = get_scenario(scenario_name)
-    local = run_database(scenario, database_name, **BUDGET)
-    via_service = run_database(scenario, database_name, service=True, **BUDGET)
-    assert strip_timings(via_service) == strip_timings(local)
+    report = table1_report(scenario_name, database_name)
+    assert_agrees_in_process(report, "service", [0])
 
 
 @pytest.mark.parametrize("scenario_name,database_name", CASES)
 def test_service_round_trip_matches_after_updates(scenario_name, database_name):
-    scenario = get_scenario(scenario_name)
-    deltas = deltas_for(scenario_name)
-    local = run_database(scenario, database_name, deltas=deltas, **BUDGET)
-    via_service = run_database(
-        scenario, database_name, deltas=deltas, service=True, **BUDGET
-    )
-    assert strip_timings(via_service) == strip_timings(local)
-    assert len(via_service.update_runs) == len(deltas)
+    report = table1_report(scenario_name, database_name)
+    assert_agrees_in_process(report, "service", [1, 2])
 
 
 @pytest.mark.parametrize("scenario_name,database_name", CASES)
 def test_sharded_service_round_trip_matches_in_process(
     scenario_name, database_name
 ):
-    """ISSUE 8 acceptance: the --workers 4 daemon is byte-identical too.
+    """The multi-process daemon (``serve --workers 2``) is byte-identical too.
 
-    Same harness run, but every request crosses the shard router and a
-    consistent-hash hop to one of four real worker processes.
+    Every request crosses the shard router and a consistent-hash hop to
+    one of two real worker processes.
     """
-    scenario = get_scenario(scenario_name)
-    local = run_database(scenario, database_name, **BUDGET)
-    via_shards = run_database(
-        scenario, database_name, service=True, shards=4, **BUDGET
-    )
-    assert strip_timings(via_shards) == strip_timings(local)
+    report = table1_report(scenario_name, database_name)
+    assert_agrees_in_process(report, "sharded", [0])
 
 
 def test_sharded_service_round_trip_matches_after_updates():
-    scenario = get_scenario("TransClosure")
-    deltas = deltas_for("TransClosure")
-    local = run_database(scenario, "bitcoin", deltas=deltas, **BUDGET)
-    via_shards = run_database(
-        scenario, "bitcoin", deltas=deltas, service=True, shards=4, **BUDGET
-    )
-    assert strip_timings(via_shards) == strip_timings(local)
-    assert len(via_shards.update_runs) == len(deltas)
-
-
-def test_shards_refused_without_service():
-    scenario = get_scenario("TransClosure")
-    with pytest.raises(ValueError, match="shard"):
-        run_database(scenario, "bitcoin", shards=2, **BUDGET)
+    for scenario_name, database_name in CASES:
+        report = table1_report(scenario_name, database_name)
+        assert_agrees_in_process(report, "sharded", [1, 2])
 
 
 @pytest.mark.parametrize("scenario_name,database_name", CASES)
@@ -138,49 +154,37 @@ def test_witnesses_byte_identical_across_update_sequence(
 
 
 def test_service_with_batch_workers_still_identical():
-    """The daemon's parallel snapshot path returns the serial answer."""
-    scenario = get_scenario("TransClosure")
-    local = run_database(scenario, "bitcoin", **BUDGET)
+    """The daemon's forked batch pool returns the serial in-process answer."""
+    instance = scenario_instance("TransClosure", "bitcoin")
+    session = ProvenanceSession(instance.query, instance.database)
+    tuples = sample_from_answers(session.answers(), count=TUPLES, seed=7)
     with local_service(batch_workers=2, parallel_threshold=2) as client:
-        via_service = run_database(
-            scenario, "bitcoin", service=client, workers=2, **BUDGET
-        )
-    assert strip_timings(via_service) == strip_timings(local)
-
-
-def test_shared_daemon_drifted_session_refused():
-    """A second deltas= run against a shared daemon must refuse, not
-    silently serve the first run's post-delta database as the base."""
-    scenario = get_scenario("TransClosure")
-    deltas = deltas_for("TransClosure")[:1]  # leave the session drifted
-    with local_service() as client:
-        run_database(scenario, "bitcoin", deltas=deltas, service=client, **BUDGET)
-        with pytest.raises(ValueError, match="drifted"):
-            run_database(scenario, "bitcoin", service=client, **BUDGET)
+        digest = client.open(
+            instance.program_text(),
+            instance.database_text(),
+            instance.query.answer_predicate,
+        )["session"]
+        batch = client.batch(digest, tuples=tuples, limit=LIMIT)["result"]
+    assert batch["parallel"], batch["fallback_reason"]
+    assert [entry["members"] for entry in batch["results"]] == [
+        render_members(session.why(tup, limit=LIMIT)) for tup in tuples
+    ]
 
 
 def test_service_honors_non_default_acyclicity():
-    """service=True spins a daemon with the experiment's encoding knob.
+    """A daemon built with the transitive-closure encoding serves its members.
 
     Andersen/D1 keeps this cheap (about a second per side): two of its
     sampled tuples exhaust at one member and one reaches the member
     limit.
     """
-    scenario = get_scenario("Andersen")
-    # No wall clock: a timeout could stop the two sides at different
-    # members depending on host speed; the member limit alone bounds them.
-    kwargs = dict(BUDGET, acyclicity="transitive-closure", timeout_seconds=None)
-    local = run_database(scenario, "D1", **kwargs)
-    via_service = run_database(scenario, "D1", service=True, **kwargs)
-    assert strip_timings(via_service) == strip_timings(local)
-
-
-def test_shared_daemon_acyclicity_mismatch_refused():
-    """A shared daemon with a different encoding must refuse, not mislabel."""
-    scenario = get_scenario("TransClosure")
-    with local_service() as client:  # daemon default: vertex-elimination
-        with pytest.raises(ValueError, match="acyclicity"):
-            run_database(
-                scenario, "bitcoin", service=client,
-                acyclicity="transitive-closure", **BUDGET,
-            )
+    report = run_oracle(
+        scenario_instance("Andersen", "D1", updates=False),
+        OracleConfig(
+            paths=("cold", "service"),
+            limit=LIMIT,
+            tuples_per_state=TUPLES,
+            acyclicity="transitive-closure",
+        ),
+    )
+    assert report.ok, [d.describe() for d in report.divergences]
