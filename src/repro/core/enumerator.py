@@ -11,6 +11,13 @@ The :class:`WhyProvenanceEnumerator` ties the whole pipeline together:
    database facts of the closure, yielding one member of
    ``whyUN(t, D, Q)`` per model together with its *delay* — the time
    between consecutive members (the paper's Figure 2).
+
+Each model is blocked with :meth:`~repro.sat.solver.CDCLSolver.block_model`,
+which backjumps to the level where the blocking clause asserts, so the
+next solve resumes from that trail instead of restarting. The set an
+exhaustive enumeration yields does not depend on how models are blocked;
+the order, and with it which members a limit or a timeout keeps, is a
+deterministic function of the encoding.
 """
 
 from __future__ import annotations
@@ -139,7 +146,7 @@ class WhyProvenanceEnumerator:
             (-var if model[var] else var)
             for var in self.encoding.database_fact_vars.values()
         ]
-        if not blocking or not self._solver.add_clause(blocking):
+        if not blocking or not self._solver.block_model(blocking):
             self._exhausted = True
         return record
 

@@ -183,7 +183,7 @@ def explain_fact(
 
     Both the serial path and every pool worker run exactly this function,
     which is what makes parallel output provably comparable to serial
-    output. Invalid tuples (arity mismatch) are reported in
+    output; the daemon's ``why`` op serves through it too. Invalid tuples (arity mismatch) are reported in
     :attr:`FactResult.error` instead of aborting the batch.
     """
     from .enumerator import WhyProvenanceEnumerator
@@ -219,6 +219,7 @@ def explain_fact(
             exhausted=True,
             seconds=time.perf_counter() - started,
         )
+    session.stats.sat_solver_builds += 1
     records = list(
         enumerator.enumerate(limit=limit, timeout_seconds=timeout_seconds)
     )

@@ -4,7 +4,9 @@ The paper enumerates the members of the why-provenance by repeatedly asking
 the SAT solver for a model, projecting it onto the variables that matter
 (the database facts of the downward closure), and adding a *blocking
 clause* that excludes every assignment with the same projection. This
-module implements that loop generically over any CNF and projection set.
+module implements that loop generically over any CNF and projection set,
+blocking through :meth:`~repro.sat.solver.CDCLSolver.block_model`, which
+backjumps to where the clause asserts instead of restarting the search.
 """
 
 from __future__ import annotations
@@ -70,9 +72,7 @@ def enumerate_models(
         yield EnumerationRecord(assignment=projected, delay_seconds=delay, index=count)
         count += 1
         blocking = [(-var if model[var] else var) for var in variables]
-        if not blocking:
-            return
-        if not solver.add_clause(blocking):
+        if not blocking or not solver.block_model(blocking):
             return
 
 

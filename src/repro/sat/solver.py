@@ -11,8 +11,13 @@ offline, so this module implements the same algorithmic recipe from scratch:
   distance"), the hallmark heuristic of Glucose.
 
 The solver is incremental: clauses may be added between ``solve`` calls
-(this is what blocking-clause enumeration needs) and ``solve`` accepts
-assumption literals (used by the membership deciders).
+and ``solve`` accepts assumption literals (used by the membership
+deciders). Model enumeration blocks each model with ``block_model``,
+which backjumps to where the blocking clause asserts instead of
+restarting, so the next ``solve`` resumes from that trail (the backjump
+of all-solutions solvers: Toda and Soh, "Implementing Efficient All
+Solutions SAT Solvers", ACM JEA 21, 2016). Every other ``solve`` starts
+at level 0.
 
 Propagation hot path, after MiniSat (Eén and Sörensson, "An Extensible
 SAT-solver", SAT 2003):
@@ -35,9 +40,11 @@ SAT-solver", SAT 2003):
   ``_pick_branch`` returns the unassigned variable of highest activity
   (lowest index on ties) without the heap filling with stale entries.
 
-The search — decisions, propagation order, learned clauses, restarts,
-member discovery order — is bit-identical to the plain per-variable
-representation; ``tests/test_solver_search_pinned.py`` pins it.
+Every search that follows no ``block_model`` — decisions, propagation
+order, learned clauses, restarts — is bit-identical to the plain
+per-variable representation with clauses added through ``add_clause``;
+``tests/test_solver_search_pinned.py`` pins it on pigeonhole formulas,
+and pins the member streams of blocking-clause enumeration as well.
 """
 
 from __future__ import annotations
@@ -101,10 +108,11 @@ class CDCLSolver:
 
         solver = CDCLSolver()
         solver.add_cnf(cnf)
-        if solver.solve():
-            model = solver.model()          # dict var -> bool
-        solver.add_clause([-3, 5])           # e.g. a blocking clause
-        solver.solve()                        # incremental re-solve
+        while solver.solve():                 # resumes after block_model
+            model = solver.model()            # dict var -> bool
+            blocking = [-v if model[v] else v for v in projection]
+            if not solver.block_model(blocking):
+                break                         # no further model
     """
 
     def __init__(self, num_vars: int = 0):
@@ -130,6 +138,9 @@ class CDCLSolver:
         self._var_decay = 0.95
         self._cla_inc = 1.0
         self._unsat = False
+        # Set by ``block_model`` when it leaves a trail above level 0 for
+        # the next ``solve`` to resume from; every other entry clears it.
+        self._resume = False
         self.stats = SolverStatistics()
         self.ensure_vars(num_vars)
 
@@ -195,6 +206,7 @@ class CDCLSolver:
         if self._unsat:
             return False
         self._backtrack(0)
+        self._resume = False
         lits: List[int] = []
         seen = set()
         for lit in literals:
@@ -226,6 +238,63 @@ class CDCLSolver:
         clause = _Clause(lits)
         self._attach(clause)
         self._clauses.append(clause)
+        return True
+
+    def block_model(self, literals: Iterable[int]) -> bool:
+        """Add a clause that the current assignment falsifies, and backjump.
+
+        This is how model enumeration excludes the model just found: the
+        clause is added for good, and instead of restarting from level 0
+        the solver backjumps to the second-highest decision level among
+        its literals, where the clause asserts its highest-level literal
+        exactly as a learned clause would. The next :meth:`solve` without
+        assumptions resumes from that trail. Root-level literals are
+        dropped; a single remaining literal becomes a unit at level 0.
+        When two literals share the highest level the clause asserts
+        nothing, so the solver backjumps one level below it, where both
+        watches are unassigned. The watches are the two highest-level
+        literals, ties going to the earlier position in *literals*.
+
+        Returns ``False`` when every literal is false at the root, so no
+        further model exists. Raises :class:`ValueError` if a literal is
+        not false under the current assignment.
+        """
+        if self._unsat:
+            return False
+        values = self._values
+        level_of = self._level
+        lits: List[int] = []
+        for lit in dict.fromkeys(literals):
+            if lit == 0 or abs(lit) > self._num_vars or values[lit] != _FALSE:
+                raise ValueError(f"literal {lit} is not false under the current assignment")
+            if level_of[abs(lit)]:
+                lits.append(lit)
+        if not lits:
+            self._unsat = True
+            return False
+        if len(lits) == 1:
+            self._backtrack(0)
+            self._enqueue(lits[0], None)
+        else:
+            first = second = -1  # positions of the highest and second-highest level
+            for i, lit in enumerate(lits):
+                level = level_of[abs(lit)]
+                if first < 0 or level > level_of[abs(lits[first])]:
+                    first, second = i, first
+                elif second < 0 or level > level_of[abs(lits[second])]:
+                    second = i
+            top = level_of[abs(lits[first])]
+            level = level_of[abs(lits[second])]
+            clause = _Clause(
+                [lits[first], lits[second]]
+                + [lit for i, lit in enumerate(lits) if i != first and i != second]
+            )
+            self._backtrack(level - 1 if level == top else level)
+            self._attach(clause)
+            self._clauses.append(clause)
+            if level < top:
+                self._enqueue(clause.literals[0], clause)
+        self._resume = bool(self._trail_lim)
         return True
 
     def _attach(self, clause: _Clause) -> None:
@@ -509,7 +578,9 @@ class CDCLSolver:
 
         Returns ``True`` (SAT), ``False`` (UNSAT under the assumptions), or
         ``None`` when the conflict limit or the wall-clock timeout was
-        exhausted without an answer.
+        exhausted without an answer. Right after :meth:`block_model`, a
+        call without assumptions resumes from the trail it left; every
+        other call starts at level 0.
         """
         if self._unsat:
             return False
@@ -521,10 +592,13 @@ class CDCLSolver:
         ticks = 0
         for lit in assumptions:
             self.ensure_vars(abs(lit))
-        self._backtrack(0)
-        if self._propagate() is not None:
-            self._unsat = True
-            return False
+        resume = self._resume and not assumptions
+        self._resume = False
+        if not resume:
+            self._backtrack(0)
+            if self._propagate() is not None:
+                self._unsat = True
+                return False
 
         stats = self.stats
         values = self._values

@@ -173,7 +173,13 @@ class ServiceClient:
         limit: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> Dict:
-        """Members of ``whyUN(t, D, Q)`` in discovery order."""
+        """Members of ``whyUN(t, D, Q)`` in discovery order.
+
+        The result's ``exhausted`` is ``True`` when the list is known to be
+        complete: the solver proved that no further member exists, or the
+        tuple is not an answer. It is ``False`` when *limit* or *timeout*
+        stopped the enumeration first, so more members may exist.
+        """
         return self.call(
             "why", session=session, tuple=list(tup), limit=limit, timeout=timeout
         )

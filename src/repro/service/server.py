@@ -49,7 +49,7 @@ import time
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from ..core.decision import TREE_CLASSES
-from ..core.parallel import PARALLEL_BATCH_THRESHOLD
+from ..core.parallel import PARALLEL_BATCH_THRESHOLD, explain_fact
 from ..datalog.database import Delta
 from ..datalog.io import delta_from_lines
 from ..datalog.parser import parse_database
@@ -326,7 +326,7 @@ class ProvenanceService(Dispatcher):
         return ok_response(
             request.get("id"),
             "answers",
-            {"answers": payload, "total": len(payload)},
+            {"answers": payload},
             session=entry.digest,
             version=version,
         )
@@ -337,21 +337,20 @@ class ProvenanceService(Dispatcher):
         limit = _optional_number(request, "limit")
         timeout = _optional_number(request, "timeout")
         with entry.lock:
-            session = entry.session
-            try:
-                is_answer = session.is_answer(tup)
-            except ValueError as exc:
-                raise ServiceError("bad-request", str(exc))
-            members = session.why(
+            record = explain_fact(
+                entry.session,
                 tup,
                 limit=None if limit is None else int(limit),
                 timeout_seconds=timeout,
             )
+            if record.error is not None:
+                raise ServiceError("bad-request", record.error)
             result = {
-                "is_answer": is_answer,
-                "members": render_members(members),
+                "is_answer": record.is_answer,
+                "members": render_members(record.members),
+                "exhausted": record.exhausted,
             }
-            version = session.version
+            version = entry.session.version
         return ok_response(
             request.get("id"), "why", result, session=entry.digest, version=version
         )

@@ -205,25 +205,47 @@ class TestDifferential:
 
 
 class TestEnumeration:
+    # Every enumeration here is capped one past the expected count, so a
+    # blocking fault that repeats a model fails instead of looping.
+
     def test_count_models_full_projection(self):
         cnf = CNF(3)
         cnf.add_clause((1, 2, 3))
-        assert count_models(cnf) == 7
+        assert count_models(cnf, limit=8) == 7
 
     def test_projection_collapses_models(self):
         cnf = CNF(3)
         cnf.add_clause((1, 2, 3))
-        assert count_models(cnf, projection=[1]) == 2
+        assert count_models(cnf, projection=[1], limit=3) == 2
 
     def test_matches_dpll_enumeration(self):
         cnf = random_cnf(6, 12, 3, seed=7)
-        cdcl_models = {
-            frozenset(m.items()) for m in all_models(cnf)
-        }
         dpll_models = {
             frozenset(m.items()) for m in enumerate_models_dpll(cnf)
         }
-        assert cdcl_models == dpll_models
+        cdcl_models = [
+            frozenset(m.items()) for m in all_models(cnf, limit=len(dpll_models) + 1)
+        ]
+        assert len(cdcl_models) == len(dpll_models)
+        assert set(cdcl_models) == dpll_models
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("projected", [8, 5, 2])
+    def test_projected_models_match_dpll_without_repeats(self, seed, projected):
+        # Each model is blocked by a backjump, not a restart; over full and
+        # partial projections the stream must still be exactly DPLL's set.
+        cnf = random_cnf(8, 10 + seed, 3, seed=seed)
+        projection = list(range(1, 9))[-projected:]
+        dpll = {
+            tuple(sorted(m.items()))
+            for m in enumerate_models_dpll(cnf, variables=projection)
+        }
+        cdcl = [
+            tuple(sorted(m.items()))
+            for m in all_models(cnf, projection=projection, limit=len(dpll) + 1)
+        ]
+        assert len(cdcl) == len(set(cdcl))
+        assert set(cdcl) == dpll
 
     def test_limit(self):
         cnf = CNF(4)
@@ -233,7 +255,7 @@ class TestEnumeration:
     def test_records_carry_delays(self):
         cnf = CNF(2)
         cnf.add_clause((1, 2))
-        records = list(enumerate_models(cnf))
+        records = list(enumerate_models(cnf, limit=4))
         assert len(records) == 3
         assert all(r.delay_seconds >= 0 for r in records)
         assert [r.index for r in records] == [0, 1, 2]

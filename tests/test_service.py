@@ -330,7 +330,23 @@ class TestDispatcher:
         response = self.service.handle_request(
             {"op": "why", "session": digest, "tuple": ["c", "a"]}
         )
-        assert response["result"] == {"is_answer": False, "members": []}
+        assert response["result"] == {
+            "is_answer": False, "members": [], "exhausted": True,
+        }
+
+    def test_why_says_whether_the_list_is_complete(self):
+        digest = self.open_session()
+        full = self.service.handle_request(
+            {"op": "why", "session": digest, "tuple": ["a", "c"]}
+        )
+        assert full["result"]["exhausted"] is True
+        assert len(full["result"]["members"]) == 2
+        # A limit that binds leaves the list unproven complete.
+        cut = self.service.handle_request(
+            {"op": "why", "session": digest, "tuple": ["a", "c"], "limit": 1}
+        )
+        assert cut["result"]["exhausted"] is False
+        assert cut["result"]["members"] == full["result"]["members"][:1]
 
     def test_why_arity_mismatch_is_bad_request(self):
         digest = self.open_session()
@@ -436,10 +452,9 @@ class TestDispatcher:
         )
         assert response["error"]["code"] == "bad-request"
         full = self.service.handle_request({"op": "answers", "session": digest})
-        assert full["result"]["answers"] == [
-            list(tup) for tup in make_session().answers()
-        ]
-        assert full["result"]["total"] == 3
+        assert full["result"] == {
+            "answers": [list(tup) for tup in make_session().answers()]
+        }
 
     def test_update_bumps_version_and_stamps_responses(self):
         digest = self.open_session()

@@ -10,9 +10,9 @@ import random
 import pytest
 
 from repro.sat.cnf import CNF
-from repro.sat.dpll import solve_dpll
+from repro.sat.dpll import enumerate_models_dpll, solve_dpll
 from repro.sat.solver import CDCLSolver
-from strategies import pigeonhole
+from strategies import pigeonhole, random_3sat
 
 
 def random_cnf(num_vars, num_clauses, seed):
@@ -280,3 +280,149 @@ class TestTypedArrays:
             if not solver.add_clause(blocking):
                 break
         assert_watch_invariant(solver)
+
+
+def projected_models_dpll(cnf, projection):
+    return {
+        tuple(model[var] for var in projection)
+        for model in enumerate_models_dpll(cnf, variables=projection)
+    }
+
+
+def decided_solver(num_vars, clauses=()):
+    """A solver whose first ``solve`` decides variables 1, 2, ... true.
+
+    With no conflict every activity stays 0, so branching takes the
+    lowest unassigned variable, in the phase set here.
+    """
+    solver = CDCLSolver(num_vars)
+    for clause in clauses:
+        assert solver.add_clause(clause)
+    solver.set_phases({var: True for var in range(1, num_vars + 1)})
+    assert solver.solve() is True
+    assert solver.stats.conflicts == 0
+    return solver
+
+
+class TestBlockModel:
+    """``block_model`` backjumps to where the blocking clause asserts."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("width", [None, 4])
+    def test_watch_invariant_after_every_block_and_solve(self, seed, width):
+        cnf = random_cnf(8, 14, seed)
+        projection = list(range(1, 9))[:width]
+        expected = projected_models_dpll(cnf, projection)
+        solver = CDCLSolver()
+        solver.add_cnf(cnf)
+        found = []
+        # At most one model past DPLL's count: a repeat stops the loop.
+        while len(found) <= len(expected) and solver.solve():
+            assert_watch_invariant(solver)
+            model = solver.model()
+            assert cnf.evaluate(model)
+            found.append(tuple(model[var] for var in projection))
+            if not solver.block_model([-v if model[v] else v for v in projection]):
+                break
+            assert_watch_invariant(solver)
+        assert_watch_invariant(solver)
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_watch_invariant_after_a_sliced_solve_between_blocks(self, seed):
+        # A one-conflict slice that runs out in the middle of an
+        # enumeration backtracks to level 0; the next solve starts there
+        # and the enumeration stays complete.
+        cnf = random_3sat(14, 50, seed)
+        projection = list(range(1, 8))
+        expected = projected_models_dpll(cnf, projection)
+        solver = CDCLSolver()
+        solver.add_cnf(cnf)
+        found, slices = [], 0
+        while len(found) <= len(expected):
+            result = solver.solve(conflict_limit=1)
+            while result is None:
+                slices += 1
+                assert solver._trail_lim == []
+                assert_watch_invariant(solver)
+                result = solver.solve(conflict_limit=1)
+            if not result:
+                break
+            model = solver.model()
+            found.append(tuple(model[var] for var in projection))
+            if not solver.block_model([-v if model[v] else v for v in projection]):
+                break
+        assert slices > 0
+        assert_watch_invariant(solver)
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+
+    def test_backjumps_to_the_second_highest_level_instead_of_restarting(self):
+        solver = decided_solver(4)
+        assert solver._trail == [1, 2, 3, 4] and len(solver._trail_lim) == 4
+        # Literals at levels 2 and 4: the clause asserts -4 at level 2.
+        assert solver.block_model([-2, -4]) is True
+        assert len(solver._trail_lim) == 2
+        assert solver._trail == [1, 2, -4]
+        clause = solver._clauses[-1]
+        assert clause.literals == [-4, -2]
+        assert solver._reason[4] is clause
+        assert_watch_invariant(solver)
+        assert solver.solve() is True
+        # The resumed solve only decided variable 3.
+        assert solver.stats.decisions == 5
+        assert solver.model() == {1: True, 2: True, 3: True, 4: False}
+
+    def test_single_literal_goes_back_to_level_zero_as_a_unit(self):
+        # Variable 1 is true at the root; its literal is dropped, and the
+        # one literal left becomes a unit at level 0.
+        solver = decided_solver(3, clauses=[(1,)])
+        assert solver.block_model([-1, -3]) is True
+        assert solver._trail_lim == [] and solver._trail == [1, -3]
+        assert solver._clauses == []
+        assert solver.solve() is True
+        assert solver.model() == {1: True, 2: True, 3: False}
+
+    def test_tie_at_the_top_level_watches_both_and_asserts_nothing(self):
+        # Deciding 2 at level 2 propagates 3 at level 2 as well.
+        for literals, watched in (([-2, -3, -1], [-2, -3]), ([-1, -3, -2], [-3, -2])):
+            solver = decided_solver(4, clauses=[(-2, 3)])
+            assert solver._trail == [1, 2, 3, 4] and solver._level[3] == 2
+            assert solver.block_model(literals) is True
+            # One level below the tie, where both watches are unassigned.
+            assert len(solver._trail_lim) == 1 and solver._trail == [1]
+            clause = solver._clauses[-1]
+            assert clause.literals[:2] == watched
+            assert solver.value(2) is None and solver.value(3) is None
+            assert_watch_invariant(solver)
+            assert solver.solve() is True
+            model = solver.model()
+            assert (model[1], model[2], model[3]) != (True, True, True)
+
+    def test_every_literal_false_at_the_root_means_no_further_model(self):
+        solver = decided_solver(3, clauses=[(1,), (-2,)])
+        assert solver.block_model([-1, 2]) is False
+        assert solver.solve() is False
+
+    @pytest.mark.parametrize("literal", [4, 9, 0])
+    def test_a_literal_that_is_not_false_is_refused(self, literal):
+        # 4 is true, 9 names no variable, 0 is no literal.
+        solver = decided_solver(4)
+        trail = list(solver._trail)
+        with pytest.raises(ValueError):
+            solver.block_model([-1, literal])
+        assert solver._trail == trail and solver._clauses == []
+
+    def test_searches_after_other_entries_start_at_level_zero(self):
+        # Resuming from the trail [1, 2, -4] under the assumption -1 would
+        # answer False; a solve under assumptions starts at level 0.
+        solver = decided_solver(4)
+        assert solver.block_model([-2, -4])
+        assert solver.solve(assumptions=[-1]) is True
+        assert solver.value(1) is False
+        # add_clause backtracks to level 0, and the next solve starts there.
+        solver = decided_solver(4)
+        assert solver.block_model([-2, -4])
+        assert solver.add_clause([1, 2, 3])
+        assert solver._trail_lim == [] and not solver._resume

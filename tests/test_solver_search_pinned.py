@@ -3,16 +3,20 @@
 A change to the solver's hot path (value lookup, watch lists, the VSIDS
 heap) may make each step cheaper, but it must not move the search: the
 same decisions, conflicts, learned clauses and members, in the same
-order. The expected values below were recorded from the plain
-per-variable solver; any change that alters the search fails here.
+order. The pigeonhole values were recorded from the plain per-variable
+solver; any change that alters a search from level 0 fails here.
 
 Pigeonhole 8/7 learns more than 1,000 clauses, so it covers restarts and
 learned-clause database reduction (``removed > 0``); 7/6 stops short of
 the reduction threshold. The Andersen/D1 stream covers the enumerator's
-pattern: phase hints, blocking clauses and incremental re-solves. It runs
-in subprocesses under two ``PYTHONHASHSEED`` values, and both must match
-the same pins: variable numbering and member order may not depend on the
-string-hash seed.
+pattern: phase hints, incremental re-solves and the blocking step, where
+``CDCLSolver.block_model`` backjumps to the level at which the blocking
+clause asserts and the next solve resumes there; its values were
+recorded when that backjump replaced a restart from level 0, so a change
+to where the solver resumes, to the watches of the blocking clause or to
+its tie rule fails here too. It runs in subprocesses under two
+``PYTHONHASHSEED`` values, and both must match the same pins: variable
+numbering and member order may not depend on the string-hash seed.
 """
 
 import json
@@ -76,22 +80,22 @@ ANDERSEN_SCRIPT = textwrap.dedent(
 #: (answer tuple, members found at limit 20, sha256 prefix of the member
 #: list in enumeration order, each member a sorted list of fact texts).
 ANDERSEN_D1_ROWS = [
-    (("obj0", "obj0"), 20, "d1df165626af1ec4"),
-    (("obj0", "obj1"), 20, "deaf2ce27ba8a67c"),
-    (("obj0", "obj4"), 20, "8f832acc8ba7dd54"),
-    (("obj0", "obj5"), 20, "fef3109a09c0c3e6"),
-    (("obj1", "obj0"), 20, "b8136751cebd464e"),
-    (("obj1", "obj1"), 20, "6ba347bb0f148c3b"),
-    (("obj1", "obj4"), 20, "28fa9f34b8ca1027"),
-    (("obj1", "obj5"), 20, "110e86d8dc530a89"),
-    (("obj4", "obj0"), 20, "b5e9ac5a8871648a"),
-    (("obj4", "obj1"), 20, "2f34d72cbc01a476"),
-    (("obj4", "obj4"), 20, "9f9eeeaf0527cdf1"),
-    (("obj4", "obj5"), 20, "cb6de2a0b2d7c138"),
-    (("obj5", "obj0"), 20, "c973e9d5acf8c265"),
-    (("obj5", "obj1"), 20, "002291cf1656670a"),
-    (("obj5", "obj4"), 20, "cce27efbd51ec706"),
-    (("obj5", "obj5"), 20, "e25c9d0c0b6e5f47"),
+    (("obj0", "obj0"), 20, "a1b43c3379d628b1"),
+    (("obj0", "obj1"), 20, "7235946675e11549"),
+    (("obj0", "obj4"), 20, "f1103af840897c75"),
+    (("obj0", "obj5"), 20, "c3b1c66028acb598"),
+    (("obj1", "obj0"), 20, "4fca9b6adfeceea3"),
+    (("obj1", "obj1"), 20, "c7787ce0d8e742d9"),
+    (("obj1", "obj4"), 20, "5195105cc835130a"),
+    (("obj1", "obj5"), 20, "d30ab0eed708310d"),
+    (("obj4", "obj0"), 20, "9fe84db750d7a6d2"),
+    (("obj4", "obj1"), 20, "67cc1af7b78f65bd"),
+    (("obj4", "obj4"), 20, "87a7b0c00a82182f"),
+    (("obj4", "obj5"), 20, "f54dd47f782043f7"),
+    (("obj5", "obj0"), 20, "6494110ec0f03d3d"),
+    (("obj5", "obj1"), 20, "7a25db88c536516c"),
+    (("obj5", "obj4"), 20, "ef2ff2046016b7e3"),
+    (("obj5", "obj5"), 20, "dd6901a0ea88dc4e"),
     (("x0", "obj1"), 1, "b7d00c6a0b0230a6"),
     (("x0", "obj5"), 1, "c0ac0097ef4759c1"),
     (("x1", "obj1"), 1, "e3ab8875f44332cb"),
@@ -99,8 +103,8 @@ ANDERSEN_D1_ROWS = [
 ]
 
 ANDERSEN_D1_TOTALS = dict(
-    conflicts=2841, decisions=81871, propagations=495700,
-    restarts=4, learned=2821, removed=0,
+    conflicts=1696, decisions=68961, propagations=237410,
+    restarts=5, learned=1680, removed=0,
 )
 
 
