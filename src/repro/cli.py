@@ -66,6 +66,10 @@ from .datalog.parser import parse_database, parse_program
 from .datalog.program import DatalogQuery
 from .provenance.grounding import FactNotDerivable
 
+#: Appended to a member count when a limit or a timeout stopped the list
+#: before a final solve proved it complete.
+_INCOMPLETE = ", list may be incomplete"
+
 
 def _read(path: str) -> str:
     with open(path) as handle:
@@ -136,7 +140,11 @@ def _cmd_why(args: argparse.Namespace) -> int:
         if count == 0:
             print("% tuple is not an answer: empty why-provenance", file=sys.stderr)
             return 1
-        print(f"% {count} members (smallest first)", file=sys.stderr)
+        cut = args.limit is not None and count >= args.limit
+        print(
+            f"% {count} members{_INCOMPLETE if cut else ''} (smallest first)",
+            file=sys.stderr,
+        )
         return 0
     from .core.enumerator import WhyProvenanceEnumerator
 
@@ -151,7 +159,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
         print(f"member {record.index}: {facts}")
         count += 1
     print(
-        f"% {count} members "
+        f"% {count} members{'' if enumerator.exhausted else _INCOMPLETE} "
         f"(closure {enumerator.closure_seconds:.3f}s, "
         f"formula {enumerator.formula_seconds:.3f}s)",
         file=sys.stderr,
@@ -169,7 +177,8 @@ def _print_fact_result(result, answer_predicate: str) -> bool:
     if not result.is_answer:
         print(f"{label}: not an answer")
         return True
-    print(f"{label}: {len(result.members)} members")
+    cut = "" if result.exhausted else _INCOMPLETE
+    print(f"{label}: {len(result.members)} members{cut}")
     for index, member in enumerate(result.members):
         facts = " ".join(sorted(f"{fact}." for fact in member))
         print(f"  member {index}: {facts}")

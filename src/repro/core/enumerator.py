@@ -96,6 +96,16 @@ class WhyProvenanceEnumerator:
         self._exhausted = False
         self._count = 0
 
+    @property
+    def exhausted(self) -> bool:
+        """Whether every member has been enumerated.
+
+        ``False`` after a limit or a timeout stopped the enumeration, even
+        if no member was left: only a final unsatisfiable solve proves the
+        list complete.
+        """
+        return self._exhausted
+
     # -- enumeration -----------------------------------------------------------
 
     def __iter__(self) -> Iterator[MemberRecord]:

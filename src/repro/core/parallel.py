@@ -231,7 +231,7 @@ def explain_fact(
         closure_seconds=enumerator.closure_seconds,
         formula_seconds=enumerator.formula_seconds,
         delays=[record.delay_seconds for record in records],
-        exhausted=enumerator._exhausted,
+        exhausted=enumerator.exhausted,
         seconds=time.perf_counter() - started,
     )
 

@@ -13,7 +13,9 @@ A query ``Q = (Sigma, R)`` pairs a program with an answer predicate.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from .atoms import Atom
 from .rules import Rule
@@ -192,7 +194,9 @@ class Program:
         dependency order where possible.
         """
         graph = self.predicate_graph()
-        sccs = _tarjan_sccs(graph)
+        sccs = strongly_connected_components(
+            {pred: sorted(targets) for pred, targets in graph.items()}
+        )
         comp_of: Dict[str, int] = {}
         for idx, comp in enumerate(sccs):
             for pred in comp:
@@ -229,21 +233,28 @@ class Program:
         return "Dat"
 
 
-def _tarjan_sccs(graph: Dict[str, Set[str]]) -> List[Set[str]]:
-    """Tarjan's strongly connected components, iteratively (no recursion)."""
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    sccs: List[Set[str]] = []
-    counter = [0]
+def strongly_connected_components(
+    successors: Mapping[Hashable, Sequence[Hashable]],
+) -> List[Set[Hashable]]:
+    """Tarjan's strongly connected components, iteratively (no recursion).
 
-    for root in graph:
+    *successors* maps every node to its successors, in the order they are
+    visited; each successor must itself be a key. Linear in nodes plus
+    arcs. Components come out in reverse topological order.
+    """
+    index: Dict[Hashable, int] = {}
+    lowlink: Dict[Hashable, int] = {}
+    on_stack: Set[Hashable] = set()
+    stack: List[Hashable] = []
+    sccs: List[Set[Hashable]] = []
+    counter = 0
+
+    for root in successors:
         if root in index:
             continue
-        work = [(root, iter(sorted(graph[root])))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
+        work = [(root, iter(successors[root]))]
+        index[root] = lowlink[root] = counter
+        counter += 1
         stack.append(root)
         on_stack.add(root)
         while work:
@@ -251,11 +262,11 @@ def _tarjan_sccs(graph: Dict[str, Set[str]]) -> List[Set[str]]:
             advanced = False
             for nxt in it:
                 if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
+                    index[nxt] = lowlink[nxt] = counter
+                    counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(graph[nxt]))))
+                    work.append((nxt, iter(successors[nxt])))
                     advanced = True
                     break
                 if nxt in on_stack:
@@ -267,7 +278,7 @@ def _tarjan_sccs(graph: Dict[str, Set[str]]) -> List[Set[str]]:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
             if lowlink[node] == index[node]:
-                comp: Set[str] = set()
+                comp: Set[Hashable] = set()
                 while True:
                     member = stack.pop()
                     on_stack.discard(member)

@@ -12,9 +12,13 @@ form an acyclic graph. Two encodings are provided:
   encoding the paper's implementation uses: eliminate vertices one by one
   (min-degree order), materializing *fill-in* arc variables only between
   the neighbours of the eliminated vertex and forbidding two-cycles at
-  elimination time. The number of auxiliary variables is ``O(n * delta)``
-  where ``delta`` is the *elimination width* of the chosen order, which is
-  small on sparsely connected graphs.
+  elimination time. Only arcs inside a non-trivial strongly connected
+  component can lie on a cycle, so only they are constrained and only
+  those components' nodes are eliminated. The number of auxiliary
+  variables is ``O(n * delta)``, where ``n`` counts the nodes of those
+  components only and ``delta`` is the *elimination width* of the chosen
+  order, which is small on sparsely connected graphs. An acyclic graph
+  gets no variable at all.
 
 Both functions mutate the given CNF in place and return an
 :class:`AcyclicityStats` describing the encoding size.
@@ -26,6 +30,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..datalog.program import strongly_connected_components
 from .cnf import CNF
 
 Node = Hashable
@@ -34,13 +39,19 @@ Arc = Tuple[Node, Node]
 
 @dataclass
 class AcyclicityStats:
-    """Size measurements of an acyclicity encoding."""
+    """Size measurements of an acyclicity encoding.
+
+    ``nodes`` and ``arcs`` describe the input graph; the other fields
+    describe the layer built over it. ``constrained_arcs`` counts the arcs
+    that got a reachability variable.
+    """
 
     method: str
     nodes: int
     arcs: int
     auxiliary_variables: int
     clauses: int
+    constrained_arcs: int = 0
     elimination_width: int = 0
 
 
@@ -91,6 +102,7 @@ def encode_transitive_closure(
         arcs=len(arc_vars),
         auxiliary_variables=len(closure),
         clauses=len(cnf.clauses) - clause_start,
+        constrained_arcs=sum(1 for u, v in arc_vars if u != v),
     )
 
 
@@ -102,17 +114,36 @@ def encode_vertex_elimination(
 ) -> AcyclicityStats:
     """Forbid cycles via vertex elimination (Rankooh & Rintanen, AAAI 2022).
 
+    Only arcs that can lie on a cycle are constrained: every cycle of
+    selected arcs lies inside one strongly connected component of the
+    potential-arc graph, so an arc gets a reachability variable only when
+    both its endpoints share a non-trivial component, and only the nodes
+    of those components are eliminated. The components are found once, in
+    linear time; the ``O(n * delta)`` bound counts their nodes only.
+    Self-loops are forbidden by a unit clause; arcs between components get
+    nothing, and an acyclic arc graph gets no variable at all. Variables
+    are numbered in arc and node insertion order.
+
     Vertices are eliminated in *order* (default: min-degree heuristic on
-    the potential-arc graph). Eliminating ``v`` introduces, for every
-    in-neighbour ``u`` and out-neighbour ``w`` of ``v`` among the remaining
-    vertices, a fill-in arc variable with the defining clause
-    ``a(u, v) & a(v, w) -> a(u, w)``; a pair ``a(u, v), a(v, u)`` existing
-    at elimination time yields ``not (a(u, v) & a(v, u))``. The selected
-    arcs are acyclic iff no such two-cycle constraint fires.
+    the intra-component arcs; nodes outside them are skipped). Eliminating
+    ``v`` introduces, for every in-neighbour ``u`` and out-neighbour ``w``
+    of ``v`` among the remaining vertices, a fill-in arc variable with the
+    defining clause ``a(u, v) & a(v, w) -> a(u, w)``; a pair ``a(u, v),
+    a(v, u)`` existing at elimination time yields ``not (a(u, v) &
+    a(v, u))``. The selected arcs are acyclic iff no such two-cycle
+    constraint fires.
     """
     node_list = _node_list(arc_vars, nodes)
     clause_start = len(cnf.clauses)
-    auxiliary = 0
+    successors: Dict[Node, List[Node]] = {v: [] for v in node_list}
+    for (u, v) in arc_vars:
+        if u != v:
+            successors[u].append(v)
+    component: Dict[Node, int] = {}
+    for index, scc in enumerate(strongly_connected_components(successors)):
+        if len(scc) > 1:
+            for v in scc:
+                component[v] = index
     # A fresh "reachability arc" layer: problem edge variables only *imply*
     # their arc variable. Fill-in arcs compose over this layer; reusing the
     # problem variables would be unsound, since encoders attach additional
@@ -122,23 +153,23 @@ def encode_vertex_elimination(
         if u == v:
             cnf.add_clause((-z,))
             continue
-        a = arcs.get((u, v))
-        if a is None:
-            a = cnf.new_var()
-            auxiliary += 1
-            arcs[(u, v)] = a
-        cnf.implies(z, a)
+        if u not in component or component[u] != component.get(v):
+            continue
+        arcs[(u, v)] = cnf.new_var()
+        cnf.implies(z, arcs[(u, v)])
+    constrained = len(arcs)
+    cyclic = [v for v in node_list if v in component]
 
     # Neighbours in insertion-ordered dicts, not sets: the fill-in
     # variables are numbered in this order, which must not depend on the
     # string-hash seed.
-    out_nbrs: Dict[Node, Dict[Node, None]] = {v: {} for v in node_list}
-    in_nbrs: Dict[Node, Dict[Node, None]] = {v: {} for v in node_list}
+    out_nbrs: Dict[Node, Dict[Node, None]] = {v: {} for v in cyclic}
+    in_nbrs: Dict[Node, Dict[Node, None]] = {v: {} for v in cyclic}
     for (u, v) in arcs:
         out_nbrs[u][v] = None
         in_nbrs[v][u] = None
 
-    remaining: Set[Node] = set(node_list)
+    remaining: Set[Node] = set(cyclic)
     elimination_order = list(order) if order is not None else []
     width = 0
 
@@ -153,8 +184,8 @@ def encode_vertex_elimination(
     degrees: Dict[Node, int] = {}
     heap: List[Tuple[int, Tuple[str, int], Node]] = []
     if order is None:
-        tiebreak = {v: (str(v), index) for index, v in enumerate(node_list)}
-        for v in remaining:
+        tiebreak = {v: (str(v), index) for index, v in enumerate(cyclic)}
+        for v in cyclic:
             degrees[v] = degree(v)
             heap.append((degrees[v], tiebreak[v], v))
         heapq.heapify(heap)
@@ -187,7 +218,6 @@ def encode_vertex_elimination(
                 existing = arcs.get((u, w))
                 if existing is None:
                     existing = cnf.new_var()
-                    auxiliary += 1
                     arcs[(u, w)] = existing
                     out_nbrs[u][w] = None
                     in_nbrs[w][u] = None
@@ -202,19 +232,22 @@ def encode_vertex_elimination(
         method="vertex-elimination",
         nodes=len(node_list),
         arcs=len(arc_vars),
-        auxiliary_variables=auxiliary,
+        auxiliary_variables=len(arcs),
         clauses=len(cnf.clauses) - clause_start,
+        constrained_arcs=constrained,
         elimination_width=width,
     )
 
 
 def min_degree_order(arc_vars: Mapping[Arc, int], nodes: Optional[Sequence[Node]] = None) -> List[Node]:
-    """The min-degree elimination order used by default (exposed for tests).
+    """A min-degree elimination order over every node (exposed for tests).
 
-    Note: this pre-computed order ignores fill-in arcs, whereas the default
-    behaviour of :func:`encode_vertex_elimination` recomputes degrees after
-    each elimination (including fill-ins), which gives slightly smaller
-    widths; this function exists for reproducible explicit orders.
+    Note: this pre-computed order covers every node and ignores fill-in
+    arcs, whereas the default behaviour of :func:`encode_vertex_elimination`
+    eliminates only the nodes of non-trivial strongly connected components
+    and recomputes degrees after each elimination (including fill-ins),
+    which gives slightly smaller widths; this function exists for
+    reproducible explicit orders.
     """
     node_list = _node_list(arc_vars, nodes)
     neighbours: Dict[Node, Set[Node]] = {v: set() for v in node_list}

@@ -5,9 +5,11 @@ assignment of the guarded arc variables, the formula (restricted to that
 assignment) is satisfiable iff the selected arcs form an acyclic graph.
 Both encodings are checked against a Kahn's-algorithm oracle on all arc
 subsets of small graphs and against each other on random graphs. The
-vertex-elimination encoder, which draws its min-degree order from a
-heap, is checked clause for clause against a reference that scans every
-vertex at every step.
+vertex-elimination encoder, which constrains only the arcs inside a
+non-trivial strongly connected component and draws its min-degree order
+from a heap, is checked clause for clause against a reference that finds
+those arcs by searching from every node and scans every vertex at every
+step.
 """
 
 import itertools
@@ -112,6 +114,28 @@ class TestEncodingSizes:
         assert stats.nodes == 3
         assert stats.arcs == 2
 
+    def test_acyclic_graph_gets_no_layer(self):
+        arcs = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]
+        cnf, _, stats = build(encode_vertex_elimination, arcs)
+        assert (stats.nodes, stats.arcs) == (4, 4)
+        assert (stats.auxiliary_variables, stats.clauses) == (0, 0)
+        assert (stats.constrained_arcs, stats.elimination_width) == (0, 0)
+        assert cnf.num_vars == len(arcs)
+
+    def test_bridge_between_cycles_gets_no_variable(self):
+        arcs = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "c")]
+        cnf, arc_vars, stats = build(encode_vertex_elimination, arcs)
+        assert stats.constrained_arcs == stats.auxiliary_variables == 4
+        # Four implications z -> a and one two-cycle clause per cycle.
+        assert stats.clauses == 6
+        bridge = arc_vars[("b", "c")]
+        assert all(bridge not in map(abs, clause) for clause in cnf.clauses)
+
+    def test_transitive_closure_constrains_every_arc_but_self_loops(self):
+        arcs = [("a", "b"), ("b", "c"), ("c", "c")]
+        _, _, stats = build(encode_transitive_closure, arcs)
+        assert stats.constrained_arcs == 2
+
 
 class TestMinDegreeOrder:
     def test_order_is_permutation(self):
@@ -143,22 +167,35 @@ class TestArcsAreAcyclic:
 def scan_vertex_elimination(cnf, arc_vars, nodes=None):
     """Reference: vertex elimination that scans for the min-degree vertex.
 
-    Every step re-keys every remaining vertex by ``(degree, str)`` and
-    takes the minimum — quadratic, but obviously the min-degree order.
-    Otherwise the same construction as :func:`encode_vertex_elimination`,
-    neighbours kept in insertion order.
+    An arc is kept only when its head reaches its tail, found by a search
+    from every node, so it lies on a cycle; only the endpoints of kept
+    arcs are eliminated. Every step re-keys every remaining vertex by
+    ``(degree, str)`` and takes the minimum — quadratic, but obviously the
+    min-degree order. Otherwise the same construction as
+    :func:`encode_vertex_elimination`, neighbours kept in insertion order.
     """
     node_list = _node_list(arc_vars, nodes)
+    successors = {v: [w for (u, w) in arc_vars if u == v] for v in node_list}
+
+    def reachable(source):
+        seen, stack = {source}, [source]
+        while stack:
+            for w in successors[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
     arcs = {}
     for (u, v), z in arc_vars.items():
         if u == v:
             cnf.add_clause((-z,))
             continue
-        a = arcs.get((u, v))
-        if a is None:
-            a = cnf.new_var()
-            arcs[(u, v)] = a
-        cnf.implies(z, a)
+        if u not in reachable(v):
+            continue
+        arcs[(u, v)] = cnf.new_var()
+        cnf.implies(z, arcs[(u, v)])
+    node_list = [v for v in node_list if any(v in arc for arc in arcs)]
     out_nbrs = {v: {} for v in node_list}
     in_nbrs = {v: {} for v in node_list}
     for (u, v) in arcs:
@@ -202,6 +239,9 @@ class TestHeapOrderMatchesScan:
     @example(arcs=[(0, 1), (1, 0)], isolated=[])
     @example(arcs=[(0, 0), (0, 1), (1, 2), (2, 0)], isolated=[])
     @example(arcs=[(2, 10), (10, 2), (10, 1), (1, 1)], isolated=[5])
+    @example(arcs=[(0, 1), (1, 2), (0, 2), (2, 3)], isolated=[])
+    @example(arcs=[(4, 4)], isolated=[])
+    @example(arcs=[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)], isolated=[])
     def test_same_clauses_as_scan(self, arcs, isolated):
         nodes = _node_list({arc: 0 for arc in arcs}, None)
         nodes += [v for v in isolated if v not in nodes]

@@ -141,8 +141,46 @@ class TestWhy:
         out = capsys.readouterr().out
         assert "member 0:" in out and "member 1:" not in out
 
+    @pytest.mark.parametrize("order", [[], ["--order", "size"]])
+    @pytest.mark.parametrize(
+        "limit,summary",
+        [
+            ([], "% 2 members ("),
+            (["--limit", "1"], "% 1 members, list may be incomplete ("),
+        ],
+    )
+    def test_summary_says_when_the_list_may_be_incomplete(
+        self, files, capsys, order, limit, summary
+    ):
+        """(a, c) has two members, so a limit of 1 cuts its list short."""
+        program, database = files
+        argv = ["why", program, database, "--answer", "tc", "--tuple", "a,c"]
+        assert main(argv + order + limit) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(summary)
+        assert ("incomplete" in err) == bool(limit)
+
 
 class TestBatch:
+    @pytest.mark.parametrize(
+        "limit,line",
+        [
+            ([], "tc(a, c): 2 members"),
+            (["--limit", "1"], "tc(a, c): 1 members, list may be incomplete"),
+        ],
+    )
+    def test_count_says_when_the_list_may_be_incomplete(self, files, capsys, limit, line):
+        """A limit that leaves members out marks the count; a full list is unmarked."""
+        program, database = files
+        code = main([
+            "batch", program, database, "--answer", "tc", "--tuples", "a,b;a,c", *limit,
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert line in lines
+        # (a, b) has one member, and the blocking clause proves it the last.
+        assert "tc(a, b): 1 members" in lines
+
     def test_explicit_tuples_share_one_evaluation(self, files, capsys):
         program, database = files
         code = main([
@@ -332,6 +370,22 @@ class TestDimacs:
         text = capsys.readouterr().out
         cnf = CNF.from_dimacs(text)
         assert solve_cnf(cnf) is not None
+
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path, capsys):
+        """The formula, acyclicity layer included, is numbered the same way.
+
+        Its reachability variables follow arc insertion order, not the
+        order of the strongly connected components that select them.
+        """
+        query, _, program, data = _andersen_d1_files(tmp_path)
+        argv = [
+            "dimacs", program, data, "--answer", query.answer_predicate,
+            "--tuple", "obj0,obj4",
+        ]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.splitlines()
+        for lines in _stdout_under_hash_seeds(argv):
+            assert lines == expected
 
 
 class TestMinimal:

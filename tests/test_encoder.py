@@ -10,6 +10,8 @@ from repro.provenance.grounding import FactNotDerivable
 from repro.sat.enumeration import enumerate_models
 from repro.sat.solver import CDCLSolver
 from repro.core.encoder import encode_why_provenance
+from repro.core.session import ProvenanceSession
+from repro.scenarios import get_scenario
 
 PROGRAM = parse_program(
     """
@@ -167,6 +169,31 @@ class TestStatsAndErrors:
         closure = downward_closure(PROGRAM, DB1, QUERY.answer_atom(("b",)))
         with pytest.raises(ValueError, match="rooted"):
             encode_why_provenance(QUERY, DB1, ("d",), closure=closure)
+
+
+class TestAcyclicityLayer:
+    """``phi_acyclic`` constrains only the arcs that can lie on a cycle."""
+
+    def test_non_recursive_closures_get_no_layer(self):
+        scenario = get_scenario("Doctors-1")
+        query = scenario.query()
+        database = scenario.database("D1").restrict(query.program.edb)
+        session = ProvenanceSession(query, database)
+        answers = session.answers()
+        assert answers
+        for tup in answers:
+            stats = session.encoding(tup).stats.acyclicity
+            assert stats.arcs > 0, tup
+            layer = (stats.auxiliary_variables, stats.clauses, stats.constrained_arcs)
+            assert layer == (0, 0, 0), tup
+
+    def test_recursive_closure_constrains_its_cycle_arcs_only(self):
+        encoding = encode_why_provenance(QUERY, DB1, ("d",))
+        stats = encoding.stats.acyclicity
+        # a(a) -> a(b) -> a(a) and a(a) -> a(c) -> a(a); the arcs to the
+        # database facts and from the root a(d) lie on no cycle.
+        assert stats.constrained_arcs == 4
+        assert stats.arcs == len(encoding.edge_vars) > 4
 
 
 class TestPhaseHints:

@@ -14,9 +14,12 @@ pattern: phase hints, incremental re-solves and the blocking step, where
 clause asserts and the next solve resumes there; its values were
 recorded when that backjump replaced a restart from level 0, so a change
 to where the solver resumes, to the watches of the blocking clause or to
-its tie rule fails here too. It runs in subprocesses under two
-``PYTHONHASHSEED`` values, and both must match the same pins: variable
-numbering and member order may not depend on the string-hash seed.
+its tie rule fails here too. They were re-recorded when
+``phi_acyclic`` was restricted to the arcs inside a strongly connected
+component of the closure, which renumbers the formula's variables. It
+runs in subprocesses under two ``PYTHONHASHSEED`` values, and both must
+match the same pins: variable numbering and member order may not depend
+on the string-hash seed.
 """
 
 import json
@@ -81,20 +84,20 @@ ANDERSEN_SCRIPT = textwrap.dedent(
 #: list in enumeration order, each member a sorted list of fact texts).
 ANDERSEN_D1_ROWS = [
     (("obj0", "obj0"), 20, "a1b43c3379d628b1"),
-    (("obj0", "obj1"), 20, "7235946675e11549"),
-    (("obj0", "obj4"), 20, "f1103af840897c75"),
-    (("obj0", "obj5"), 20, "c3b1c66028acb598"),
-    (("obj1", "obj0"), 20, "4fca9b6adfeceea3"),
+    (("obj0", "obj1"), 20, "6769aa14ffe49f00"),
+    (("obj0", "obj4"), 20, "c08c4ad5c30679ec"),
+    (("obj0", "obj5"), 20, "282dc15807f3814a"),
+    (("obj1", "obj0"), 20, "e76296d70cd04e7f"),
     (("obj1", "obj1"), 20, "c7787ce0d8e742d9"),
-    (("obj1", "obj4"), 20, "5195105cc835130a"),
-    (("obj1", "obj5"), 20, "d30ab0eed708310d"),
-    (("obj4", "obj0"), 20, "9fe84db750d7a6d2"),
-    (("obj4", "obj1"), 20, "67cc1af7b78f65bd"),
-    (("obj4", "obj4"), 20, "87a7b0c00a82182f"),
+    (("obj1", "obj4"), 20, "4c4304cf97196315"),
+    (("obj1", "obj5"), 20, "8a71056f3054bc3b"),
+    (("obj4", "obj0"), 20, "10e75a4d8b1d9c3f"),
+    (("obj4", "obj1"), 20, "9b36ba5b19a558b2"),
+    (("obj4", "obj4"), 20, "7a2a7d8c4a096f7a"),
     (("obj4", "obj5"), 20, "f54dd47f782043f7"),
-    (("obj5", "obj0"), 20, "6494110ec0f03d3d"),
-    (("obj5", "obj1"), 20, "7a25db88c536516c"),
-    (("obj5", "obj4"), 20, "ef2ff2046016b7e3"),
+    (("obj5", "obj0"), 20, "468fc7b952be7de4"),
+    (("obj5", "obj1"), 20, "bdde12e67d89ff64"),
+    (("obj5", "obj4"), 20, "54d42d24b2a317ce"),
     (("obj5", "obj5"), 20, "dd6901a0ea88dc4e"),
     (("x0", "obj1"), 1, "b7d00c6a0b0230a6"),
     (("x0", "obj5"), 1, "c0ac0097ef4759c1"),
@@ -103,8 +106,8 @@ ANDERSEN_D1_ROWS = [
 ]
 
 ANDERSEN_D1_TOTALS = dict(
-    conflicts=1696, decisions=68961, propagations=237410,
-    restarts=5, learned=1680, removed=0,
+    conflicts=1534, decisions=30216, propagations=171921,
+    restarts=5, learned=1519, removed=0,
 )
 
 
