@@ -23,9 +23,10 @@ Datalog engines maintain materialized views incrementally.
    delta-semi-naive rounds and then lower ranks from what they added —
    patching the model, the ranks and the instance trace so the invariant
    ``set(trace) == set(ground_instances(program, model))`` holds after
-   any update sequence. The first update indexes the trace by head and
-   by body fact (a :class:`~repro.datalog.engine.TraceIndex`), adopting
-   the GRI's head map when the GRI exists;
+   any update sequence. The first update indexes the trace's interned
+   keys by body fact (its :class:`~repro.datalog.engine.TraceIndex` is
+   grouped by head already when the GRI exists, and shares that map
+   with it) and lifts no instance;
 3. computes the *dirty set*: every fact the update could possibly have
    flowed into — the delta's facts, the model difference, and the heads
    of every added or removed instance;
@@ -58,7 +59,7 @@ from typing import FrozenSet, List, Optional, Set, TYPE_CHECKING
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Delta
-from ..datalog.engine import MaintenanceResult, TraceIndex, maintain_evaluation
+from ..datalog.engine import MaintenanceResult, maintain_evaluation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .session import ProvenanceSession
@@ -163,14 +164,10 @@ def update_session(session: "ProvenanceSession", delta: Delta) -> SessionUpdate:
 
     session.stats.updates += 1
     session.version += 1
-    evaluation = session._evaluation
-    if session._gri is not None and not isinstance(evaluation.instances, TraceIndex):
-        # One head map for the trace and the GRI, patched as one.
-        evaluation.instances = TraceIndex(heads=session._gri.rules)
     result: MaintenanceResult = maintain_evaluation(
         session.query.program,
         session.database,
-        evaluation,
+        session._evaluation,
         effective,
         engine=session.engine,
         plan_context=session.plan_context(),

@@ -47,7 +47,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, check_over_schema
-from ..datalog.engine import EvaluationResult, TraceIndex, evaluate
+from ..datalog.engine import EvaluationResult, evaluate
 from ..datalog.plans import PlanContext, resolve_engine
 from ..datalog.program import DatalogQuery, Program
 from ..provenance.grounding import (
@@ -67,10 +67,10 @@ from .encoder import WhyProvenanceEncoding, encode_why_provenance
 #: database, model, ranks and trace over the 13 synthetic instances the
 #: daemon benchmark admits, so budgets keep the scale they had when that
 #: size was the charge. It is within 8% on twelve of them and 20% on the
-#: smallest. A maintained trace (a
+#: smallest. A trace that an update has indexed by body fact (see
 #: :class:`~repro.datalog.engine.TraceIndex`) pays ``INSTANCE_BYTES``
-#: twice per instance: its head and body maps plus the interned model
-#: roughly double a session's memory on its first update.
+#: twice per instance: its head and body maps roughly double a session's
+#: memory on its first update.
 FACT_BYTES = 14
 INSTANCE_BYTES = 35
 
@@ -400,12 +400,14 @@ class ProvenanceSession:
         """Members of ``whyUN(t, D, Q)`` from a fresh enumeration pass.
 
         Repeatable (a new solver each call, over the cached encoding);
-        returns the empty list when the tuple is not an answer.
+        returns the empty list when the tuple is not an answer. The
+        enumerator looks the closure and encoding up once, as
+        :func:`~repro.core.parallel.explain_fact` does.
         """
         from .enumerator import WhyProvenanceEnumerator
 
         acyc = self.acyclicity if acyclicity is None else acyclicity
-        if self.encoding_or_none(tup, acyclicity=acyc) is None:
+        if not self.is_answer(tup):
             return []
         self.stats.sat_solver_builds += 1
         enumerator = WhyProvenanceEnumerator(
@@ -531,17 +533,19 @@ class ProvenanceSession:
         :data:`FACT_BYTES` per database and model fact plus
         :data:`INSTANCE_BYTES` per recorded rule instance (the trace that
         dominates a warm session's footprint), twice over once an update
-        has indexed the trace. Before the evaluation only the database
-        counts.
+        has indexed the trace by body fact. Before the evaluation only the
+        database counts.
         """
         evaluation = self._evaluation
         facts = len(self.database)
         if evaluation is None:
             return FACT_BYTES * facts
         facts += len(evaluation.model)
-        instances = evaluation.instances or ()
-        per_instance = INSTANCE_BYTES * (2 if isinstance(instances, TraceIndex) else 1)
-        return FACT_BYTES * facts + per_instance * len(instances)
+        trace = evaluation.instances
+        if trace is None:
+            return FACT_BYTES * facts
+        per_instance = INSTANCE_BYTES * (1 if trace.bodies is None else 2)
+        return FACT_BYTES * facts + per_instance * len(trace)
 
     def invalidate(self) -> None:
         """Drop every cached artifact (call after mutating the database)."""

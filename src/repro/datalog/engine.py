@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom
 from .database import Database, Delta
 from .plans import (
+    InstanceKey,
     PlanContext,
+    Row,
+    RowKey,
+    SymbolTable,
     evaluate_seminaive_compiled,
     resolve_engine,
     run_insertion_rounds,
@@ -56,9 +60,11 @@ class EvaluationResult:
         distinct :class:`GroundRule` that fired, i.e. exactly the ground
         instances of :func:`ground_instances` over the final model, but
         captured as a side effect of the fixpoint instead of a second
-        matching pass: a tuple from :func:`evaluate`, a
-        :class:`TraceIndex` once :func:`maintain_evaluation` has patched
-        the evaluation. ``None`` when recording was off.
+        matching pass. It is a :class:`TraceIndex`, which keeps each
+        instance as an interned key and builds no ground rule for it:
+        ``len`` is the instance count and iteration lifts every
+        instance to a :class:`GroundRule`. :func:`maintain_evaluation`
+        patches the same index in place. ``None`` when recording was off.
     engine:
         Which engine produced the result: ``"interpreted"`` (the generic
         backtracking matcher) or ``"compiled"`` (join plans from
@@ -75,7 +81,7 @@ class EvaluationResult:
     ranks: Dict[Atom, int]
     rounds: int
     derivations: int = 0
-    instances: Optional[Collection[GroundRule]] = None
+    instances: Optional["TraceIndex"] = None
     engine: str = "interpreted"
     plans_compiled: int = 0
     plan_reuses: int = 0
@@ -85,20 +91,209 @@ class EvaluationResult:
         return self.ranks[fact]
 
 
-class _InstanceTrace:
-    """Deduplicating recorder for ground rule instances as they fire."""
+_NO_USERS: Dict[int, None] = {}
 
-    __slots__ = ("items", "_seen")
 
-    def __init__(self):
-        self.items: List[GroundRule] = []
-        self._seen: Set[GroundRule] = set()
+class TraceIndex:
+    """An instance trace as interned keys, indexed by head and body fact.
 
-    def record(self, rule: Rule, head: Atom, subst) -> None:
-        ground = GroundRule(rule, head, tuple(a.ground(subst) for a in rule.body))
-        if ground not in self._seen:
-            self._seen.add(ground)
-            self.items.append(ground)
+    Each rule instance is kept as its :data:`~repro.datalog.plans.InstanceKey`,
+    ``((head_pred, body_preds), head_row, body_rows)``, whose rows are
+    ids of :attr:`symbols`, together with the rule that first fired it;
+    :attr:`atoms` maps every ``(pred, row)`` the keys name back to its
+    :class:`Atom`. No :class:`GroundRule` is built until :meth:`lift`
+    asks for one. The compiled engine records its firings' keys as they
+    are; the interpreted engine, naive evaluation and
+    :func:`ground_instances` streams are interned where they enter
+    (:meth:`record`, :meth:`from_ground`).
+
+    An evaluation records the trace flat, in firing order. The first
+    reader that needs it by head — a GRI build
+    (:func:`~repro.provenance.grounding.gri_maps_from_instances`) or the
+    first :func:`maintain_evaluation` — numbers the instances (``keys``
+    and ``rules`` hold each instance's key and rule under its number) and
+    groups them into :attr:`heads`, ``(pred, head_row) -> {key:
+    number}``, a dict used as an insertion-ordered set, which the GRI
+    and maintenance share from then on. The first maintenance also
+    builds :attr:`bodies` from the keys alone, ``pred -> row -> {number:
+    None}`` (the instances with the fact ``(pred, row)`` in their body;
+    :meth:`users` reads it), and patches both maps in place: :meth:`add`
+    and :meth:`discard` cost the size of one body, and the maintenance
+    walks hash instance numbers, not keys.
+
+    ``len`` is the instance count and iteration (which groups the trace)
+    lifts every instance, so the index reads as the
+    ``Collection[GroundRule]`` that ``EvaluationResult.instances``
+    promises.
+    """
+
+    __slots__ = (
+        "symbols", "atoms", "fired", "keys", "rules", "heads", "bodies", "_free"
+    )
+
+    def __init__(
+        self,
+        symbols: Optional[SymbolTable] = None,
+        atoms: Optional[Dict[RowKey, Atom]] = None,
+    ):
+        self.symbols = SymbolTable() if symbols is None else symbols
+        self.atoms: Dict[RowKey, Atom] = {} if atoms is None else atoms
+        #: key -> rule in firing order, until the trace is grouped.
+        self.fired: Optional[Dict[InstanceKey, Rule]] = {}
+        self.keys: List[Optional[InstanceKey]] = []
+        self.rules: List[Optional[Rule]] = []
+        self.heads: Optional[Dict[RowKey, Dict[InstanceKey, int]]] = None
+        self.bodies: Optional[Dict[str, Dict[Row, Dict[int, None]]]] = None
+        #: Numbers of discarded instances, reused by :meth:`add`.
+        self._free: List[int] = []
+
+    @classmethod
+    def from_ground(
+        cls, instances: Iterable[GroundRule], symbols: Optional[SymbolTable] = None
+    ) -> "TraceIndex":
+        """The trace of a :class:`GroundRule` stream, interned into *symbols*."""
+        trace = cls(symbols)
+        for ground in instances:
+            trace.record(ground.rule, ground.head, ground.body)
+        return trace
+
+    def row_key(self, atom: Atom) -> RowKey:
+        """*atom* as ``(pred, row)``, interned and entered in :attr:`atoms`."""
+        intern = self.symbols.intern
+        key = (atom.pred, tuple([intern(value) for value in atom.args]))
+        self.atoms.setdefault(key, atom)
+        return key
+
+    def find(self, atom: Atom) -> Optional[RowKey]:
+        """*atom* as ``(pred, row)``, or ``None`` if a constant is new."""
+        row = self.symbols.find(atom.args)
+        return None if row is None else (atom.pred, row)
+
+    def key_of(self, head: Atom, body: Sequence[Atom]) -> InstanceKey:
+        """The key of the instance ``head :- body``, interning its atoms."""
+        row_key = self.row_key
+        body_keys = [row_key(atom) for atom in body]
+        return (
+            (head.pred, tuple([pred for pred, _ in body_keys])),
+            row_key(head)[1],
+            tuple([row for _, row in body_keys]),
+        )
+
+    def record(self, rule: Rule, head: Atom, body: Sequence[Atom]) -> None:
+        """Record one firing of the flat trace; the first rule to fire it stays."""
+        self.fired.setdefault(self.key_of(head, body), rule)
+
+    def by_head(self) -> Dict[RowKey, Dict[InstanceKey, int]]:
+        """:attr:`heads`, numbered and grouped from the flat trace on the first call."""
+        if self.heads is None:
+            self.keys = list(self.fired)
+            self.rules = list(self.fired.values())
+            heads: Dict[RowKey, Dict[InstanceKey, int]] = {}
+            for number, key in enumerate(self.keys):
+                head = (key[0][0], key[1])
+                group = heads.get(head)
+                if group is None:
+                    heads[head] = {key: number}
+                else:
+                    group[key] = number
+            self.heads, self.fired = heads, None
+        return self.heads
+
+    def index(self) -> None:
+        """Group by head and build :attr:`bodies`, once, for maintenance."""
+        if self.bodies is None:
+            self.by_head()
+            self.bodies = {}
+            for number, key in enumerate(self.keys):
+                self._index_body(number, key)
+
+    def _index_body(self, number: int, key: InstanceKey) -> None:
+        bodies = self.bodies
+        for pred, row in zip(key[0][1], key[2]):
+            by_row = bodies.get(pred)
+            if by_row is None:
+                by_row = bodies[pred] = {}
+            users = by_row.get(row)
+            if users is None:
+                by_row[row] = {number: None}
+            else:
+                users[number] = None
+
+    def users(self, fact: RowKey) -> Dict[int, None]:
+        """The numbers of the instances with *fact* in their body (indexed trace)."""
+        by_row = self.bodies.get(fact[0])
+        return _NO_USERS if by_row is None else by_row.get(fact[1], _NO_USERS)
+
+    def add(self, key: InstanceKey, rule: Rule) -> Optional[int]:
+        """Record *key* in the indexed trace: its new number, or ``None`` if present."""
+        head = (key[0][0], key[1])
+        group = self.heads.get(head)
+        if group is not None and key in group:
+            return None
+        if self._free:
+            number = self._free.pop()
+            self.keys[number], self.rules[number] = key, rule
+        else:
+            number = len(self.keys)
+            self.keys.append(key)
+            self.rules.append(rule)
+        if group is None:
+            self.heads[head] = {key: number}
+        else:
+            group[key] = number
+        self._index_body(number, key)
+        return number
+
+    def discard(self, number: int) -> None:
+        """Remove instance *number*, which must be in the indexed trace.
+
+        A fact left as the head or in the body of no instance loses its
+        entry, so the maps stay the size of the trace under churn.
+        """
+        key = self.keys[number]
+        head = (key[0][0], key[1])
+        group = self.heads[head]
+        del group[key]
+        if not group:
+            del self.heads[head]
+        self.keys[number] = self.rules[number] = None
+        self._free.append(number)
+        bodies = self.bodies
+        for pred, row in zip(key[0][1], key[2]):
+            # An earlier body atom of the same predicate may have emptied
+            # and dropped its entry.
+            by_row = bodies.get(pred)
+            users = None if by_row is None else by_row.get(row)
+            if users is not None:
+                users.pop(number, None)
+                if not users:
+                    del by_row[row]
+                    if not by_row:
+                        del bodies[pred]
+
+    def lift(self, number: int) -> GroundRule:
+        """The :class:`GroundRule` of instance *number* (a grouped trace)."""
+        (head_pred, body_preds), head_row, body_rows = self.keys[number]
+        atoms = self.atoms
+        return GroundRule.unchecked(
+            self.rules[number],
+            atoms[(head_pred, head_row)],
+            tuple([atoms[fact] for fact in zip(body_preds, body_rows)]),
+        )
+
+    def __len__(self) -> int:
+        if self.fired is not None:
+            return len(self.fired)
+        return len(self.keys) - len(self._free)
+
+    def __iter__(self) -> Iterator[GroundRule]:
+        # Grouped first, so the order (heads in first-firing order, each
+        # head's instances in firing order) is the same before and after
+        # a GRI build groups the trace.
+        lift = self.lift
+        for group in self.by_head().values():
+            for number in group.values():
+                yield lift(number)
 
 
 def evaluate(
@@ -158,7 +353,7 @@ def _evaluate_naive(
     ranks: Dict[Atom, int] = {fact: 0 for fact in database}
     derivations = 0
     rounds = 0
-    trace = _InstanceTrace() if record_instances else None
+    trace = TraceIndex() if record_instances else None
     while True:
         rounds += 1
         new_facts: List[Atom] = []
@@ -167,7 +362,7 @@ def _evaluate_naive(
                 derivations += 1
                 head = rule.head.ground(subst)
                 if trace is not None:
-                    trace.record(rule, head, subst)
+                    trace.record(rule, head, tuple(a.ground(subst) for a in rule.body))
                 if head not in model and head not in ranks:
                     ranks[head] = rounds
                     new_facts.append(head)
@@ -181,7 +376,7 @@ def _evaluate_naive(
         ranks=ranks,
         rounds=rounds,
         derivations=derivations,
-        instances=tuple(trace.items) if trace is not None else None,
+        instances=trace,
     )
 
 
@@ -200,7 +395,7 @@ def _evaluate_seminaive(
     model = database.copy()
     ranks: Dict[Atom, int] = {fact: 0 for fact in database}
     derivations = 0
-    trace = _InstanceTrace() if record_instances else None
+    trace = TraceIndex() if record_instances else None
 
     idb = program.idb
     # Split rules: those without intensional body atoms fire only in round 1.
@@ -230,7 +425,9 @@ def _evaluate_seminaive(
                     derivations += 1
                     head = rule.head.ground(subst)
                     if trace is not None:
-                        trace.record(rule, head, subst)
+                        trace.record(
+                            rule, head, tuple(a.ground(subst) for a in rule.body)
+                        )
                     if head not in model and head not in new_delta:
                         ranks[head] = next_round
                         new_delta._insert(head)
@@ -243,7 +440,9 @@ def _evaluate_seminaive(
                     derivations += 1
                     head = rule.head.ground(subst)
                     if trace is not None:
-                        trace.record(rule, head, subst)
+                        trace.record(
+                            rule, head, tuple(a.ground(subst) for a in rule.body)
+                        )
                     if head not in model and head not in new_delta:
                         ranks[head] = next_round
                         new_delta._insert(head)
@@ -258,109 +457,13 @@ def _evaluate_seminaive(
         ranks=ranks,
         rounds=rounds,
         derivations=derivations,
-        instances=tuple(trace.items) if trace is not None else None,
+        instances=trace,
     )
 
 
 # ---------------------------------------------------------------------------
 # Incremental maintenance of a recorded evaluation
 # ---------------------------------------------------------------------------
-
-
-def instances_by_head(
-    instances: Iterable[GroundRule],
-) -> Dict[Atom, Dict[GroundRule, None]]:
-    """Group ground rules by head; each group is a dict used as an ordered set."""
-    heads: Dict[Atom, Dict[GroundRule, None]] = {}
-    for ground in instances:
-        rules = heads.get(ground.head)
-        if rules is None:
-            heads[ground.head] = {ground: None}
-        else:
-            rules[ground] = None
-    return heads
-
-
-class TraceIndex:
-    """An instance trace indexed by head and by body fact, patched in place.
-
-    ``heads`` maps a fact to the ground rules deriving it and ``bodies``
-    maps a fact to the ground rules with it in their body. Each value is a
-    dict used as an insertion-ordered set, so :meth:`add` and
-    :meth:`discard` cost the size of one body. Iteration and ``len``
-    behave like the trace tuple :func:`evaluate` records, so the index
-    takes that tuple's place in ``EvaluationResult.instances`` once
-    :func:`maintain_evaluation` has patched the evaluation.
-
-    *heads*, when given, must be ``instances_by_head(instances)``. The
-    index then adopts that map instead of grouping again: this is how a
-    session's :class:`~repro.provenance.grounding.GriIndex` and its trace
-    share one head map.
-    """
-
-    __slots__ = ("heads", "bodies", "_size")
-
-    def __init__(
-        self,
-        instances: Iterable[GroundRule] = (),
-        heads: Optional[Dict[Atom, Dict[GroundRule, None]]] = None,
-    ):
-        if heads is None:
-            heads = instances_by_head(instances)
-        self.heads = heads
-        self.bodies: Dict[Atom, Dict[GroundRule, None]] = {}
-        self._size = 0
-        for rules in heads.values():
-            self._index_bodies(rules)
-
-    def _index_bodies(self, rules: Iterable[GroundRule]) -> None:
-        bodies = self.bodies
-        for ground in rules:
-            self._size += 1
-            for fact in ground.body:
-                users = bodies.get(fact)
-                if users is None:
-                    bodies[fact] = {ground: None}
-                else:
-                    users[ground] = None
-
-    def add(self, ground: GroundRule) -> bool:
-        """Record *ground*; return ``True`` iff it was not yet in the trace."""
-        rules = self.heads.get(ground.head)
-        if rules is None:
-            self.heads[ground.head] = {ground: None}
-        elif ground in rules:
-            return False
-        else:
-            rules[ground] = None
-        self._index_bodies((ground,))
-        return True
-
-    def discard(self, ground: GroundRule) -> None:
-        """Remove *ground*, which must be in the trace.
-
-        A fact left as the head or in the body of no instance loses its
-        entry, so the maps stay the size of the trace under churn.
-        """
-        rules = self.heads[ground.head]
-        del rules[ground]
-        if not rules:
-            del self.heads[ground.head]
-        self._size -= 1
-        bodies = self.bodies
-        for fact in ground.body:
-            users = bodies.get(fact)
-            if users is not None:
-                users.pop(ground, None)
-                if not users:
-                    del bodies[fact]
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[GroundRule]:
-        for rules in self.heads.values():
-            yield from rules
 
 
 @dataclass
@@ -378,9 +481,10 @@ class MaintenanceResult:
         The difference between the old and new least models (extensional
         facts included).
     added_instances / removed_instances:
-        The ground rule instances that entered / left the trace — the
-        raw material for cache invalidation: a downward closure can only
-        change if one of these instances' heads lies inside it.
+        The ground rule instances that entered / left the trace, lifted
+        from their keys (no other instance is lifted) — the raw material
+        for cache invalidation: a downward closure can only change if one
+        of these instances' heads lies inside it.
     cone / raised:
         Deletion diagnostics: how many facts the rank-supported cone of
         the deleted facts held (the only facts a deletion can re-rank or
@@ -454,11 +558,13 @@ def ranks_from_instances(
     return ranks
 
 
-def _top_rank(ground: GroundRule, ranks: Dict[Atom, int]) -> Optional[int]:
-    """The highest rank in *ground*'s body, or ``None`` if a body fact has none."""
+def _top_rank(
+    key: InstanceKey, ranks: Dict[Atom, int], atoms: Dict[RowKey, Atom]
+) -> Optional[int]:
+    """The highest rank in *key*'s body, or ``None`` if a body fact has none."""
     top = -1
-    for fact in ground.body:
-        rank = ranks.get(fact)
+    for fact in zip(key[0][1], key[2]):
+        rank = ranks.get(atoms[fact])
         if rank is None:
             return None
         if rank > top:
@@ -470,8 +576,8 @@ def _rank_supported_cone(
     database: Database,
     ranks: Dict[Atom, int],
     trace: TraceIndex,
-    deleted: Iterable[Atom],
-) -> Set[Atom]:
+    deleted: Iterable[RowKey],
+) -> Set[RowKey]:
     """Every fact whose rank or membership deleting *deleted* can change.
 
     An instance is *rank-supporting* for its head when its highest body
@@ -480,31 +586,35 @@ def _rank_supported_cone(
     it once each of its rank-supporting instances has a body fact in the
     cone; a countdown per head tracks how many are left, and a head is
     looked at only when one of them loses a body fact. *ranks* are the
-    ranks before the update.
+    ranks before the update. Facts are the trace's ``(pred, row)`` keys.
 
     The cone is exact in one direction: a fact outside it still has a
     rank-supporting instance with its whole body outside the cone, so by
     induction on rank (Prop. 28) it keeps its rank and stays in the
     model. Cone facts may keep their rank, rise or leave.
     """
-    heads, bodies = trace.heads, trace.bodies
-    cone: Set[Atom] = set(deleted)
-    stack: List[Atom] = list(cone)
-    left: Dict[Atom, int] = {}
-    hit: Set[GroundRule] = set()
+    heads, keys, users, atoms = trace.heads, trace.keys, trace.users, trace.atoms
+    cone: Set[RowKey] = set(deleted)
+    stack: List[RowKey] = list(cone)
+    left: Dict[RowKey, int] = {}
+    hit: Set[int] = set()
     while stack:
-        for ground in bodies.get(stack.pop(), ()):
-            head = ground.head
-            if head in cone or ground in hit or head in database:
+        for number in users(stack.pop()):
+            key = keys[number]
+            head = (key[0][0], key[1])
+            if head in cone or number in hit:
                 continue
-            stage = ranks[head] - 1
-            if _top_rank(ground, ranks) != stage:
+            head_atom = atoms[head]
+            if head_atom in database:
                 continue
-            hit.add(ground)
+            stage = ranks[head_atom] - 1
+            if _top_rank(key, ranks, atoms) != stage:
+                continue
+            hit.add(number)
             count = left.get(head)
             if count is None:
                 count = sum(
-                    1 for other in heads[head] if _top_rank(other, ranks) == stage
+                    1 for other in heads[head] if _top_rank(other, ranks, atoms) == stage
                 )
             if count == 1:
                 cone.add(head)
@@ -515,14 +625,17 @@ def _rank_supported_cone(
 
 
 def _offer(
-    buckets: Dict[int, List[Atom]], ground: GroundRule, ranks: Dict[Atom, int]
+    buckets: Dict[int, List[RowKey]],
+    key: InstanceKey,
+    ranks: Dict[Atom, int],
+    atoms: Dict[RowKey, Atom],
 ) -> None:
-    """Queue *ground*'s head at ``1 +`` its highest body rank, if that is lower."""
-    top = _top_rank(ground, ranks)
+    """Queue *key*'s head at ``1 +`` its highest body rank, if that is lower."""
+    top = _top_rank(key, ranks, atoms)
     if top is None:
         return
-    head = ground.head
-    current = ranks.get(head)
+    head = (key[0][0], key[1])
+    current = ranks.get(atoms[head])
     if current is None or top + 1 < current:
         bucket = buckets.get(top + 1)
         if bucket is None:
@@ -532,9 +645,9 @@ def _offer(
 
 
 def _settle(
-    buckets: Dict[int, List[Atom]],
+    buckets: Dict[int, List[RowKey]],
     ranks: Dict[Atom, int],
-    bodies: Dict[Atom, Dict[GroundRule, None]],
+    trace: TraceIndex,
 ) -> None:
     """Lower ranks from the queued candidates, least rank first.
 
@@ -546,51 +659,58 @@ def _settle(
     rank) passes its new rank on through the instances it is a body fact
     of; nothing else is visited.
     """
+    atoms, keys, users = trace.atoms, trace.keys, trace.users
     while buckets:
         rank = min(buckets)
         for fact in buckets.pop(rank):
-            current = ranks.get(fact)
+            atom = atoms[fact]
+            current = ranks.get(atom)
             if current is not None and current <= rank:
                 continue
-            ranks[fact] = rank
-            for ground in bodies.get(fact, ()):
-                _offer(buckets, ground, ranks)
+            ranks[atom] = rank
+            for number in users(fact):
+                _offer(buckets, keys[number], ranks, atoms)
 
 
 def _delete_facts(
     database: Database,
     evaluation: EvaluationResult,
     trace: TraceIndex,
-    deleted: List[Atom],
-) -> Tuple[List[Atom], Dict[GroundRule, None], int, int]:
+    deleted: List[RowKey],
+) -> Tuple[List[RowKey], List[Atom], Tuple[GroundRule, ...], int, int]:
     """The deletion phase of :func:`maintain_evaluation`, in place.
 
     Computes the rank-supported cone of *deleted*, drops the cone's
     ranks and re-ranks it bottom-up from the facts outside it, seeded by
     the cone facts' instances whose bodies lie wholly outside the cone.
     Cone facts that are never reached have no derivation left: they leave
-    the model, and every instance with one in its body leaves the trace
-    (an instance whose head left has such a body fact, or the head would
-    have been reached). Returns ``(dropped facts, removed instances, cone
-    size, facts kept at a higher rank)``.
+    the model and the trace's atom map, and every instance with one in
+    its body leaves the trace (an instance whose head left has such a
+    body fact, or the head would have been reached). Returns ``(dropped
+    facts, their atoms, removed instances lifted, cone size, facts kept
+    at a higher rank)``.
     """
-    ranks = evaluation.ranks
+    ranks, atoms = evaluation.ranks, trace.atoms
     cone = _rank_supported_cone(database, ranks, trace, deleted)
-    before = {fact: ranks.pop(fact) for fact in cone}
-    buckets: Dict[int, List[Atom]] = {}
+    before = {fact: ranks.pop(atoms[fact]) for fact in cone}
+    buckets: Dict[int, List[RowKey]] = {}
     for fact in cone:
-        for ground in trace.heads.get(fact, ()):
-            _offer(buckets, ground, ranks)
-    _settle(buckets, ranks, trace.bodies)
-    dropped = [fact for fact in cone if fact not in ranks]
-    raised = sum(1 for fact, rank in before.items() if ranks.get(fact, rank) > rank)
-    removed: Dict[GroundRule, None] = {}
+        for key in trace.heads.get(fact, ()):
+            _offer(buckets, key, ranks, atoms)
+    _settle(buckets, ranks, trace)
+    dropped = [fact for fact in cone if atoms[fact] not in ranks]
+    raised = sum(
+        1 for fact, rank in before.items() if ranks.get(atoms[fact], rank) > rank
+    )
+    removed: Dict[int, None] = {}
     for fact in dropped:
-        evaluation.model.discard(fact)
-        removed.update(trace.bodies.get(fact, ()))
-    for ground in removed:
-        trace.discard(ground)
-    return dropped, removed, len(cone), raised
+        evaluation.model.discard(atoms[fact])
+        removed.update(trace.users(fact))
+    lifted = tuple(trace.lift(number) for number in removed)
+    for number in removed:
+        trace.discard(number)
+    dropped_atoms = [atoms.pop(fact) for fact in dropped]
+    return dropped, dropped_atoms, lifted, len(cone), raised
 
 
 def _interpreted_insertion_rounds(
@@ -598,17 +718,17 @@ def _interpreted_insertion_rounds(
     model: Database,
     trace: TraceIndex,
     fresh: Sequence[Atom],
-) -> Tuple[Set[Atom], List[GroundRule], int]:
+) -> Tuple[Set[Atom], List[int], int]:
     """Delta-semi-naive insertion rounds through the generic matcher.
 
     The interpreted twin of :func:`~repro.datalog.plans.run_insertion_rounds`:
     adds *fresh* to *model*, then every round pivots each body position
-    of each rule on the previous round's new facts, recording each new
-    instance in *trace*. Returns ``(added_facts, added_instances,
-    derivation_count)``.
+    of each rule on the previous round's new facts, interning each
+    firing into *trace* (:meth:`TraceIndex.key_of`). Returns
+    ``(added_facts, added_instance_numbers, derivation_count)``.
     """
     added_facts: Set[Atom] = set()
-    added_instances: List[GroundRule] = []
+    added_instances: List[int] = []
     derivations = 0
     round_delta = Database()
     for fact in fresh:
@@ -624,11 +744,10 @@ def _interpreted_insertion_rounds(
                 for subst in match_body_with_delta(rule.body, model, round_delta, pos):
                     derivations += 1
                     head = rule.head.ground(subst)
-                    ground = GroundRule(
-                        rule, head, tuple(a.ground(subst) for a in rule.body)
-                    )
-                    if trace.add(ground):
-                        added_instances.append(ground)
+                    key = trace.key_of(head, tuple(a.ground(subst) for a in rule.body))
+                    number = trace.add(key, rule)
+                    if number is not None:
+                        added_instances.append(number)
                     if head not in model and head not in next_delta:
                         next_delta._insert(head)
         for fact in next_delta:
@@ -652,9 +771,10 @@ def maintain_evaluation(
     :meth:`~repro.datalog.database.Database.apply`) and *delta* must be
     the **effective** delta it returned; *evaluation* is the result
     computed before the update, and must carry an instance trace
-    (``record_instances=True``). The first call turns that trace into a
-    :class:`TraceIndex`; every call patches the evaluation's model, ranks
-    and index, and returns the evaluation in the receipt.
+    (``record_instances=True``). The first call indexes that
+    :class:`TraceIndex` by head and body fact, over its interned keys;
+    every call patches the evaluation's model, ranks and index, and
+    returns the evaluation in the receipt.
 
     Deletions run first and match no rule body. They re-rank only the
     rank-supported cone of the deleted facts (:func:`_rank_supported_cone`),
@@ -667,57 +787,65 @@ def maintain_evaluation(
     instances; it visits only facts whose rank drops. So the work follows
     the facts whose stage support changed, and the patched evaluation
     equals a cold one: same model, same ranks, same rounds, same instance
-    *set*.
+    *set*. Both phases walk instance keys and read ranks through the
+    trace's atom map; only the instances that changed are lifted, for
+    the receipt.
 
     *engine* / *plan_context* select how the insertion rounds match rule
     bodies, exactly as in :func:`evaluate`. On the compiled engine the
     context also keeps the model interned as int relations across calls
-    and patches them, instead of interning the model on every update.
+    and patches them, instead of interning the model on every update; it
+    must intern with the trace's symbol table, as the context of the
+    evaluation does.
     """
-    if evaluation.instances is None:
+    trace = evaluation.instances
+    if trace is None:
         raise ValueError(
             "incremental maintenance requires an instance trace; "
             "evaluate with record_instances=True"
         )
-    trace = evaluation.instances
-    if not isinstance(trace, TraceIndex):
-        trace = evaluation.instances = TraceIndex(trace)
+    if plan_context is not None and plan_context.symbols is not trace.symbols:
+        raise ValueError("plan_context must intern with the trace's symbol table")
+    trace.index()
     model, ranks = evaluation.model, evaluation.ranks
     resolved_engine = resolve_engine(engine)
     if resolved_engine == "compiled" and plan_context is None:
-        plan_context = PlanContext()
+        plan_context = PlanContext(trace.symbols)
 
     removed_facts: List[Atom] = []
-    removed_instances: Dict[GroundRule, None] = {}
+    removed_instances: Tuple[GroundRule, ...] = ()
     cone = raised = 0
-    deleted = [fact for fact in delta.deleted if fact in model]
+    deleted = [trace.row_key(fact) for fact in delta.deleted if fact in model]
     if deleted:
-        removed_facts, removed_instances, cone, raised = _delete_facts(
+        dropped, removed_facts, removed_instances, cone, raised = _delete_facts(
             database, evaluation, trace, deleted
         )
         if plan_context is not None:
-            plan_context.forget(model, removed_facts)
+            plan_context.forget(model, dropped)
 
     added_facts: Set[Atom] = set()
-    added_instances: List[GroundRule] = []
+    added_numbers: List[int] = []
     fresh = [fact for fact in delta.inserted if fact not in model]
     if fresh:
         if resolved_engine == "compiled":
-            added_facts, added_instances, fired = run_insertion_rounds(
+            added_facts, added_numbers, fired = run_insertion_rounds(
                 program, model, trace, fresh, plan_context, database
             )
         else:
-            added_facts, added_instances, fired = _interpreted_insertion_rounds(
+            added_facts, added_numbers, fired = _interpreted_insertion_rounds(
                 program, model, trace, fresh
             )
             if plan_context is not None:
                 plan_context.interned = None  # no longer mirrors the model
         evaluation.derivations += fired
     if delta.inserted:
-        buckets: Dict[int, List[Atom]] = {0: list(delta.inserted)}
-        for ground in added_instances:
-            _offer(buckets, ground, ranks)
-        _settle(buckets, ranks, trace.bodies)
+        atoms = trace.atoms
+        buckets: Dict[int, List[RowKey]] = {
+            0: [trace.row_key(fact) for fact in delta.inserted]
+        }
+        for number in added_numbers:
+            _offer(buckets, trace.keys[number], ranks, atoms)
+        _settle(buckets, ranks, trace)
 
     evaluation.rounds = max(ranks.values(), default=0)
     evaluation.engine = resolved_engine
@@ -727,8 +855,8 @@ def maintain_evaluation(
         evaluation=evaluation,
         added_facts=frozenset(added_facts),
         removed_facts=frozenset(removed_facts),
-        added_instances=tuple(added_instances),
-        removed_instances=tuple(removed_instances),
+        added_instances=tuple(trace.lift(number) for number in added_numbers),
+        removed_instances=removed_instances,
         cone=cone,
         raised=raised,
     )

@@ -25,8 +25,8 @@ and the ``REPRO_ENGINE`` environment knob:
    (CPython caps statically nested blocks, and e.g. the stress tests join
    40-atom chains). The closure is cached in the context and reused
    across all semi-naive rounds and across ``maintain_evaluation``
-   insertion rounds, which run over the maintained model interned once
-   and patched from then on (:class:`InternedModel`).
+   insertion rounds, which run over the recorded evaluation's int
+   relations, adopted and patched from then on (:class:`InternedModel`).
 
 The compiled evaluator mirrors the interpreted semi-naive loop *exactly*
 (same round structure, same rank assignment, same per-firing derivation
@@ -44,11 +44,20 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 from .atoms import Atom
 from .database import Database, IntRelation
 from .program import Program
-from .rules import GroundRule, Rule
+from .rules import Rule
 from .terms import is_variable
 
 if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
     from .engine import TraceIndex
+
+#: A fact as int ids: one id per argument, from a :class:`SymbolTable`.
+Row = Tuple[int, ...]
+#: A fact of the least model as ``(pred, row)``.
+RowKey = Tuple[str, Row]
+#: A ground rule instance as ``((head_pred, body_preds), head_row,
+#: body_rows)``: two firings are one instance iff their keys are equal,
+#: as two :class:`~repro.datalog.rules.GroundRule` are iff their atoms are.
+InstanceKey = Tuple[Tuple[str, Tuple[str, ...]], Row, Tuple[Row, ...]]
 
 #: Environment variable selecting the default evaluation engine.
 ENGINE_ENV = "REPRO_ENGINE"
@@ -114,6 +123,14 @@ class SymbolTable:
         """The constant behind a dense id."""
         return self.values[ident]
 
+    def find(self, values: Iterable[object]) -> Optional[Row]:
+        """The ids of *values*, or ``None`` if one was never interned."""
+        ids = self._ids
+        try:
+            return tuple([ids[value] for value in values])
+        except KeyError:
+            return None
+
 
 class JoinPlan:
     """One compiled (rule, delta-position) pair.
@@ -161,13 +178,15 @@ class PlanContext:
 
     __slots__ = ("symbols", "plans", "compiled", "reuses", "interned")
 
-    def __init__(self):
-        self.symbols = SymbolTable()
+    def __init__(self, symbols: Optional[SymbolTable] = None):
+        #: Shared with every trace recorded through this context, whose
+        #: instance keys are rows of these ids.
+        self.symbols = SymbolTable() if symbols is None else symbols
         self.plans: Dict[Tuple[Rule, Optional[int]], JoinPlan] = {}
         self.compiled = 0
         self.reuses = 0
-        #: The maintained model as int relations, interned by the first
-        #: compiled insertion rounds over it and patched from then on.
+        #: The maintained model as int relations: the rows of the last
+        #: recorded evaluation, patched by every update from then on.
         self.interned: Optional[InternedModel] = None
 
     def plan_for(
@@ -192,31 +211,36 @@ class PlanContext:
             self.reuses += 1
         return plan
 
-    def interned_model(self, model: Database) -> "InternedModel":
-        """*model* as int relations: kept from its last maintenance, else interned now."""
+    def interned_model(
+        self, model: Database, atoms: Dict[RowKey, Atom]
+    ) -> "InternedModel":
+        """*model* as int relations over the atom map *atoms*.
+
+        The relations kept from the evaluation or the last maintenance
+        are reused; otherwise *model* is interned now, filling *atoms*.
+        """
         interned = self.interned
-        if interned is None or interned.model is not model:
-            interned = self.interned = InternedModel(model, self.symbols)
+        if interned is None or interned.model is not model or interned.atoms is not atoms:
+            interned = self.interned = InternedModel(model, self.symbols, atoms)
         return interned
 
-    def forget(self, model: Database, facts: Iterable[Atom]) -> None:
+    def forget(self, model: Database, facts: Iterable[RowKey]) -> None:
         """Drop *facts*, just removed from *model*, from its interned relations."""
         interned = self.interned
         if interned is not None and interned.model is model:
-            intern = self.symbols.intern
-            for fact in facts:
-                row = tuple(intern(value) for value in fact.args)
-                interned.relations[fact.pred].discard(row)
-                del interned.atoms[(fact.pred, row)]
+            relations = interned.relations
+            for pred, row in facts:
+                relations[pred].discard(row)
 
 
 class InternedModel:
     """A maintained model's facts as int-tuple relations.
 
     ``relations`` maps a predicate to its :class:`IntRelation` and
-    ``atoms`` maps each ``(pred, row)`` back to its fact. A
-    :class:`PlanContext` keeps one for the model that
-    :func:`run_insertion_rounds` last extended: the rounds add the rows
+    ``atoms`` maps each ``(pred, row)`` back to its fact; it is the atom
+    map of the model's instance trace. A :class:`PlanContext` keeps one
+    for its last recorded evaluation, whose relations it adopts as they
+    stand (:meth:`adopt`): :func:`run_insertion_rounds` adds the rows
     they derive, :meth:`PlanContext.forget` drops the rows of deleted
     facts, and the relations' pattern indexes survive from one update to
     the next.
@@ -224,11 +248,28 @@ class InternedModel:
 
     __slots__ = ("model", "relations", "atoms")
 
-    def __init__(self, model: Database, symbols: SymbolTable):
+    def __init__(
+        self,
+        model: Database,
+        symbols: SymbolTable,
+        atoms: Optional[Dict[RowKey, Atom]] = None,
+    ):
         self.model = model
         self.relations: Dict[str, IntRelation] = {}
-        self.atoms: Dict[Tuple[str, Tuple[int, ...]], Atom] = {}
+        self.atoms: Dict[RowKey, Atom] = {} if atoms is None else atoms
         _intern_database(model, symbols, self.relations, self.atoms)
+
+    @classmethod
+    def adopt(
+        cls,
+        model: Database,
+        relations: Dict[str, IntRelation],
+        atoms: Dict[RowKey, Atom],
+    ) -> "InternedModel":
+        """The interned model whose relations an evaluation just built."""
+        interned = object.__new__(cls)
+        interned.model, interned.relations, interned.atoms = model, relations, atoms
+        return interned
 
 
 class _Step:
@@ -528,7 +569,7 @@ def _intern_database(
     facts: Iterable[Atom],
     symbols: SymbolTable,
     model_rels: Dict[str, IntRelation],
-    fact_atoms: Dict[Tuple[str, Tuple[int, ...]], Atom],
+    fact_atoms: Dict[RowKey, Atom],
 ) -> None:
     """Load *facts* into int-tuple relations, remembering each row's atom."""
     intern = symbols.intern
@@ -543,9 +584,9 @@ def _intern_database(
 
 def _atom_of(
     pred: str,
-    row: Tuple[int, ...],
+    row: Row,
     symbols: SymbolTable,
-    fact_atoms: Dict[Tuple[str, Tuple[int, ...]], Atom],
+    fact_atoms: Dict[RowKey, Atom],
 ) -> Atom:
     """The (cached) ground atom behind an int row."""
     key = (pred, row)
@@ -573,8 +614,16 @@ def evaluate_seminaive_compiled(
     whose ``(model, ranks, rounds, derivations, set(instances))`` equal
     the interpreted engine's, with ``engine="compiled"`` and the
     context's plan-cache counters attached.
+
+    With *record_instances*, each new instance is kept as the
+    :data:`InstanceKey` its firing already is, with the rule that fired
+    it, in a :class:`~repro.datalog.engine.TraceIndex` over the context's
+    symbols and the evaluation's ``(pred, row) -> Atom`` map; no ground
+    rule is built. The context then adopts the evaluation's relations as
+    its :attr:`PlanContext.interned` model, so a first update interns
+    nothing.
     """
-    from .engine import EvaluationResult  # local import: engine imports us
+    from .engine import EvaluationResult, TraceIndex  # local import: engine imports us
 
     if context is None:
         context = PlanContext()
@@ -583,14 +632,14 @@ def evaluate_seminaive_compiled(
     model = database.copy()
     ranks: Dict[Atom, int] = {fact: 0 for fact in database}
     derivations = 0
-    trace: List[GroundRule] = []
-    seen_instances: Optional[Set] = set() if record_instances else None
 
     model_rels: Dict[str, IntRelation] = {}
-    fact_atoms: Dict[Tuple[str, Tuple[int, ...]], Atom] = {}
+    fact_atoms: Dict[RowKey, Atom] = {}
     _intern_database(database, symbols, model_rels, fact_atoms)
     for rule in program.rules:
         model_rels.setdefault(rule.head.pred, IntRelation())
+    trace = TraceIndex(symbols, fact_atoms) if record_instances else None
+    record = trace.fired.setdefault if trace is not None else None
 
     idb = program.idb
     edb_only_rules: List[Rule] = []
@@ -606,27 +655,18 @@ def evaluate_seminaive_compiled(
     delta_count = len(database)
     rounds = 0
     first_round = True
-    results: List[Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]] = []
+    results: List[Tuple[Row, Tuple[Row, ...]]] = []
     emit = results.append
 
     def absorb(rule: Rule, plan: JoinPlan, next_round: int, new_rows, new_facts) -> None:
         """Fold one plan run's results into trace / ranks / round delta."""
         head_pred = plan.head_pred
-        body_preds = plan.body_preds
         shape = plan.shape
         model_rel = model_rels[head_pred]
         rows_here = new_rows.setdefault(head_pred, set())
         for head_row, body_rows in results:
-            if seen_instances is not None:
-                instance_key = (shape, head_row, body_rows)
-                if instance_key not in seen_instances:
-                    seen_instances.add(instance_key)
-                    head_atom = _atom_of(head_pred, head_row, symbols, fact_atoms)
-                    body_atoms = tuple(
-                        fact_atoms[(pred, row)]
-                        for pred, row in zip(body_preds, body_rows)
-                    )
-                    trace.append(GroundRule.unchecked(rule, head_atom, body_atoms))
+            if record is not None:
+                record((shape, head_row, body_rows), rule)
             if head_row in model_rel.rows or head_row in rows_here:
                 continue
             rows_here.add(head_row)
@@ -636,8 +676,8 @@ def evaluate_seminaive_compiled(
 
     while delta_count:
         next_round = rounds + 1
-        new_rows: Dict[str, Set[Tuple[int, ...]]] = {}
-        new_facts: List[Tuple[str, Tuple[int, ...], Atom]] = []
+        new_rows: Dict[str, Set[Row]] = {}
+        new_facts: List[Tuple[str, Row, Atom]] = []
         if first_round:
             for rule in edb_only_rules:
                 plan = context.plan_for(rule, None, database)
@@ -669,12 +709,14 @@ def evaluate_seminaive_compiled(
                 delta_rel = delta_rels[pred] = IntRelation()
             delta_rel.add(row)
 
+    if trace is not None:
+        context.interned = InternedModel.adopt(model, model_rels, fact_atoms)
     return EvaluationResult(
         model=model,
         ranks=ranks,
         rounds=rounds,
         derivations=derivations,
-        instances=tuple(trace) if record_instances else None,
+        instances=trace,
         engine="compiled",
         plans_compiled=context.compiled,
         plan_reuses=context.reuses,
@@ -693,33 +735,34 @@ def run_insertion_rounds(
     fresh: Sequence[Atom],
     context: PlanContext,
     stats_db: Optional[Database] = None,
-) -> Tuple[Set[Atom], List[GroundRule], int]:
+) -> Tuple[Set[Atom], List[int], int]:
     """Delta-semi-naive insertion rounds through compiled plans.
 
     The compiled counterpart of the insertion phase of
     :func:`~repro.datalog.engine.maintain_evaluation`: *model* (already
     past the deletion phase, not yet containing *fresh*) and *trace* (a
-    :class:`~repro.datalog.engine.TraceIndex`) are patched in place, and
-    *fresh* lists the inserted facts absent from the model. The joins run
-    over the context's interned copy of *model*
-    (:meth:`PlanContext.interned_model`), which the rounds extend with
-    every fact they add. Plans are drawn from *context* — the same cache
-    the session's initial evaluation populated, so a warm update compiles
+    :class:`~repro.datalog.engine.TraceIndex` over the context's symbols,
+    indexed by head and body) are patched in place, and *fresh* lists
+    the inserted facts absent from the model. The joins run over the
+    context's interned copy of *model* (:meth:`PlanContext.interned_model`),
+    whose atom map is the trace's; the rounds extend both with every fact
+    they add. Plans are drawn from *context* — the same cache the
+    session's initial evaluation populated, so a warm update compiles
     nothing new unless the pivot lands on a body position never used
     before.
 
-    Returns ``(added_facts, added_instances, derivation_count)``.
+    Returns ``(added_facts, added_instance_numbers, derivation_count)``
+    (the numbers :meth:`~repro.datalog.engine.TraceIndex.add` gave).
     """
     symbols = context.symbols
-    interned = context.interned_model(model)
+    interned = context.interned_model(model, trace.atoms)
     model_rels, fact_atoms = interned.relations, interned.atoms
     for rule in program.rules:
         model_rels.setdefault(rule.head.pred, IntRelation())
 
     added_facts: Set[Atom] = set()
-    added_instances: List[GroundRule] = []
+    added_instances: List[int] = []
     derivations = 0
-    instance_keys: Set = set()
 
     round_rels: Dict[str, IntRelation] = {}
     intern = symbols.intern
@@ -737,11 +780,12 @@ def run_insertion_rounds(
             delta_rel = round_rels[fact.pred] = IntRelation()
         delta_rel.add(row)
 
-    results: List[Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]] = []
+    results: List[Tuple[Row, Tuple[Row, ...]]] = []
     emit = results.append
+    add = trace.add
     while round_rels:
-        next_pairs: List[Tuple[str, Tuple[int, ...], Atom]] = []
-        new_rows: Dict[str, Set[Tuple[int, ...]]] = {}
+        next_pairs: List[Tuple[str, Row, Atom]] = []
+        new_rows: Dict[str, Set[Row]] = {}
         for rule in program.rules:
             for pos in range(len(rule.body)):
                 delta_rel = round_rels.get(rule.body[pos].pred)
@@ -752,26 +796,21 @@ def run_insertion_rounds(
                 plan.fn(model_rels, round_rels, emit)
                 derivations += len(results)
                 head_pred = plan.head_pred
-                body_preds = plan.body_preds
                 shape = plan.shape
                 model_rel = model_rels[head_pred]
                 rows_here = new_rows.setdefault(head_pred, set())
                 for head_row, body_rows in results:
-                    instance_key = (shape, head_row, body_rows)
-                    if instance_key in instance_keys:
+                    # Every firing here has a body fact new to the model,
+                    # so an instance already in the trace fired earlier in
+                    # this update and its head is handled.
+                    number = add((shape, head_row, body_rows), rule)
+                    if number is None:
                         continue
-                    instance_keys.add(instance_key)
-                    head_atom = _atom_of(head_pred, head_row, symbols, fact_atoms)
-                    body_atoms = tuple(
-                        fact_atoms[(pred, row)]
-                        for pred, row in zip(body_preds, body_rows)
-                    )
-                    ground = GroundRule.unchecked(rule, head_atom, body_atoms)
-                    if trace.add(ground):
-                        added_instances.append(ground)
+                    added_instances.append(number)
                     if head_row in model_rel.rows or head_row in rows_here:
                         continue
                     rows_here.add(head_row)
+                    head_atom = _atom_of(head_pred, head_row, symbols, fact_atoms)
                     next_pairs.append((head_pred, head_row, head_atom))
         if not next_pairs:
             break

@@ -129,9 +129,8 @@ class GroundRule:
     __slots__ = ("rule", "head", "body", "_hash")
 
     def __init__(self, rule: Rule, head: Atom, body: Tuple[Atom, ...]):
-        # Atom.is_fact's checks, inlined: an evaluation that records its
-        # trace builds one ground rule per firing, and the calls cost
-        # 10-28% of evaluating the larger synthetic instances.
+        # Atom.is_fact's checks, inlined: ground_instances builds one
+        # ground rule per instance of the whole model.
         for term in head.args:
             if isinstance(term, Variable):
                 raise ValueError(f"ground rule head {head} is not a fact")
@@ -149,10 +148,10 @@ class GroundRule:
     def unchecked(cls, rule: Rule, head: Atom, body: Tuple[Atom, ...]) -> GroundRule:
         """A ground rule over atoms known to be facts, built without checks.
 
-        For the compiled engine, whose join plans build every head and body
-        atom from interned constants: the variable scan of ``__init__``
-        would re-prove that for each recorded firing. *body* must be a
-        tuple. Equal to, and hashed and pickled like, the checked instance.
+        For lifting an instance trace's keys, whose atoms were built from
+        interned constants: the variable scan of ``__init__`` would
+        re-prove that for each lifted instance. *body* must be a tuple.
+        Equal to, and hashed and pickled like, the checked instance.
         """
         instance = object.__new__(cls)
         _set_rule(instance, rule)

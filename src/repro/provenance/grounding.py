@@ -31,7 +31,6 @@ from ..datalog.engine import (
     TraceIndex,
     evaluate,
     ground_instances,
-    instances_by_head,
 )
 from ..datalog.program import DatalogQuery, Program
 from ..datalog.rules import GroundRule, Rule
@@ -137,26 +136,29 @@ class FactNotDerivable(ValueError):
 
 
 class GriIndex:
-    """``gri(D, Sigma)`` indexed by head, made canonical one head at a time.
+    """``gri(D, Sigma)`` indexed by head, lifted and sorted one head at a time.
 
-    The index reads a head map, ``head -> its ground rules`` (see
-    :func:`~repro.datalog.engine.instances_by_head`), without copying it.
-    A head's canonical views — its hyperedges and its rule instances, in
-    the order documented on :func:`gri_maps_from_instances` — are built
-    the first time someone asks for that head, and cached until
+    The index reads the head map of an instance trace,
+    ``(pred, head_row) -> its instance keys`` (see
+    :meth:`~repro.datalog.engine.TraceIndex.by_head`), without copying
+    it. A head's canonical views — its hyperedges and its rule
+    instances, in the order documented on :func:`gri_maps_from_instances`
+    — are built the first time someone asks for that head: its keys are
+    lifted to ground rules then, and the views cached until
     :meth:`forget` drops them. So a closure pays only for the heads it
-    reaches. A session's index shares its head map with the session's
-    :class:`~repro.datalog.engine.TraceIndex`, which maintenance patches
+    reaches. The head map is the trace's own, which maintenance patches
     in place; an update then only drops the views of the heads its
     instances touch, never regroups the trace.
     """
 
-    __slots__ = ("rules", "_views")
+    __slots__ = ("trace", "rules", "_views")
 
-    def __init__(self, rules: Dict[Atom, Dict[GroundRule, None]]):
-        #: head -> its ground rules (a dict used as an insertion-ordered
-        #: set); a head without rules has no entry.
-        self.rules = rules
+    def __init__(self, trace: TraceIndex):
+        self.trace = trace
+        #: ``(pred, head_row)`` -> its instance keys and their numbers in
+        #: the trace (a dict used as an insertion-ordered set); a head
+        #: without instances has no entry.
+        self.rules = trace.by_head()
         #: head -> (hyperedges, instances), canonical, built on first use.
         self._views: Dict[Atom, Tuple[Tuple[HyperEdge, ...], Tuple[RuleInstance, ...]]] = {}
 
@@ -172,10 +174,14 @@ class GriIndex:
         """*head*'s canonical ``(hyperedges, instances)``; empty for leaves."""
         view = self._views.get(head)
         if view is None:
-            head_rules = self.rules.get(head)
+            fact = self.trace.find(head)
+            head_rules = None if fact is None else self.rules.get(fact)
             if head_rules is None:
                 return (), ()
-            view = self._views[head] = _canonical_views(head_rules)
+            lift = self.trace.lift
+            view = self._views[head] = _canonical_views(
+                [lift(number) for number in head_rules.values()]
+            )
         return view
 
     def edges(self, head: Atom) -> Tuple[HyperEdge, ...]:
@@ -186,24 +192,32 @@ class GriIndex:
         """The rule instances with *head* as head, in canonical order."""
         return self._head_views(head)[1]
 
+    def heads(self) -> List[Atom]:
+        """Every head of the GRI, in the trace's order."""
+        atoms = self.trace.atoms
+        return [atoms[fact] for fact in self.rules]
+
     def edge_map(self) -> Dict[Atom, List[HyperEdge]]:
         """The whole hyperedge view, every head made canonical."""
-        return {head: list(self.edges(head)) for head in self.rules}
+        return {head: list(self.edges(head)) for head in self.heads()}
 
     def instance_map(self) -> Dict[Atom, List[RuleInstance]]:
         """The whole rule-instance view, every head made canonical."""
-        return {head: list(self.instances(head)) for head in self.rules}
+        return {head: list(self.instances(head)) for head in self.heads()}
 
 
 def gri_maps_from_instances(ground_rules: Iterable[GroundRule]) -> GriIndex:
     """The :class:`GriIndex` of ``gri(D, Sigma)`` for an instance stream.
 
     Accepts either the recorded trace of ``evaluate(...,
-    record_instances=True)`` or the output of :func:`ground_instances`;
-    the two are interchangeable (the engine records every instance the
-    round after its last body fact appears). Cost is ``O(|gri|)``: the
-    stream is grouped by head, with no body re-matching against the model
-    and no sorting until a head is first read.
+    record_instances=True)`` (a :class:`~repro.datalog.engine.TraceIndex`,
+    read in place) or any stream of ground rules such as
+    :func:`ground_instances`, which is interned into a trace first; the
+    two are interchangeable (the engine records every instance the round
+    after its last body fact appears). Cost is ``O(|gri|)`` int-keyed
+    dict operations: the trace is grouped by ``(pred, head_row)``, with
+    no body re-matching against the model, no ground rule built and no
+    sorting until a head is first read.
 
     Each head's hyperedges are sorted by ``str`` and its rule instances
     by the ``repr`` of their body atoms, and of several multiset-equal
@@ -215,10 +229,12 @@ def gri_maps_from_instances(ground_rules: Iterable[GroundRule]) -> GriIndex:
     :mod:`repro.core.incremental`), which patches its index per head
     instead of rebuilding it, reproduce a cold session bit for bit.
 
-    ``perfbench/launcher.py`` times each cold build by wrapping this
+    ``perfbench/launcher.py`` times each GRI build by wrapping this
     module attribute, so callers reach it through the module.
     """
-    return GriIndex(instances_by_head(ground_rules))
+    if not isinstance(ground_rules, TraceIndex):
+        ground_rules = TraceIndex.from_ground(ground_rules)
+    return GriIndex(ground_rules)
 
 
 def _canonical_views(
@@ -250,12 +266,10 @@ def _instance_body_key(instance: RuleInstance) -> Tuple[str, ...]:
 def _gri_index(program: Program, evaluation: EvaluationResult) -> GriIndex:
     """The GRI of *evaluation*: from its trace, else by re-grounding its model.
 
-    A maintained trace is already grouped by head; the index reads that
-    map instead of building its own.
+    The index shares the trace's head map, grouped on first use; a
+    maintained trace is grouped already.
     """
     instances = evaluation.instances
-    if isinstance(instances, TraceIndex):
-        return GriIndex(instances.heads)
     if instances is None:
         instances = ground_instances(program, evaluation.model)
     return gri_maps_from_instances(instances)
@@ -289,8 +303,8 @@ def downward_closure(
     ``O(|gri|)`` (an evaluation without a trace has its model re-grounded
     once); without an *evaluation* the program is evaluated here with
     ``record_instances=True``. Only the heads the closure reaches are
-    sorted, so its per-head lists follow the canonical order of
-    :func:`gri_maps_from_instances` — the same closure a
+    lifted to ground rules and sorted, so its per-head lists follow the
+    canonical order of :func:`gri_maps_from_instances` — the same closure a
     :class:`~repro.core.session.ProvenanceSession`, which keeps one
     :class:`GriIndex` for all its facts, serves for *fact*.
 

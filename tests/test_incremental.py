@@ -40,7 +40,7 @@ from repro.datalog.engine import (
     ranks_from_instances,
 )
 from repro.datalog.parser import parse_database, parse_program
-from repro.datalog.plans import InternedModel
+from repro.datalog.plans import InternedModel, PlanContext
 from repro.datalog.program import DatalogQuery
 from repro.provenance.grounding import gri_maps_from_instances
 from repro.scenarios import get_scenario
@@ -281,6 +281,28 @@ class TestMaintainEvaluation:
             evaluation,
             Delta(deleted={edge("b", "c")}, inserted={edge("b", "d"), edge("d", "c")}),
         )
+
+    def test_rejects_a_plan_context_with_other_symbols(self):
+        # The trace's keys are rows of the evaluation's symbol ids; a
+        # context numbering constants otherwise would corrupt them.
+        database = Database([edge("a", "b")])
+        evaluation = evaluate(TC_PROGRAM, database, record_instances=True)
+        effective = database.apply(Delta.insert(edge("b", "c")))
+        with pytest.raises(ValueError, match="symbol table"):
+            maintain_evaluation(
+                TC_PROGRAM, database, evaluation, effective, plan_context=PlanContext()
+            )
+
+    def test_deleting_a_fact_repeated_in_one_body(self):
+        # The instance q(a) :- r(a), r(a) names r(a) twice; removing it
+        # must not trip over the body entry its first atom already dropped.
+        program = parse_program("q(X) :- r(X), r(X). s(X) :- q(X), t(X).")
+        database = Database(parse_database("r(a). t(a)."))
+        evaluation = evaluate(program, database, record_instances=True)
+        result = assert_maintained_equals_fresh(
+            program, database, evaluation, Delta.delete(Atom("r", ("a",)))
+        )
+        assert Atom("s", ("a",)) in result.removed_facts
 
     def test_noop_delta_changes_nothing(self):
         database = Database([edge("a", "b")])
@@ -590,20 +612,48 @@ def test_patched_gri_matches_cold_build(scenario, seed):
     assert session.stats.gri_builds == 1
 
 
+def _heads(trace):
+    """The int head map as keys per fact (numbers and first rules may differ)."""
+    return {fact: set(group) for fact, group in trace.heads.items()}
+
+
+def _bodies(trace):
+    """The int body map as keys per ``(pred, row)``."""
+    return {
+        (pred, row): {trace.keys[number] for number in users}
+        for pred, by_row in trace.bodies.items()
+        for row, users in by_row.items()
+    }
+
+
 def assert_trace_maps_equal_cold(session):
-    """The patched head and body maps, and the interned model, equal cold builds."""
+    """The patched trace, its int head and body maps, and the interned
+    model equal cold builds over the session's own symbol table."""
+    program = session.query.program
     trace = session.evaluation.instances
-    cold = TraceIndex(
-        evaluate(session.query.program, session.database, record_instances=True).instances
-    )
+    assert set(trace) == set(ground_instances(program, session.model))
+    cold = TraceIndex.from_ground(ground_instances(program, session.model), trace.symbols)
+    cold.index()
     assert len(trace) == len(cold)
-    assert trace.heads == cold.heads
-    assert trace.bodies == cold.bodies
+    assert _heads(trace) == _heads(cold)
+    assert _bodies(trace) == _bodies(cold)
+    if session.engine == "compiled":
+        recorded = evaluate(
+            program,
+            session.database,
+            record_instances=True,
+            engine="compiled",
+            plan_context=PlanContext(trace.symbols),
+        ).instances
+        recorded.index()
+        assert _heads(trace) == _heads(recorded)
+        assert _bodies(trace) == _bodies(recorded)
     context = session.plan_context()
     if context is not None and context.interned is not None:
         interned = context.interned
         fresh = InternedModel(session.model, context.symbols)
         assert interned.model is session.model
+        assert interned.atoms is trace.atoms
         assert {pred: set(rel.rows) for pred, rel in interned.relations.items() if rel.rows} == {
             pred: set(rel.rows) for pred, rel in fresh.relations.items()
         }
@@ -615,9 +665,10 @@ def assert_trace_maps_equal_cold(session):
     scenario=st.sampled_from(["TransClosure", "Andersen", "deps"]),
     seed=st.integers(0, 10 ** 6),
 )
-def test_patched_trace_maps_match_cold_build(scenario, seed):
+@pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+def test_patched_trace_maps_match_cold_build(engine, scenario, seed):
     query, database, deltas = _update_stream(scenario, seed)
-    session = ProvenanceSession(query, database)
+    session = ProvenanceSession(query, database, engine=engine)
     session.answers()
     for delta in deltas:
         session.update(delta)

@@ -140,7 +140,7 @@ class TestEngineDifferential:
         result = evaluate(TC, Database(), record_instances=True, engine=engine)
         assert result.model == set()
         assert result.rounds == 0
-        assert result.instances == ()
+        assert tuple(result.instances) == () and len(result.instances) == 0
 
     def test_constants_and_repeated_variables(self):
         program = parse_program(

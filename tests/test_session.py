@@ -19,13 +19,16 @@ import repro.core.session as session_module
 from repro.core.decision import decide_membership
 from repro.core.enumerator import why_provenance_unambiguous
 from repro.core.minimal import minimal_members, smallest_member
+from repro.core.parallel import explain_fact
 from repro.core.session import ProvenanceSession
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database, Delta
 from repro.datalog.engine import evaluate, ground_instances
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import DatalogQuery, Program
+from repro.datalog.rules import GroundRule
 from repro.provenance.grounding import FactNotDerivable, downward_closure
+from repro.scenarios.synthetic import generate_instance
 
 from test_parser_properties import safe_rules
 
@@ -115,6 +118,61 @@ class TestInstanceTrace:
             assert set(result.instances) == set(
                 ground_instances(program, result.model)
             ), method
+
+
+def count_ground_rules(monkeypatch):
+    """Count every :class:`GroundRule` built from here on, checked or not."""
+    built = []
+    unchecked = GroundRule.unchecked.__func__
+    init = GroundRule.__init__
+
+    def counting_unchecked(cls, rule, head, body):
+        built.append(head)
+        return unchecked(cls, rule, head, body)
+
+    def counting_init(self, rule, head, body):
+        built.append(head)
+        init(self, rule, head, body)
+
+    monkeypatch.setattr(GroundRule, "unchecked", classmethod(counting_unchecked))
+    monkeypatch.setattr(GroundRule, "__init__", counting_init)
+    return built
+
+
+class TestInternedTrace:
+    """The trace keeps interned keys and lifts only what a reader reaches."""
+
+    def test_closure_lifts_only_the_heads_it_reaches(self, monkeypatch):
+        # A stored tenant of the daemon benchmark: a 16,123-instance trace
+        # whose answer c_tc(n39, n97) has a 110-hyperedge closure.
+        instance = generate_instance("chain", size=128, seed=0)
+        built = count_ground_rules(monkeypatch)
+        session = ProvenanceSession(instance.query, instance.database, engine="compiled")
+        closure = session.closure_for(("n39", "n97"))
+        assert len(session.evaluation.instances) == 16123
+        assert closure.edge_count() == 110
+        reached = sum(len(group) for group in closure.instances_by_head.values())
+        assert 0 < len(built) <= reached
+
+    def test_first_update_lifts_only_the_changed_instances(self, monkeypatch):
+        instance = generate_instance("deps", size=48, seed=0, delta_rounds=1)
+        session = ProvenanceSession(instance.query, instance.database.copy())
+        for tup in session.answers()[:3]:
+            session.why(tup, limit=1)
+        built = count_ground_rules(monkeypatch)
+        receipt = session.update(instance.deltas[0])
+        assert receipt.removed_instances and receipt.added_instances
+        assert len(built) <= receipt.added_instances + receipt.removed_instances
+
+    def test_why_and_explain_fact_look_up_alike(self):
+        # session.why pre-checks the answer, not the encoding, so the
+        # enumerator's lookups are the only closure and encoding reads.
+        tup = ("a", "d")
+        why_session = ProvenanceSession(TC_QUERY, TC_DB.copy())
+        fact_session = ProvenanceSession(TC_QUERY, TC_DB.copy())
+        members = why_session.why(tup)
+        assert explain_fact(fact_session, tup).members == members
+        assert why_session.stats.as_dict() == fact_session.stats.as_dict()
 
 
 class TestSessionClosures:
