@@ -1,5 +1,8 @@
 """Tests for the SAT encoding ``phi_(t, D, Q)`` (Section 5.1 / App. D.2)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.datalog.database import Database
@@ -211,3 +214,78 @@ class TestPhaseHints:
         assert encoding.decode_support(solver.model()) == frozenset(
             parse_database("s(a). t(a, a, d).")
         )
+
+
+def formula_digest(encodings):
+    """SHA-256 over each encoding's DIMACS text, projection and fact order."""
+    digest = hashlib.sha256()
+    for encoding in encodings:
+        digest.update(encoding.cnf.to_dimacs().encode())
+        digest.update(json.dumps(encoding.projection_variables()).encode())
+        digest.update(json.dumps([str(fact) for fact in encoding.database_fact_vars]).encode())
+    return digest.hexdigest()
+
+
+def _session_encodings(scenario, limit=None, **options):
+    query = scenario.query()
+    database = scenario.database(scenario.database_names()[0]).restrict(query.program.edb)
+    session = ProvenanceSession(query, database)
+    for tup in session.answers()[:limit]:
+        closure = session.closure_for(tup)
+        yield encode_why_provenance(query, database, tup, closure=closure, **options)
+
+
+def _synthetic(family):
+    from repro.scenarios.synthetic import synthetic
+
+    return _session_encodings(synthetic(family, 16, 0), limit=5)
+
+
+def _copies(copies):
+    chain = get_scenario("synthetic-chain-n16-s0")
+    yield from _session_encodings(chain, limit=3, copies=copies)
+    for db, tup in ((DB4, ("d",)), (DB4, ("c",)), (DB1, ("d",)), (DB1, ("a",))):
+        yield encode_why_provenance(QUERY, db, tup, copies=copies)
+
+
+#: case -> the encodings whose formulas it hashes.
+FORMULA_CASES = {
+    "andersen-D1-vertex-elimination": lambda: _session_encodings(get_scenario("Andersen")),
+    "andersen-D1-none": lambda: _session_encodings(get_scenario("Andersen"), acyclicity="none"),
+    "andersen-D1-transitive-closure": lambda: _session_encodings(
+        get_scenario("Andersen"), limit=10, acyclicity="transitive-closure"
+    ),
+    "chain": lambda: _synthetic("chain"),
+    "dag": lambda: _synthetic("dag"),
+    "deps": lambda: _synthetic("deps"),
+    "grid": lambda: _synthetic("grid"),
+    "mixed": lambda: _synthetic("mixed"),
+    "tree": lambda: _synthetic("tree"),
+    "widejoin": lambda: _synthetic("widejoin"),
+    "copies-2": lambda: _copies(2),
+    "copies-3": lambda: _copies(3),
+}
+
+#: Recorded from the encoder that keyed every node by an ``(Atom, copy)``
+#: tuple. A rewrite of the encoder must leave every formula byte-identical:
+#: variable numbering, clause order and literal order included.
+FORMULA_DIGESTS = {
+    "andersen-D1-none": "8bef4409844502ce77fc17e84e6c0e7de55b6e812569c853b95d469b3ea5d5ec",
+    "andersen-D1-transitive-closure": "5f03d849d6e4f7b224f83deaec29e871f57f676751025d9ff7d4a252fbc374a5",
+    "andersen-D1-vertex-elimination": "66904f1f51c5a10af23f11653fa11ab7e7098544d2bb7370c5ce483fa7f41b6d",
+    "chain": "354ef15b478e905dd8eb07419b8e8dc2ea63cdedc5dfb4c4e92744c636d4c725",
+    "copies-2": "99e3f5c0886d7790d035eb852fc0fba7af951c042d0e6e7b5430f909c598c3ce",
+    "copies-3": "95aa03819055249b4d25b1aba35633896c4d624488c1a3bbae030536cb6a7730",
+    "dag": "3f0c826c2b63d041e66f99c94e7765b9f7fd4f7b72c00e2bfffc754869f84484",
+    "deps": "9ac23532bed467efb92d3f16126a06d0503d74a3d6e8e3d6ccbd43e05acdc7fc",
+    "grid": "146b33100f4d94cef29dfa9cc95742b181ec943318780663d28f85fff829882e",
+    "mixed": "f17fd8d011027a7121f1641afb716ad4cae11b0b6d4497a37e2862a1feb9ec51",
+    "tree": "8c5af77bdd854cb632bafcfe135708502645f92287e369d3112443ace0b10896",
+    "widejoin": "57580fc8ade0cb81a4cda7f23866c5409db7543df5700bc320bc0721c603b359",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMULA_DIGESTS))
+def test_formulas_are_pinned(case):
+    """phi is byte-identical to the pinned encoder's, whatever the hash seed."""
+    assert formula_digest(FORMULA_CASES[case]()) == FORMULA_DIGESTS[case]
