@@ -28,20 +28,16 @@ recovers ``whyUN`` exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, check_over_schema
 from ..datalog.program import DatalogQuery
 from ..provenance.grounding import DownwardClosure, HyperEdge, downward_closure
 from ..provenance.proof_dag import CompressedDAG
-from ..sat.acyclicity import (
-    AcyclicityStats,
-    encode_transitive_closure,
-    encode_vertex_elimination,
-)
-from ..sat.cnf import CNF, VariablePool
+from ..sat.acyclicity import AcyclicityStats, eliminate_vertices, encode_transitive_closure
+from ..sat.cnf import CNF
 
 #: A node of the guessed proof DAG: (fact, copy index).
 NodeKey = Tuple[Atom, int]
@@ -91,10 +87,8 @@ class WhyProvenanceEncoding:
         self.copies = copies
         self.acyclicity_method = acyclicity
         self.cnf = CNF()
-        self.pool = VariablePool(self.cnf)
         self.node_vars: Dict[NodeKey, int] = {}
         self.hyperedge_vars: Dict[Tuple[NodeKey, HyperEdge], int] = {}
-        self.instance_vars: Dict[Tuple[NodeKey, int], int] = {}
         self.edge_vars: Dict[Tuple[NodeKey, NodeKey], int] = {}
         self.database_fact_vars: Dict[Atom, int] = {}
         self.stats: Optional[EncodingStats] = None
@@ -102,215 +96,200 @@ class WhyProvenanceEncoding:
 
     # -- construction -------------------------------------------------------
 
-    def _copies_of(self, fact: Atom) -> int:
-        """Database facts need one node (leaves are shareable); idb facts k."""
-        if fact in self.database:
-            return 1
-        return self.copies
-
     def _build(self) -> None:
+        """Emit phi over int node ids, allocating variables by counting.
+
+        The closure's facts are numbered once, in ``str`` order; a
+        database fact (a leaf, shareable) gets one node, an intensional
+        fact ``copies``, and node ``i`` is the variable ``i + 1``. Every
+        later variable is the next count: per head, its ``y`` (or ``g``
+        and ``c``) variables, then its new ``z`` edges; then the
+        acyclicity layer. Clauses come in the order phi_graph, phi_root,
+        phi_proof, phi_acyclic, and the keyed maps are filled from the ints.
+        """
         start = time.perf_counter()
         closure = self.closure
-        root_fact = closure.root
-        # The one node order every pass below walks, sorted once.
-        nodes = sorted(closure.nodes, key=str)
-
-        # Allocate node variables.
-        for fact in nodes:
-            for i in range(self._copies_of(fact)):
-                self.node_vars[(fact, i)] = self.pool.var(("x", fact, i))
-        # Sorted so the blocking-clause literal order (and with it the
-        # solver's member discovery order) is identical in every process,
-        # not dependent on frozenset hash order.
-        for fact in sorted(closure.database_nodes, key=str):
-            self.database_fact_vars[fact] = self.node_vars[(fact, 0)]
-        root: NodeKey = (root_fact, 0)
-
-        # Allocate choice and edge variables, then phi_proof. The two
-        # regimes differ in how children are constrained:
+        copies = self.copies
+        facts = sorted(closure.nodes, key=str)
+        index = {fact: f for f, fact in enumerate(facts)}
+        leaf = [fact in self.database for fact in facts]
+        # first[f] .. first[f] + count[f] - 1 are the nodes of fact f.
+        count = [1 if is_leaf else copies for is_leaf in leaf]
+        first: List[int] = []
+        keys: List[NodeKey] = []
+        for fact, k in zip(facts, count):
+            first.append(len(keys))
+            keys.extend([(fact, i) for i in range(k)])
+        n = len(keys)
+        root = first[index[closure.root]]
+        # (node, child) -> z, in allocation order: the arcs of phi_acyclic.
+        arcs: Dict[Tuple[int, int], int] = {}
+        # Regimes differ in phi_proof, which is emitted per head as its
+        # variables are counted:
         # * copies == 1 — the paper's formula: one y per hyperedge (set
         #   semantics, Definition 42), the chosen hyperedge dictates the
         #   outgoing z edges exactly;
-        # * copies > 1 — compact *arbitrary* proof DAGs: one y per ground
-        #   rule instance (multiset body), with per-position copy choices,
-        #   so repeated body facts may point at different copies (the
+        # * copies > 1 — compact *arbitrary* proof DAGs: one g per ground
+        #   rule instance (multiset body), with per-position copy choices
+        #   c, so repeated body facts may point at different copies (the
         #   Example 4 phenomenon).
-        if self.copies == 1:
-            targets = self._allocate_set_semantics(nodes)
+        if copies == 1:
+            num_vars, proof = self._set_semantics(facts, index, leaf, keys, arcs)
         else:
-            self._allocate_instance_semantics(nodes)
-
-        incoming: Dict[NodeKey, List[int]] = {node: [] for node in self.node_vars}
-        for (src, dst), z in self.edge_vars.items():
-            incoming[dst].append(z)
+            num_vars, proof = self._instance_semantics(facts, index, leaf, count, first, arcs, n)
 
         # phi_graph: an edge forces both endpoints.
-        for (src, dst), z in self.edge_vars.items():
-            self.cnf.implies(z, self.node_vars[src])
-            self.cnf.implies(z, self.node_vars[dst])
-
+        clauses: List[Tuple[int, ...]] = []
+        incoming: List[List[int]] = [[] for _ in range(n)]
+        for (src, dst), z in arcs.items():
+            clauses.append((-z, src + 1))
+            clauses.append((-z, dst + 1))
+            incoming[dst].append(z)
         # phi_root: the root node is in, has no incoming edge; every other
         # selected node has at least one incoming edge.
-        self.cnf.add_clause((self.node_vars[root],))
-        for z in incoming[root]:
-            self.cnf.add_clause((-z,))
-        for node, x in self.node_vars.items():
-            if node == root:
-                continue
-            self.cnf.add_clause((-x, *incoming[node]))
-
-        if self.copies == 1:
-            self._emit_proof_set_semantics(nodes, targets)
-        else:
-            self._emit_proof_instance_semantics(nodes)
+        clauses.append((root + 1,))
+        clauses.extend([(-z,) for z in incoming[root]])
+        clauses.extend([(-(node + 1), *incoming[node]) for node in range(n) if node != root])
+        clauses.extend(proof)
+        self.cnf.num_vars = num_vars
+        self.cnf.add_clauses(clauses)
 
         # phi_acyclic over the z-guarded arc graph.
-        arc_vars = {
-            (src, dst): z for (src, dst), z in self.edge_vars.items()
-        }
-        nodes = list(self.node_vars)
         if self.acyclicity_method == "vertex-elimination":
-            acyc = encode_vertex_elimination(self.cnf, arc_vars, nodes)
+            acyc = eliminate_vertices(self.cnf, arcs, range(n), lambda node: str(keys[node]))
         elif self.acyclicity_method == "transitive-closure":
-            acyc = encode_transitive_closure(self.cnf, arc_vars, nodes)
+            acyc = encode_transitive_closure(self.cnf, arcs, range(n))
         elif self.acyclicity_method == "none":
-            acyc = AcyclicityStats("none", len(nodes), len(arc_vars), 0, 0)
+            acyc = AcyclicityStats("none", n, len(arcs), 0, 0)
         else:
             raise ValueError(f"unknown acyclicity method {self.acyclicity_method!r}")
 
+        self.node_vars = dict(zip(keys, range(1, n + 1)))
+        db_nodes = closure.database_nodes
+        # In str order, so the blocking-clause literal order (and with it
+        # the solver's member discovery order) is identical in every
+        # process, not dependent on frozenset hash order.
+        self.database_fact_vars = {
+            fact: first[f] + 1 for f, fact in enumerate(facts) if fact in db_nodes
+        }
+        self.edge_vars = {(keys[src], keys[dst]): z for (src, dst), z in arcs.items()}
         self.stats = EncodingStats(
             closure_nodes=len(closure.nodes),
             closure_edges=closure.edge_count(),
-            node_variables=len(self.node_vars),
+            node_variables=n,
             hyperedge_variables=len(self.hyperedge_vars),
-            edge_variables=len(self.edge_vars),
+            edge_variables=len(arcs),
             acyclicity=acyc,
             clauses=len(self.cnf.clauses),
             build_seconds=time.perf_counter() - start,
         )
 
-    # -- copies == 1: the paper's set-semantics formula -----------------------
+    def _set_semantics(
+        self,
+        facts: List[Atom],
+        index: Dict[Atom, int],
+        leaf: List[bool],
+        keys: List[NodeKey],
+        arcs: Dict[Tuple[int, int], int],
+    ) -> Tuple[int, List[Tuple[int, ...]]]:
+        """Count ``y`` and ``z`` per head; return the count and phi_proof.
 
-    def _allocate_set_semantics(self, nodes: List[Atom]) -> Dict[Atom, List[Atom]]:
-        """Allocate ``y`` and ``z``; return each head's sorted target union."""
-        closure = self.closure
-        unions: Dict[Atom, List[Atom]] = {}
-        for fact in nodes:
-            edges = closure.hyperedges_by_head.get(fact, ())
+        Fact ``f`` is node ``f``. A head's ``z`` edges go to the union of
+        its hyperedges' targets, in node (``str``) order.
+        """
+        num_vars = len(facts)
+        proof: List[Tuple[int, ...]] = []
+        edges_of = self.closure.hyperedges_by_head
+        hyperedge_vars = self.hyperedge_vars
+        for f, fact in enumerate(facts):
+            edges = edges_of.get(fact, ())
             if not edges:
-                continue
-            node = (fact, 0)
-            for edge in edges:
-                self.hyperedge_vars[(node, edge)] = self.pool.var(("y", fact, 0, edge))
-            targets: Set[Atom] = set()
-            for edge in edges:
-                targets |= edge.targets
-            ordered = unions[fact] = sorted(targets, key=str)
-            for target in ordered:
-                child = (target, 0)
-                self.edge_vars[(node, child)] = self.pool.var(("z", node, child))
-        return unions
-
-    def _emit_proof_set_semantics(
-        self, nodes: List[Atom], targets: Dict[Atom, List[Atom]]
-    ) -> None:
-        closure = self.closure
-        for fact in nodes:
-            edges = closure.hyperedges_by_head.get(fact, ())
-            node = (fact, 0)
-            if not edges:
-                if fact not in self.database:
+                if not leaf[f]:
                     # Intensional node with no derivation: can never be used.
-                    self.cnf.add_clause((-self.node_vars[node],))
+                    proof.append((-(f + 1),))
                 continue
-            y_vars = [self.hyperedge_vars[(node, edge)] for edge in edges]
-            self.cnf.add_clause((-self.node_vars[node], *y_vars))
-            potential = targets[fact]
-            for edge in edges:
-                y = self.hyperedge_vars[(node, edge)]
-                for target in potential:
-                    z = self.edge_vars[(node, (target, 0))]
-                    if target in edge.targets:
-                        self.cnf.implies(y, z)
-                    else:
-                        self.cnf.add_clause((-y, -z))
+            node = keys[f]
+            ys = range(num_vars + 1, num_vars + 1 + len(edges))
+            for edge, y in zip(edges, ys):
+                hyperedge_vars[(node, edge)] = y
+            chosen = [{index[target] for target in edge.targets} for edge in edges]
+            potential = sorted(set().union(*chosen))
+            num_vars = ys.stop - 1
+            zs = range(num_vars + 1, num_vars + 1 + len(potential))
+            for target, z in zip(potential, zs):
+                arcs[(f, target)] = z
+            num_vars = zs.stop - 1
+            proof.append((-(f + 1), *ys))
+            for y, targets in zip(ys, chosen):
+                for target, z in zip(potential, zs):
+                    proof.append((-y, z) if target in targets else (-y, -z))
+        return num_vars, proof
 
-    # -- copies > 1: compact arbitrary proof DAGs (multiset semantics) ---------
-
-    def _allocate_instance_semantics(self, nodes: List[Atom]) -> None:
-        closure = self.closure
-        self._position_vars: Dict[Tuple[NodeKey, int, int, int], int] = {}
-        for fact in nodes:
-            instances = closure.instances_by_head.get(fact, ())
-            if not instances:
-                continue
-            for i in range(self._copies_of(fact)):
-                node = (fact, i)
-                for g_idx, instance in enumerate(instances):
-                    self.instance_vars[(node, g_idx)] = self.pool.var(
-                        ("g", fact, i, g_idx)
-                    )
-                    for p, body_fact in enumerate(instance.body):
-                        for j in range(self._copies_of(body_fact)):
-                            self._position_vars[(node, g_idx, p, j)] = self.pool.var(
-                                ("c", fact, i, g_idx, p, j)
-                            )
-                            child = (body_fact, j)
-                            if (node, child) not in self.edge_vars:
-                                self.edge_vars[(node, child)] = self.pool.var(
-                                    ("z", node, child)
-                                )
-
-    def _emit_proof_instance_semantics(self, nodes: List[Atom]) -> None:
-        closure = self.closure
+    def _instance_semantics(
+        self,
+        facts: List[Atom],
+        index: Dict[Atom, int],
+        leaf: List[bool],
+        count: List[int],
+        first: List[int],
+        arcs: Dict[Tuple[int, int], int],
+        num_vars: int,
+    ) -> Tuple[int, List[Tuple[int, ...]]]:
+        """Count ``g``, ``c`` and ``z`` per node; return the count and phi_proof."""
+        proof: List[Tuple[int, ...]] = []
         # Which position variables can justify an edge (node -> child)?
-        edge_supporters: Dict[Tuple[NodeKey, NodeKey], List[int]] = {
-            key: [] for key in self.edge_vars
-        }
-        for fact in nodes:
-            instances = closure.instances_by_head.get(fact, ())
+        supporters: Dict[Tuple[int, int], List[int]] = {}
+        instances_of = self.closure.instances_by_head
+        for f, fact in enumerate(facts):
+            instances = instances_of.get(fact, ())
             if not instances:
-                if fact not in self.database:
-                    for i in range(self._copies_of(fact)):
-                        self.cnf.add_clause((-self.node_vars[(fact, i)],))
+                if not leaf[f]:
+                    proof.extend([(-(node + 1),) for node in range(first[f], first[f] + count[f])])
                 continue
-            for i in range(self._copies_of(fact)):
-                node = (fact, i)
-                g_vars = [
-                    self.instance_vars[(node, g_idx)] for g_idx in range(len(instances))
-                ]
+            bodies = [[index[body_fact] for body_fact in instance.body] for instance in instances]
+            for node in range(first[f], first[f] + count[f]):
+                x = node + 1
+                # Count this node's variables: per instance its g, then per
+                # body position one c per child copy, and the edge to a
+                # child not yet reached from this node.
+                choices: List[Tuple[int, List[List[int]]]] = []
+                for body in bodies:
+                    num_vars += 1
+                    g = num_vars
+                    positions: List[List[int]] = []
+                    for b in body:
+                        cs: List[int] = []
+                        for child in range(first[b], first[b] + count[b]):
+                            num_vars += 1
+                            cs.append(num_vars)
+                            if (node, child) not in arcs:
+                                num_vars += 1
+                                arcs[(node, child)] = num_vars
+                                supporters[(node, child)] = []
+                        positions.append(cs)
+                    choices.append((g, positions))
+                g_vars = [g for g, _ in choices]
                 # A selected node fires exactly one ground instance.
-                self.cnf.add_clause((-self.node_vars[node], *g_vars))
-                for a in range(len(g_vars)):
-                    self.cnf.implies(g_vars[a], self.node_vars[node])
-                    for b in range(a + 1, len(g_vars)):
-                        self.cnf.add_clause((-g_vars[a], -g_vars[b]))
-                for g_idx, instance in enumerate(instances):
-                    g = g_vars[g_idx]
-                    for p, body_fact in enumerate(instance.body):
-                        c_vars = [
-                            self._position_vars[(node, g_idx, p, j)]
-                            for j in range(self._copies_of(body_fact))
-                        ]
+                proof.append((-x, *g_vars))
+                for a, g in enumerate(g_vars):
+                    proof.append((-g, x))
+                    proof.extend([(-g, -other) for other in g_vars[a + 1:]])
+                for (g, positions), body in zip(choices, bodies):
+                    for cs, b in zip(positions, body):
                         # Each body position picks exactly one child copy.
-                        self.cnf.add_clause((-g, *c_vars))
-                        for a in range(len(c_vars)):
-                            self.cnf.implies(c_vars[a], g)
-                            for b in range(a + 1, len(c_vars)):
-                                self.cnf.add_clause((-c_vars[a], -c_vars[b]))
-                        for j, c in enumerate(c_vars):
-                            child = (body_fact, j)
-                            self.cnf.implies(c, self.edge_vars[(node, child)])
-                            edge_supporters[(node, child)].append(c)
+                        proof.append((-g, *cs))
+                        for a, c in enumerate(cs):
+                            proof.append((-c, g))
+                            proof.extend([(-c, -other) for other in cs[a + 1:]])
+                        for c, child in zip(cs, range(first[b], first[b] + count[b])):
+                            proof.append((-c, arcs[(node, child)]))
+                            supporters[(node, child)].append(c)
         # No stray edges: every edge must be justified by some position.
-        for key, z in self.edge_vars.items():
-            self.cnf.add_clause((-z, *edge_supporters[key]))
+        proof.extend([(-z, *supporters[arc]) for arc, z in arcs.items()])
         # Symmetry breaking between interchangeable copies of a fact.
-        for fact in nodes:
-            for i in range(1, self._copies_of(fact)):
-                self.cnf.implies(
-                    self.node_vars[(fact, i)], self.node_vars[(fact, i - 1)]
-                )
+        for f in range(len(facts)):
+            proof.extend([(-(node + 1), node) for node in range(first[f] + 1, first[f] + count[f])])
+        return num_vars, proof
 
     # -- model decoding ---------------------------------------------------------
 
@@ -345,9 +324,9 @@ class WhyProvenanceEncoding:
         phase-following SAT solver finds this model almost
         propagation-only. Only meaningful for ``copies == 1``.
         """
-        hints: Dict[int, bool] = {var: False for var in range(1, self.cnf.num_vars + 1)}
         if self.copies != 1:
             return {}
+        hints: Dict[int, bool] = dict.fromkeys(range(1, self.cnf.num_vars + 1), False)
         choice: Dict[Atom, HyperEdge] = {}
         for fact, edges in self.closure.hyperedges_by_head.items():
             if not edges or fact not in ranks:

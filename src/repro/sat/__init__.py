@@ -9,7 +9,7 @@ from .acyclicity import (
     selected_arcs,
 )
 from .cardinality import Totalizer, add_at_least_k, add_at_most_k, add_exactly_k
-from .cnf import CNF, VariablePool
+from .cnf import CNF
 from .dpll import DPLLBudgetExceeded, enumerate_models_dpll, solve_dpll
 from .enumeration import EnumerationRecord, all_models, count_models, enumerate_models
 from .solver import CDCLSolver, SolverStatistics, solve_cnf
@@ -22,7 +22,6 @@ __all__ = [
     "EnumerationRecord",
     "SolverStatistics",
     "Totalizer",
-    "VariablePool",
     "add_at_least_k",
     "add_at_most_k",
     "add_exactly_k",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.program import strongly_connected_components
 from .cnf import CNF
@@ -70,22 +70,21 @@ def encode_transitive_closure(
         not t(v, v)
     """
     node_list = _node_list(arc_vars, nodes)
-    clause_start = len(cnf.clauses)
+    clauses: List[Tuple[int, ...]] = []
     closure: Dict[Arc, int] = {}
 
     def t_var(u: Node, v: Node) -> int:
         pair = (u, v)
         var = closure.get(pair)
         if var is None:
-            var = cnf.new_var()
-            closure[pair] = var
+            var = closure[pair] = cnf.new_var()
         return var
 
     for (u, v), z in arc_vars.items():
         if u == v:
-            cnf.add_clause((-z,))
+            clauses.append((-z,))
             continue
-        cnf.implies(z, t_var(u, v))
+        clauses.append((-z, t_var(u, v)))
     for (u, v), z in arc_vars.items():
         if u == v:
             continue
@@ -93,15 +92,16 @@ def encode_transitive_closure(
             if w == u or w == v:
                 continue
             # z(u,v) & t(v,w) -> t(u,w)
-            cnf.add_clause((-z, -t_var(v, w), t_var(u, w)))
+            clauses.append((-z, -t_var(v, w), t_var(u, w)))
         # z(u,v) & t(v,u) -> cycle
-        cnf.add_clause((-z, -t_var(v, u)))
+        clauses.append((-z, -t_var(v, u)))
+    cnf.add_clauses(clauses)
     return AcyclicityStats(
         method="transitive-closure",
         nodes=len(node_list),
         arcs=len(arc_vars),
         auxiliary_variables=len(closure),
-        clauses=len(cnf.clauses) - clause_start,
+        clauses=len(clauses),
         constrained_arcs=sum(1 for u, v in arc_vars if u != v),
     )
 
@@ -133,8 +133,26 @@ def encode_vertex_elimination(
     a(v, u))``. The selected arcs are acyclic iff no such two-cycle
     constraint fires.
     """
-    node_list = _node_list(arc_vars, nodes)
-    clause_start = len(cnf.clauses)
+    return eliminate_vertices(cnf, arc_vars, _node_list(arc_vars, nodes), str, order)
+
+
+def eliminate_vertices(
+    cnf: CNF,
+    arc_vars: Mapping[Arc, int],
+    node_list: Sequence[Node],
+    label: Callable[[Node], str],
+    order: Optional[Sequence[Node]] = None,
+) -> AcyclicityStats:
+    """:func:`encode_vertex_elimination`, breaking min-degree ties by ``label``.
+
+    Ties between nodes of equal degree go to the smaller ``label(node)``,
+    then to the earlier node of *node_list*; ``label`` is called only for
+    nodes of non-trivial components. The encoder passes its int node ids
+    with the label of the node each one stands for, so the layer is the
+    one its keyed nodes would get.
+    """
+    num_vars = cnf.num_vars
+    clauses: List[Tuple[int, ...]] = []
     successors: Dict[Node, List[Node]] = {v: [] for v in node_list}
     for (u, v) in arc_vars:
         if u != v:
@@ -151,12 +169,13 @@ def encode_vertex_elimination(
     arcs: Dict[Arc, int] = {}
     for (u, v), z in arc_vars.items():
         if u == v:
-            cnf.add_clause((-z,))
+            clauses.append((-z,))
             continue
         if u not in component or component[u] != component.get(v):
             continue
-        arcs[(u, v)] = cnf.new_var()
-        cnf.implies(z, arcs[(u, v)])
+        num_vars += 1
+        arcs[(u, v)] = num_vars
+        clauses.append((-z, num_vars))
     constrained = len(arcs)
     cyclic = [v for v in node_list if v in component]
 
@@ -176,7 +195,7 @@ def encode_vertex_elimination(
     def degree(v: Node) -> int:
         return len((out_nbrs[v].keys() | in_nbrs[v].keys()) & remaining)
 
-    # Min-degree order from a lazy heap keyed (degree, str, position): an
+    # Min-degree order from a lazy heap keyed (degree, label, position): an
     # entry is live while its node remains and its degree is current.
     # Eliminating v changes the degrees of v's remaining neighbours only,
     # so only they are re-pushed.
@@ -184,7 +203,7 @@ def encode_vertex_elimination(
     degrees: Dict[Node, int] = {}
     heap: List[Tuple[int, Tuple[str, int], Node]] = []
     if order is None:
-        tiebreak = {v: (str(v), index) for index, v in enumerate(cyclic)}
+        tiebreak = {v: (label(v), index) for index, v in enumerate(cyclic)}
         for v in cyclic:
             degrees[v] = degree(v)
             heap.append((degrees[v], tiebreak[v], v))
@@ -213,27 +232,29 @@ def encode_vertex_elimination(
                 a_vw = arcs[(v, w)]
                 if u == w:
                     # A two-cycle through v: forbid it outright.
-                    cnf.add_clause((-a_uv, -a_vw))
+                    clauses.append((-a_uv, -a_vw))
                     continue
                 existing = arcs.get((u, w))
                 if existing is None:
-                    existing = cnf.new_var()
-                    arcs[(u, w)] = existing
+                    num_vars += 1
+                    existing = arcs[(u, w)] = num_vars
                     out_nbrs[u][w] = None
                     in_nbrs[w][u] = None
-                cnf.add_clause((-a_uv, -a_vw, existing))
+                clauses.append((-a_uv, -a_vw, existing))
         if order is None:
             for n in neighbours:
                 d = degree(n)
                 if d != degrees[n]:
                     degrees[n] = d
                     heapq.heappush(heap, (d, tiebreak[n], n))
+    cnf.num_vars = num_vars
+    cnf.add_clauses(clauses)
     return AcyclicityStats(
         method="vertex-elimination",
         nodes=len(node_list),
         arcs=len(arc_vars),
         auxiliary_variables=len(arcs),
-        clauses=len(cnf.clauses) - clause_start,
+        clauses=len(clauses),
         constrained_arcs=constrained,
         elimination_width=width,
     )

@@ -1,14 +1,13 @@
-"""CNF formulas, variable pools, and DIMACS I/O.
+"""CNF formulas and DIMACS I/O.
 
 Literals follow the DIMACS convention: variables are positive integers and a
-negative literal is the negated variable. :class:`VariablePool` maps
-arbitrary hashable keys (facts, hyperedges, edge pairs ...) to variables so
-that encoders never juggle raw integers.
+negative literal is the negated variable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class CNF:
@@ -26,24 +25,34 @@ class CNF:
         return self.num_vars
 
     def add_clause(self, literals: Iterable[int]) -> None:
-        """Append a clause; literals must reference allocated variables."""
+        """Append a clause; literals must reference allocated variables.
+
+        The empty clause is representable: the formula is unsatisfiable.
+        """
         clause = tuple(literals)
-        if not clause:
-            # The empty clause is representable: the formula is unsatisfiable.
-            self.clauses.append(clause)
-            return
         for lit in clause:
-            var = abs(lit)
             if lit == 0:
                 raise ValueError("0 is not a literal")
-            if var > self.num_vars:
-                raise ValueError(f"literal {lit} references unallocated variable {var}")
+            if abs(lit) > self.num_vars:
+                raise ValueError(f"literal {lit} references unallocated variable {abs(lit)}")
         self.clauses.append(clause)
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        """Add every clause of an iterable."""
-        for clause in clauses:
-            self.add_clause(clause)
+        """Add every clause of an iterable, as :meth:`add_clause` would one by one.
+
+        The literals are checked in one pass over the whole batch; only a
+        batch that holds a bad literal goes clause by clause, so the
+        clauses before the first bad one are kept and it raises.
+        """
+        batch = [tuple(clause) for clause in clauses]
+        literals = set(chain.from_iterable(batch))
+        if literals and (
+            0 in literals or max(literals) > self.num_vars or -min(literals) > self.num_vars
+        ):
+            for clause in batch:
+                self.add_clause(clause)
+            return
+        self.clauses.extend(batch)
 
     def implies(self, antecedent: int, consequent: int) -> None:
         """Add ``antecedent -> consequent``."""
@@ -139,46 +148,3 @@ class CNF:
             # Tolerate wrong counts (common in the wild) but keep parsing strict.
             pass
         return cnf
-
-
-class VariablePool:
-    """Bidirectional mapping between hashable keys and CNF variables."""
-
-    def __init__(self, cnf: CNF):
-        self._cnf = cnf
-        self._by_key: Dict[Hashable, int] = {}
-        self._by_var: Dict[int, Hashable] = {}
-
-    def var(self, key: Hashable) -> int:
-        """The variable for *key*, allocating it on first use."""
-        existing = self._by_key.get(key)
-        if existing is not None:
-            return existing
-        var = self._cnf.new_var()
-        self._by_key[key] = var
-        self._by_var[var] = key
-        return var
-
-    def get(self, key: Hashable) -> Optional[int]:
-        """The variable for *key* if already allocated, else ``None``."""
-        return self._by_key.get(key)
-
-    def key(self, var: int) -> Hashable:
-        """The key of *var*; raises ``KeyError`` for anonymous variables."""
-        return self._by_var[var]
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._by_key
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def items(self) -> Iterator[Tuple[Hashable, int]]:
-        """Iterate over ``(key, variable)`` pairs in allocation order."""
-        return iter(self._by_key.items())
-
-    def keys_with_prefix(self, prefix: Hashable) -> Iterator[Tuple[Hashable, int]]:
-        """Items whose key is a tuple starting with *prefix* (encoder aid)."""
-        for key, var in self._by_key.items():
-            if isinstance(key, tuple) and key and key[0] == prefix:
-                yield key, var

@@ -65,11 +65,10 @@ _POPPED = 1.0
 class _Clause:
     """A clause with learning metadata; literals[0:2] are the watches."""
 
-    __slots__ = ("literals", "learned", "lbd", "activity")
+    __slots__ = ("literals", "lbd", "activity")
 
-    def __init__(self, literals: List[int], learned: bool = False, lbd: int = 0):
+    def __init__(self, literals: List[int], lbd: int = 0):
         self.literals = literals
-        self.learned = learned
         self.lbd = lbd
         self.activity = 0.0
 
@@ -170,13 +169,16 @@ class CDCLSolver:
                 + self._watches[cap + 1:]
             )
             self._cap = grown
-        for var in range(self._num_vars + 1, num_vars + 1):
-            self._level.append(0)
-            self._reason.append(None)
-            self._activity.append(0.0)
-            self._phase.append(0)
-            self._heap_key.append(0.0)
-            heapq.heappush(self._heap, (0.0, var))
+        added = num_vars - self._num_vars
+        self._level += [0] * added
+        self._reason += [None] * added
+        self._activity += [0.0] * added
+        self._phase += [0] * added
+        self._heap_key += [0.0] * added
+        # Every key is minus a non-negative activity and every new variable
+        # exceeds the old ones, so each new entry is at least every entry
+        # in the heap: appending them in order is what heappush would do.
+        self._heap += [(0.0, var) for var in range(self._num_vars + 1, num_vars + 1)]
         self._num_vars = num_vars
 
     @property
@@ -185,10 +187,56 @@ class CDCLSolver:
         return self._num_vars
 
     def add_cnf(self, cnf: CNF) -> None:
-        """Load every clause of a :class:`CNF` (allocating variables)."""
+        """Load every clause of a :class:`CNF` (allocating variables).
+
+        One pass with the solver's state in locals. It leaves the same
+        clauses, watches, trail and values as calling :meth:`add_clause`
+        on each clause in order: duplicate and root-false literals are
+        dropped, tautologies and root-satisfied clauses skipped, a unit is
+        enqueued and propagated where it appears, an empty clause or a
+        root conflict makes the solver UNSAT and ends the load, a ``0``
+        raises and an out-of-range literal grows the solver.
+        """
         self.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            self.add_clause(clause)
+        if self._unsat or not cnf.clauses:
+            return
+        self._backtrack(0)
+        self._resume = False
+        values = self._values
+        watches = self._watches
+        problem = self._clauses
+        limit = self._num_vars
+        low = -limit
+        for literals in cnf.clauses:
+            lits: List[int] = []
+            for lit in literals:
+                if not low <= lit <= limit or not lit:
+                    if not lit:
+                        raise ValueError("0 is not a literal")
+                    self.ensure_vars(abs(lit))
+                    values = self._values
+                    watches = self._watches
+                    limit = self._num_vars
+                    low = -limit
+                value = values[lit]
+                if value:
+                    if value == 1:
+                        break  # already satisfied at root level
+                    continue  # falsified at root level: drop the literal
+                if lit in lits:
+                    continue  # duplicate
+                if -lit in lits:
+                    break  # tautology
+                lits.append(lit)
+            else:
+                if len(lits) > 1:
+                    clause = _Clause(lits)
+                    watches[lits[0]].append(clause)
+                    watches[lits[1]].append(clause)
+                    problem.append(clause)
+                elif not lits or self._propagate_unit(lits[0]) is not None:
+                    self._unsat = True
+                    return
 
     def set_phases(self, phases: Dict[int, bool]) -> None:
         """Seed the phase-saving memory (warm start).
@@ -228,10 +276,7 @@ class CDCLSolver:
             self._unsat = True
             return False
         if len(lits) == 1:
-            if not self._enqueue(lits[0], None):
-                self._unsat = True
-                return False
-            if self._propagate() is not None:
+            if self._propagate_unit(lits[0]) is not None:
                 self._unsat = True
                 return False
             return True
@@ -296,6 +341,11 @@ class CDCLSolver:
                 self._enqueue(clause.literals[0], clause)
         self._resume = bool(self._trail_lim)
         return True
+
+    def _propagate_unit(self, lit: int) -> Optional[_Clause]:
+        """Enqueue an unassigned root-level unit and propagate it."""
+        self._enqueue(lit, None)
+        return self._propagate()
 
     def _attach(self, clause: _Clause) -> None:
         self._watches[clause.literals[0]].append(clause)
@@ -624,7 +674,7 @@ class CDCLSolver:
                         self._unsat = True
                         return False
                 else:
-                    clause = _Clause(learned, learned=True, lbd=lbd)
+                    clause = _Clause(learned, lbd)
                     self._attach(clause)
                     self._learned.append(clause)
                     stats.learned += 1

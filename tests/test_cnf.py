@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sat.cnf import CNF, VariablePool
+from repro.sat.cnf import CNF
 
 
 class TestCNF:
@@ -82,36 +82,3 @@ class TestDimacs:
     def test_malformed_header(self):
         with pytest.raises(ValueError):
             CNF.from_dimacs("p wcnf 1 1\n1 0\n")
-
-
-class TestVariablePool:
-    def test_stable_mapping(self):
-        cnf = CNF()
-        pool = VariablePool(cnf)
-        a = pool.var(("x", "fact1"))
-        b = pool.var(("x", "fact2"))
-        assert a != b
-        assert pool.var(("x", "fact1")) == a
-        assert pool.key(a) == ("x", "fact1")
-
-    def test_get_without_allocation(self):
-        pool = VariablePool(CNF())
-        assert pool.get("missing") is None
-        var = pool.var("present")
-        assert pool.get("present") == var
-
-    def test_contains_len_items(self):
-        pool = VariablePool(CNF())
-        pool.var("a")
-        pool.var("b")
-        assert "a" in pool and "c" not in pool
-        assert len(pool) == 2
-        assert dict(pool.items()) == {"a": 1, "b": 2}
-
-    def test_keys_with_prefix(self):
-        pool = VariablePool(CNF())
-        pool.var(("x", 1))
-        pool.var(("y", 1))
-        pool.var(("x", 2))
-        keys = {k for k, _ in pool.keys_with_prefix("x")}
-        assert keys == {("x", 1), ("x", 2)}

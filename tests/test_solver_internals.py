@@ -240,6 +240,112 @@ class TestLiteralIndexedState:
         assert_watch_invariant(solver)
 
 
+
+def load_state(solver):
+    """What loading clauses leaves in a solver, comparable across solvers."""
+    position = {id(clause): i for i, clause in enumerate(solver._clauses)}
+    literals = [lit for var in range(1, solver.num_vars + 1) for lit in (var, -var)]
+    return {
+        "clauses": [list(clause.literals) for clause in solver._clauses],
+        "watches": {lit: [position[id(c)] for c in solver._watches[lit]] for lit in literals},
+        "trail": list(solver._trail),
+        "trail_lim": list(solver._trail_lim),
+        "values": list(solver._values),
+        "unsat": solver._unsat,
+        "resume": solver._resume,
+        "propagations": solver.stats.propagations,
+        "num_vars": solver.num_vars,
+        "heap": list(solver._heap),
+    }
+
+
+def messy_cnf(seed, num_vars=20, num_clauses=40):
+    """Random clauses, appended without ``CNF.add_clause``'s checks.
+
+    Units propagate mid-load, literals repeat, some clauses are
+    tautologies, and some seeds add the empty clause, a ``0`` or a
+    literal beyond ``num_vars``.
+    """
+    rng = random.Random(seed)
+    cnf = CNF(num_vars)
+    for _ in range(num_clauses):
+        size = rng.choice((1, 2, 2, 2, 3, 3, 3, 4))
+        clause = [rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(size)]
+        roll = rng.random()
+        if roll < 0.1:
+            clause.append(clause[0])  # duplicate
+        elif roll < 0.2:
+            clause.insert(rng.randrange(len(clause) + 1), -clause[0])  # tautology
+        elif roll < 0.21:
+            clause.insert(rng.randrange(len(clause) + 1), 0)
+        elif roll < 0.25:
+            beyond = num_vars + rng.randint(1, 40)
+            clause.insert(rng.randrange(len(clause) + 1), rng.choice((1, -1)) * beyond)
+        elif roll < 0.255:
+            clause = []
+        cnf.clauses.append(tuple(clause))
+    return cnf
+
+
+def load(cnf, bulk, preload=()):
+    """Load *cnf* one way; returns the error raised (if any) and the state."""
+    solver = CDCLSolver()
+    for clause in preload:
+        solver.add_clause(clause)
+    if preload:
+        solver.solve()  # leaves a model's trail above level 0
+    error = None
+    try:
+        if bulk:
+            solver.add_cnf(cnf)
+        else:
+            solver.ensure_vars(cnf.num_vars)
+            for clause in cnf.clauses:
+                solver.add_clause(clause)
+    except ValueError as exc:
+        error = str(exc)
+    return error, load_state(solver)
+
+
+class TestAddCnf:
+    """``add_cnf`` leaves exactly what a loop of ``add_clause`` leaves."""
+
+    SEEDS = range(60)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_a_loop_of_add_clause(self, seed):
+        cnf = messy_cnf(seed)
+        assert load(cnf, bulk=True) == load(cnf, bulk=False)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_on_a_solver_that_already_solved(self, seed):
+        preload = [clause for clause in random_cnf(12, 10, seed).clauses]
+        cnf = messy_cnf(seed + 1000, num_clauses=12)
+        assert load(cnf, True, preload) == load(cnf, False, preload)
+        # An empty CNF leaves the model's trail where it is.
+        empty = CNF(14)
+        assert load(empty, True, preload) == load(empty, False, preload)
+
+    def test_the_seeds_cover_every_case(self):
+        outcomes = set()
+        for seed in self.SEEDS:
+            cnf = messy_cnf(seed)
+            error, state = load(cnf, bulk=True)
+            if error is not None:
+                outcomes.add("raises on 0")
+            elif state["unsat"]:
+                outcomes.add("unsat")
+            else:
+                outcomes.add("loaded")
+            if state["num_vars"] > cnf.num_vars:
+                outcomes.add("grew")
+            if state["propagations"] > len([c for c in cnf.clauses if len(c) == 1]):
+                outcomes.add("propagated past the units")
+        assert outcomes == {
+            "raises on 0", "unsat", "loaded", "grew", "propagated past the units"
+        }
+
+
 class TestTypedArrays:
     """Watch, trail and heap invariants after solving, backtracking and blocking.
 
