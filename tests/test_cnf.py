@@ -20,6 +20,16 @@ class TestCNF:
         with pytest.raises(ValueError):
             cnf.add_clause((0,))
 
+    @pytest.mark.parametrize("bad,message", [(3, "unallocated variable 3"), (-3, "unallocated"), (0, "0 is not")])
+    def test_add_clauses_checks_the_batch_as_add_clause_would(self, bad, message):
+        cnf = CNF(2)
+        cnf.add_clauses([[1, 2], (), iter((-1,))])
+        assert cnf.clauses == [(1, 2), (), (-1,)]
+        # The clauses before the first bad literal are kept, as one by one.
+        with pytest.raises(ValueError, match=message):
+            cnf.add_clauses([(2,), (1, bad), (-2,)])
+        assert cnf.clauses == [(1, 2), (), (-1,), (2,)]
+
     def test_empty_clause_allowed(self):
         cnf = CNF(1)
         cnf.add_clause(())
