@@ -223,6 +223,8 @@ class CDCLSolver:
                     if value == 1:
                         break  # already satisfied at root level
                     continue  # falsified at root level: drop the literal
+                # A scan of the kept literals, not a set: clauses of phi
+                # are short (at most 14 literals on the update probes).
                 if lit in lits:
                     continue  # duplicate
                 if -lit in lits:
