@@ -20,8 +20,9 @@ import pytest
 from repro.harness.runner import sample_answer_tuples
 from repro.harness.tables import render_table
 from repro.core.encoder import encode_why_provenance
-from repro.core.enumerator import WhyProvenanceEnumerator
 from repro.core.session import ProvenanceSession
+from repro.sat.enumeration import enumerate_models
+from repro.sat.solver import CDCLSolver
 from repro.scenarios import get_scenario
 
 from _common import print_banner, run_once
@@ -96,19 +97,36 @@ def test_vertex_elimination_needs_fewer_variables_when_sparse(benchmark, capsys)
 def test_enumeration_kernel(benchmark, acyclicity):
     # Andersen/D1 keeps the transitive-closure variant tractable for a
     # pure-Python CDCL (the bitcoin closure alone needs ~150K aux vars).
+    # Sessions build only the vertex-elimination layer, so both arms
+    # encode the session's closure here and run the same warm-started
+    # enumeration loop as WhyProvenanceEnumerator.
     scenario = get_scenario("Andersen")
     query = scenario.query()
     database = scenario.database("D1").restrict(query.program.edb)
-    session = ProvenanceSession(query, database, acyclicity=acyclicity)
+    session = ProvenanceSession(query, database)
     tup = sample_answer_tuples(
         query, database, count=1, seed=7, evaluation=session.evaluation
     )[0]
 
     def run():
-        enumerator = WhyProvenanceEnumerator(
-            query, database, tup, acyclicity=acyclicity, session=session
+        encoding = encode_why_provenance(
+            query,
+            database,
+            tup,
+            closure=session.closure_for(tup),
+            acyclicity=acyclicity,
         )
-        return enumerator.members(limit=10, timeout_seconds=10)
+        solver = CDCLSolver()
+        solver.add_cnf(encoding.cnf)
+        solver.set_phases(encoding.phase_hints(session.ranks))
+        records = enumerate_models(
+            encoding.cnf,
+            projection=encoding.projection_variables(),
+            limit=10,
+            timeout_seconds=10,
+            solver=solver,
+        )
+        return [encoding.decode_support(record.assignment) for record in records]
 
     members = run_once(benchmark, run)
     assert members

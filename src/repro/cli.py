@@ -597,7 +597,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_sessions=args.max_sessions,
             max_bytes=args.max_bytes,  # workers map 0 to unbounded themselves
-            acyclicity=args.acyclicity,
         )
         service.start()
     else:
@@ -611,7 +610,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry = SessionRegistry(
             max_sessions=args.max_sessions,
             max_bytes=args.max_bytes if args.max_bytes > 0 else None,
-            acyclicity=args.acyclicity,
             store=store,
         )
         service = DaemonService(
@@ -951,13 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="forked processes per worker for large batch requests "
         "(default: 1, serial; 0 = one per core)",
-    )
-    p_serve.add_argument(
-        "--acyclicity",
-        choices=["vertex-elimination", "transitive-closure"],
-        default="vertex-elimination",
-        help="acyclicity encoding baked into sessions and their digests "
-        "(default: vertex-elimination)",
     )
     p_serve.add_argument(
         "--parallel-threshold",

@@ -25,7 +25,7 @@ except for the minimal-depth budget, which by Definition 26 refers to the
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, check_over_schema
@@ -82,7 +82,6 @@ def decide_why_unambiguous(
     database: Database,
     tup: Tuple,
     subset: Iterable[Atom],
-    acyclicity: Optional[str] = None,
     session=None,
 ) -> bool:
     """``D' in whyUN(t, D, Q)?`` via one SAT call on ``phi_(t, D, Q)``.
@@ -101,17 +100,13 @@ def decide_why_unambiguous(
     facts = _validated_subset(database, subset)
     if session is None:
         session = ProvenanceSession(query, database)
-    if acyclicity is None:
-        # Follow the session's configured encoding so one session never
-        # mixes acyclicity regimes across its own methods.
-        acyclicity = session.acyclicity
-    encoding = session.encoding_or_none(tup, acyclicity=acyclicity)
+    encoding = session.encoding_or_none(tup)
     if encoding is None:
         return False
     assumptions = encoding.membership_assumptions(facts)
     if assumptions is None:
         return False
-    solver = session.decision_solver(tup, acyclicity=acyclicity)
+    solver = session.decision_solver(tup)
     return bool(solver.solve(assumptions=assumptions))
 
 

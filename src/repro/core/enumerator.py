@@ -49,8 +49,6 @@ class WhyProvenanceEnumerator:
 
     Parameters
     ----------
-    acyclicity:
-        ``"vertex-elimination"`` (paper default) or ``"transitive-closure"``.
     session:
         The :class:`~repro.core.session.ProvenanceSession` owning the
         ``(query, database)`` pair; without one the enumerator builds its
@@ -65,7 +63,6 @@ class WhyProvenanceEnumerator:
         query: DatalogQuery,
         database: Database,
         tup: Tuple,
-        acyclicity: str = "vertex-elimination",
         session: Optional[ProvenanceSession] = None,
     ):
         self.query = query
@@ -73,7 +70,7 @@ class WhyProvenanceEnumerator:
         self.tup = tuple(tup)
         fact = query.answer_atom(tup)
         if session is None:
-            session = ProvenanceSession(query, database, acyclicity=acyclicity)
+            session = ProvenanceSession(query, database)
         # The paper computes Q(D) with the Datalog engine before any
         # per-tuple work; do the same so closure timing measures only
         # the downward-closure construction.
@@ -84,9 +81,7 @@ class WhyProvenanceEnumerator:
         self.closure_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        self.encoding: WhyProvenanceEncoding = session.encoding(
-            tup, acyclicity=acyclicity
-        )
+        self.encoding: WhyProvenanceEncoding = session.encoding(tup)
         self.formula_seconds = time.perf_counter() - start
 
         self._solver = CDCLSolver()
@@ -177,7 +172,6 @@ def why_provenance_unambiguous(
     tup: Tuple,
     limit: Optional[int] = None,
     timeout_seconds: Optional[float] = None,
-    acyclicity: str = "vertex-elimination",
     session=None,
 ) -> FrozenSet[FrozenSet[Atom]]:
     """``whyUN(t, D, Q)`` computed via the SAT pipeline (Proposition 15).
@@ -186,9 +180,7 @@ def why_provenance_unambiguous(
     *session*, evaluation/closure/encoding come from its caches.
     """
     try:
-        enumerator = WhyProvenanceEnumerator(
-            query, database, tup, acyclicity=acyclicity, session=session
-        )
+        enumerator = WhyProvenanceEnumerator(query, database, tup, session=session)
     except FactNotDerivable:
         return frozenset()
     return frozenset(enumerator.members(limit=limit, timeout_seconds=timeout_seconds))

@@ -249,9 +249,7 @@ def _invalidate_stale_caches(
     for key in [k for k in session._decision_solvers if k[0] in stale_roots]:
         del session._decision_solvers[key]
     for key in [
-        k
-        for k in session._enumerators
-        if session.query.answer_atom(k[0]) in stale_roots
+        k for k in session._enumerators if session.query.answer_atom(k) in stale_roots
     ]:
         del session._enumerators[key]
     return len(stale_roots), retained

@@ -232,6 +232,4 @@ def _encode_or_none(
     closure = session.closure_or_none(query.answer_atom(tup))
     if closure is None:
         return None
-    return encode_why_provenance(
-        query, database, tup, closure=closure, acyclicity=session.acyclicity
-    )
+    return encode_why_provenance(query, database, tup, closure=closure)

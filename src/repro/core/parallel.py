@@ -208,8 +208,7 @@ def explain_fact(
         )
     try:
         enumerator = WhyProvenanceEnumerator(
-            session.query, session.database, tup, acyclicity=session.acyclicity,
-            session=session,
+            session.query, session.database, tup, session=session
         )
     except FactNotDerivable:  # cannot happen after is_answer, but stay safe
         return FactResult(

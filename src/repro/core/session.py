@@ -49,7 +49,7 @@ from ..datalog.atoms import Atom
 from ..datalog.database import Database, check_over_schema
 from ..datalog.engine import EvaluationResult, evaluate
 from ..datalog.plans import PlanContext, resolve_engine
-from ..datalog.program import DatalogQuery, Program
+from ..datalog.program import DatalogQuery
 from ..provenance.grounding import (
     DownwardClosure,
     FactNotDerivable,
@@ -114,8 +114,6 @@ class ProvenanceSession:
         The Datalog query ``Q = (Sigma, R)``.
     database:
         The input database over ``edb(Sigma)`` (validated on construction).
-    acyclicity:
-        Default acyclicity encoding for CNF compilations.
     engine:
         Evaluation engine: ``"compiled"`` (join plans, the default),
         ``"interpreted"`` (generic matcher oracle), or ``None`` to
@@ -137,7 +135,6 @@ class ProvenanceSession:
         self,
         query: DatalogQuery,
         database: Database,
-        acyclicity: str = "vertex-elimination",
         engine: Optional[str] = None,
         sat_mode: str = "fresh",
     ):
@@ -146,7 +143,6 @@ class ProvenanceSession:
         check_over_schema(database, query.program.edb)
         self.query = query
         self.database = database
-        self.acyclicity = acyclicity
         self.engine = resolve_engine(engine)
         self._plan_context: Optional[PlanContext] = None
         self.stats = SessionStats()
@@ -165,16 +161,9 @@ class ProvenanceSession:
         self._evaluation: Optional[EvaluationResult] = None
         self._gri: Optional[GriIndex] = None
         self._closures: Dict[Atom, Optional[DownwardClosure]] = {}
-        self._encodings: Dict[Tuple[Atom, int, str], Optional[WhyProvenanceEncoding]] = {}
-        self._decision_solvers: Dict[Tuple[Atom, int, str], CDCLSolver] = {}
-        self._enumerators: Dict[Tuple[Tuple, str], "WhyProvenanceEnumerator"] = {}
-
-    @classmethod
-    def from_program(
-        cls, program: Program, database: Database, answer: str, **kwargs
-    ) -> "ProvenanceSession":
-        """Build a session from a bare program plus answer predicate."""
-        return cls(DatalogQuery(program, answer), database, **kwargs)
+        self._encodings: Dict[Tuple[Atom, int], Optional[WhyProvenanceEncoding]] = {}
+        self._decision_solvers: Dict[Tuple[Atom, int], CDCLSolver] = {}
+        self._enumerators: Dict[Tuple, "WhyProvenanceEnumerator"] = {}
 
     # -- evaluation layer ---------------------------------------------------
 
@@ -292,32 +281,23 @@ class ProvenanceSession:
 
     # -- encoding layer -----------------------------------------------------
 
-    def encoding(
-        self,
-        tup: Tuple,
-        copies: int = 1,
-        acyclicity: Optional[str] = None,
-    ) -> WhyProvenanceEncoding:
+    def encoding(self, tup: Tuple, copies: int = 1) -> WhyProvenanceEncoding:
         """The CNF ``phi_(t, D, Q)`` built over the cached closure.
 
         Raises :class:`FactNotDerivable` when the tuple is not an answer.
         """
-        result = self.encoding_or_none(tup, copies=copies, acyclicity=acyclicity)
+        result = self.encoding_or_none(tup, copies=copies)
         if result is None:
             fact = self.answer_fact(tup)
             raise FactNotDerivable(f"{fact} is not derivable; its closure is empty")
         return result
 
     def encoding_or_none(
-        self,
-        tup: Tuple,
-        copies: int = 1,
-        acyclicity: Optional[str] = None,
+        self, tup: Tuple, copies: int = 1
     ) -> Optional[WhyProvenanceEncoding]:
         """Like :meth:`encoding` but returns ``None`` for non-answers."""
         fact = self.answer_fact(tup)
-        acyc = self.acyclicity if acyclicity is None else acyclicity
-        key = (fact, copies, acyc)
+        key = (fact, copies)
         if key in self._encodings:
             self.stats.encoding_hits += 1
             return self._encodings[key]
@@ -327,22 +307,12 @@ class ProvenanceSession:
             return None
         self.stats.encoding_builds += 1
         encoding = encode_why_provenance(
-            self.query,
-            self.database,
-            tup,
-            closure=closure,
-            copies=copies,
-            acyclicity=acyc,
+            self.query, self.database, tup, closure=closure, copies=copies
         )
         self._encodings[key] = encoding
         return encoding
 
-    def decision_solver(
-        self,
-        tup: Tuple,
-        copies: int = 1,
-        acyclicity: Optional[str] = None,
-    ) -> Optional[CDCLSolver]:
+    def decision_solver(self, tup: Tuple, copies: int = 1) -> Optional[CDCLSolver]:
         """A warm solver over ``phi_(t, D, Q)`` reserved for assumption queries.
 
         The solver never receives blocking clauses, so repeated membership
@@ -350,11 +320,10 @@ class ProvenanceSession:
         re-propagating the formula from scratch. Returns ``None`` when the
         tuple is not an answer.
         """
-        encoding = self.encoding_or_none(tup, copies=copies, acyclicity=acyclicity)
+        encoding = self.encoding_or_none(tup, copies=copies)
         if encoding is None:
             return None
-        acyc = self.acyclicity if acyclicity is None else acyclicity
-        key = (self.answer_fact(tup), copies, acyc)
+        key = (self.answer_fact(tup), copies)
         solver = self._decision_solvers.get(key)
         if solver is None:
             self.stats.sat_solver_builds += 1
@@ -365,11 +334,7 @@ class ProvenanceSession:
 
     # -- enumeration layer --------------------------------------------------
 
-    def enumerator(
-        self,
-        tup: Tuple,
-        acyclicity: Optional[str] = None,
-    ) -> "WhyProvenanceEnumerator":
+    def enumerator(self, tup: Tuple) -> "WhyProvenanceEnumerator":
         """A warm incremental enumerator for ``whyUN(t, D, Q)``.
 
         The enumerator is cached per tuple: successive ``enumerate`` calls
@@ -379,13 +344,12 @@ class ProvenanceSession:
         """
         from .enumerator import WhyProvenanceEnumerator
 
-        acyc = self.acyclicity if acyclicity is None else acyclicity
-        key = (tuple(tup), acyc)
+        key = tuple(tup)
         enumerator = self._enumerators.get(key)
         if enumerator is None:
             self.stats.sat_solver_builds += 1
             enumerator = WhyProvenanceEnumerator(
-                self.query, self.database, tup, acyclicity=acyc, session=self
+                self.query, self.database, tup, session=self
             )
             self._enumerators[key] = enumerator
         return enumerator
@@ -395,7 +359,6 @@ class ProvenanceSession:
         tup: Tuple,
         limit: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
-        acyclicity: Optional[str] = None,
     ) -> List[FrozenSet[Atom]]:
         """Members of ``whyUN(t, D, Q)`` from a fresh enumeration pass.
 
@@ -406,12 +369,11 @@ class ProvenanceSession:
         """
         from .enumerator import WhyProvenanceEnumerator
 
-        acyc = self.acyclicity if acyclicity is None else acyclicity
         if not self.is_answer(tup):
             return []
         self.stats.sat_solver_builds += 1
         enumerator = WhyProvenanceEnumerator(
-            self.query, self.database, tup, acyclicity=acyc, session=self
+            self.query, self.database, tup, session=self
         )
         return enumerator.members(limit=limit, timeout_seconds=timeout_seconds)
 
@@ -567,7 +529,6 @@ class ProvenanceSession:
         return ProvenanceSession(
             self.query,
             self.database if database is None else database,
-            acyclicity=self.acyclicity,
             engine=self.engine,
         )
 

@@ -105,7 +105,6 @@ def run_database(
     member_limit: Optional[int] = DEFAULT_MEMBER_LIMIT,
     timeout_seconds: Optional[float] = DEFAULT_TIMEOUT_SECONDS,
     seed: int = 7,
-    acyclicity: str = "vertex-elimination",
     workers: int = 1,
     engine: Optional[str] = None,
 ) -> DatabaseRun:
@@ -124,7 +123,7 @@ def run_database(
     # Doctors family); each variant sees its slice over edb(Sigma), as the
     # decision problems require a database over the extensional schema.
     database = scenario.database(database_name).restrict(query.program.edb)
-    session = ProvenanceSession(query, database, acyclicity=acyclicity, engine=engine)
+    session = ProvenanceSession(query, database, engine=engine)
     tuples = sample_answer_tuples(
         query, database, count=tuples_per_database, seed=seed,
         evaluation=session.evaluation,
@@ -149,7 +148,6 @@ def run_scenario(
     member_limit: Optional[int] = DEFAULT_MEMBER_LIMIT,
     timeout_seconds: Optional[float] = DEFAULT_TIMEOUT_SECONDS,
     seed: int = 7,
-    acyclicity: str = "vertex-elimination",
     workers: int = 1,
     engine: Optional[str] = None,
 ) -> List[DatabaseRun]:
@@ -162,7 +160,6 @@ def run_scenario(
             member_limit=member_limit,
             timeout_seconds=timeout_seconds,
             seed=seed,
-            acyclicity=acyclicity,
             workers=workers,
             engine=engine,
         )

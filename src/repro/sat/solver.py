@@ -247,8 +247,9 @@ class CDCLSolver:
         suspected model lets the first ``solve`` walk straight to it; the
         solver remains complete regardless of the hints.
         """
+        if phases:
+            self.ensure_vars(max(phases))
         for var, value in phases.items():
-            self.ensure_vars(var)
             self._phase[var] = 1 if value else 0
 
     def add_clause(self, literals: Iterable[int]) -> bool:

@@ -336,7 +336,6 @@ def local_sharded_service(
     max_batch: Optional[int] = None,
     max_sessions: Optional[int] = None,
     max_bytes: Optional[int] = None,
-    acyclicity: str = "vertex-elimination",
     spawn_timeout: float = 60.0,
 ) -> Iterator[ServiceClient]:
     """A sharded daemon (*workers* real processes) behind one client.
@@ -361,7 +360,6 @@ def local_sharded_service(
         max_batch=max_batch,
         max_sessions=max_sessions,
         max_bytes=max_bytes,
-        acyclicity=acyclicity,
         spawn_timeout=spawn_timeout,
     )
     router.start()

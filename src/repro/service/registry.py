@@ -2,10 +2,10 @@
 
 The daemon's working set is a map ``content digest -> ProvenanceSession``.
 The digest is computed over the *canonicalized* ``(program, database,
-answer, acyclicity)`` quadruple — rules and facts are parsed and
-re-rendered in sorted order before hashing — so two clients sending the
-same query in different rule order, fact order, or whitespace share one
-warm session instead of evaluating twice.
+answer)`` triple — rules and facts are parsed and re-rendered in sorted
+order before hashing — so two clients sending the same query in
+different rule order, fact order, or whitespace share one warm session
+instead of evaluating twice.
 
 Lifecycle of an entry:
 
@@ -63,7 +63,7 @@ from ..datalog.io import delta_to_lines
 from ..datalog.parser import parse_database, parse_program
 from ..datalog.program import DatalogQuery
 from .protocol import ServiceError
-from .store import SnapshotStore, logger as store_logger
+from .store import ACYCLICITY, SnapshotStore, logger as store_logger
 
 #: Default cap on live sessions (LRU beyond this).
 DEFAULT_MAX_SESSIONS = 8
@@ -162,24 +162,20 @@ def canonicalize_query(
     return query, database, answer
 
 
-def content_digest(
-    query: DatalogQuery,
-    database: Database,
-    acyclicity: str = "vertex-elimination",
-) -> str:
+def content_digest(query: DatalogQuery, database: Database) -> str:
     """The canonical content address of a ``(program, database)`` pair.
 
     Rules and facts are rendered sorted, so the digest is a pure function
-    of the *sets* (plus answer predicate and acyclicity encoding), not of
-    the wire texts that produced them.
+    of the *sets* (plus answer predicate), not of the wire texts that
+    produced them.
     """
     payload = "\n".join(
         [
-            # Once the evaluation method. Kept constant so that digests do
-            # not change: logs on disk and clients holding a digest still
-            # address their sessions.
+            # Once the evaluation method and the encoding, both settable.
+            # Kept constant so that digests do not change: logs on disk
+            # and clients holding a digest still address their sessions.
             "seminaive",
-            acyclicity,
+            ACYCLICITY,
             query.answer_predicate,
             "\n".join(sorted(str(rule) for rule in query.program.rules)),
             "\n".join(sorted(str(fact) for fact in database)),
@@ -192,20 +188,18 @@ def routing_digest(
     program_text: str,
     database_text: str,
     answer: Optional[str] = None,
-    acyclicity: str = "vertex-elimination",
 ) -> str:
     """The digest the given wire texts admit under: canonicalize + hash.
 
     The shard router routes inline-text requests with this — it has
     no registry of its own, but must compute *exactly* the address the
-    owning worker's registry will admit under, so the ``acyclicity``
-    the workers were spawned with has to be passed here. Raises the same
+    owning worker's registry will admit under. Raises the same
     canonical errors as admission would (``program-error`` /
     ``bad-request``), which is what makes routing failures
     byte-identical to single-process failures.
     """
     query, database, _ = canonicalize_query(program_text, database_text, answer)
-    return content_digest(query, database, acyclicity)
+    return content_digest(query, database)
 
 
 class SessionRegistry:
@@ -219,10 +213,6 @@ class SessionRegistry:
         Byte budget across all entries, ``None`` for unbounded. The
         most-recently-admitted entry is exempt (a single session larger
         than the whole budget still serves).
-    acyclicity:
-        The acyclicity encoding baked into every admitted session *and*
-        into the content digest, so registries with different encodings
-        never share addresses.
     store:
         A :class:`~repro.service.store.SnapshotStore` making sessions
         durable: cold admissions start a log with the admitted texts,
@@ -235,12 +225,10 @@ class SessionRegistry:
         self,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         max_bytes: Optional[int] = DEFAULT_MAX_BYTES,
-        acyclicity: str = "vertex-elimination",
         store: Optional[SnapshotStore] = None,
     ):
         self.max_sessions = max(1, max_sessions)
         self.max_bytes = max_bytes
-        self.acyclicity = acyclicity
         self.store = store
         self.admissions = 0
         self.hits = 0
@@ -263,7 +251,7 @@ class SessionRegistry:
         answer: Optional[str] = None,
     ) -> str:
         """The digest the given wire texts would be admitted under."""
-        return routing_digest(program_text, database_text, answer, self.acyclicity)
+        return routing_digest(program_text, database_text, answer)
 
     # -- admission / lookup --------------------------------------------------
 
@@ -287,7 +275,7 @@ class SessionRegistry:
         query, database, answer = canonicalize_query(
             program_text, database_text, answer
         )
-        digest = content_digest(query, database, self.acyclicity)
+        digest = content_digest(query, database)
         hit = self._await_admission_slot(digest)
         if hit is not None:
             return hit, False
@@ -339,7 +327,7 @@ class SessionRegistry:
         """Cold admission: build the session, pay the evaluation, persist."""
         started = time.perf_counter()
         try:
-            session = ProvenanceSession(query, database, acyclicity=self.acyclicity)
+            session = ProvenanceSession(query, database)
         except ValueError as exc:
             raise ServiceError("bad-request", str(exc))
         session.evaluation  # cold admission pays the evaluation up front
@@ -374,9 +362,7 @@ class SessionRegistry:
             return None
         started = time.perf_counter()
         try:
-            session = self.store.rehydrate(
-                digest, acyclicity=self.acyclicity, parsed=parsed
-            )
+            session = self.store.rehydrate(digest, parsed=parsed)
         except Exception:
             # The store's own contract is to degrade, not raise; treat a
             # bug there as one more reason to fall back to evaluation.
@@ -513,13 +499,7 @@ class SessionRegistry:
         if self.store is None:
             return
         try:
-            self.store.put_snapshot(
-                digest,
-                program_text,
-                database_text,
-                answer,
-                self.acyclicity,
-            )
+            self.store.put_snapshot(digest, program_text, database_text, answer)
         except Exception:
             with self._lock:
                 self.persist_failures += 1
@@ -588,7 +568,6 @@ class SessionRegistry:
                 "evictions": self.evictions,
                 "rehydrations": self.rehydrations,
                 "persist_failures": self.persist_failures,
-                "acyclicity": self.acyclicity,
             }
         snapshot["sessions"] = [entry.describe() for entry in entries]
         snapshot["store"] = None if self.store is None else self.store.stats()

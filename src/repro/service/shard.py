@@ -12,11 +12,10 @@ to them from the same TCP front-end
   worker, chosen by consistent hashing (:class:`HashRing`) over the
   session's content digest. Inline-text requests are canonicalized to
   the digest their admission would produce (:func:`~repro.service.
-  registry.routing_digest` with the same ``acyclicity`` the workers
-  were spawned with), so texts and digests land on the same shard. A
-  digest's warm state therefore lives on exactly one worker — the
-  single-writer property that also makes a shared ``--state-dir`` safe
-  across the pool.
+  registry.routing_digest`), so texts and digests land on the same
+  shard. A digest's warm state therefore lives on exactly one worker —
+  the single-writer property that also makes a shared ``--state-dir``
+  safe across the pool.
 * **byte identity** — request lines are forwarded to the owning worker
   *verbatim* and its response lines returned verbatim (each client
   connection keeps one downstream connection per shard, and a worker
@@ -225,7 +224,6 @@ class WorkerSupervisor:
         max_batch: Optional[int] = None,
         max_sessions: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        acyclicity: str = "vertex-elimination",
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
     ):
@@ -240,7 +238,6 @@ class WorkerSupervisor:
         self.max_batch = max_batch
         self.max_sessions = max_sessions
         self.max_bytes = max_bytes
-        self.acyclicity = acyclicity
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._stop = threading.Event()
@@ -264,8 +261,6 @@ class WorkerSupervisor:
             "1",
             "--batch-workers",
             str(self.batch_workers),
-            "--acyclicity",
-            self.acyclicity,
         ]
         if self.worker_threads is not None:
             command += ["--threads", str(self.worker_threads)]
@@ -470,14 +465,12 @@ class ShardRouter(Dispatcher):
         max_batch: Optional[int] = None,
         max_sessions: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        acyclicity: str = "vertex-elimination",
         replicas: int = DEFAULT_REPLICAS,
         spawn_timeout: float = 60.0,
     ):
         if workers < 1:
             raise ValueError("a sharded service needs at least 1 worker")
         super().__init__()
-        self.acyclicity = acyclicity
         self.spawn_timeout = spawn_timeout
         self.supervisor = WorkerSupervisor(
             workers,
@@ -488,7 +481,6 @@ class ShardRouter(Dispatcher):
             max_batch=max_batch,
             max_sessions=max_sessions,
             max_bytes=max_bytes,
-            acyclicity=acyclicity,
         )
         self.ring = HashRing(self.supervisor.slots, replicas=replicas)
 
@@ -524,7 +516,7 @@ class ShardRouter(Dispatcher):
         if digest is None:
             # Inline texts route by the digest their admission would get.
             program, database, answer = texts
-            digest = routing_digest(program, database, answer, self.acyclicity)
+            digest = routing_digest(program, database, answer)
         slot = self.ring.lookup(digest)
         handle = self.supervisor.handles[slot]
         op = request.get("op")
@@ -651,7 +643,6 @@ class ShardRouter(Dispatcher):
         )
         result["sessions"] = sessions
         result["store"] = self._merge_stores(stores)
-        result["acyclicity"] = self.acyclicity
         result["protocol"] = PROTOCOL_VERSION
         result["uptime_seconds"] = time.time() - self.started_at
         result["requests_served"] = served

@@ -10,7 +10,7 @@ every update since.
 * :class:`SnapshotStore` — a content-addressed on-disk store mapping a
   registry digest to one append-only **log**. Record 0, the *base*,
   holds the program and database texts as admitted, the answer
-  predicate and the acyclicity encoding (``acyclicity``). Each
+  predicate and the frozen encoding name :data:`ACYCLICITY`. Each
   later record is one committed ``update`` delta, stamped ``v = 1, 2,
   ...`` and fsync'd before the response is sent.
 * :meth:`SnapshotStore.rehydrate` — rebuild a live session from its log:
@@ -32,11 +32,11 @@ wrong answer:
   directory entry, so readers see the previous log or the new one;
 * appends are fsync'd; a torn tail (partial line, bad checksum,
   unparsable JSON) is truncated at the last complete record on recovery;
-* a log whose base is damaged, whose knobs differ from the registry's,
-  or whose version stamps are not ``0, 1, 2, ...`` (a gap — some
-  committed state is unreachable) degrades to a **miss**: the registry
-  falls back to cold evaluation. Only a missing file means "never
-  stored"; any other read error is a counted miss too.
+* a log whose base is damaged or names another encoding than
+  :data:`ACYCLICITY`, or whose version stamps are not ``0, 1, 2, ...``
+  (a gap — some committed state is unreachable) degrades to a
+  **miss**: the registry falls back to cold evaluation. Only a missing
+  file means "never stored"; any other read error is a counted miss too.
 
 Multi-process sharing
 ---------------------
@@ -88,6 +88,14 @@ LOG_SUFFIX = ".log"
 #: written before the evaluation method left the knobs also carry
 #: ``"method": "seminaive"``, which is ignored.
 BASE_FIELDS = ("acyclicity", "answer", "database", "digest", "program")
+
+#: The encoding of every session's φ_acyclic, written into each base
+#: record and into the content digest's payload
+#: (:func:`~repro.service.registry.content_digest`). Kept constant so that
+#: stored logs and the digests clients hold stay valid. A base naming
+#: another encoding was written by a daemon started with
+#: ``--acyclicity transitive-closure`` under another digest: a miss.
+ACYCLICITY = "vertex-elimination"
 
 
 def _frame(payload: Dict) -> bytes:
@@ -245,7 +253,6 @@ class SnapshotStore:
         program: str,
         database: str,
         answer: str,
-        acyclicity: str,
     ) -> int:
         """Start *digest*'s log afresh with its base record; returns bytes written.
 
@@ -258,7 +265,7 @@ class SnapshotStore:
         """
         record = _frame(
             {
-                "acyclicity": acyclicity,
+                "acyclicity": ACYCLICITY,
                 "answer": answer,
                 "database": database,
                 "digest": digest,
@@ -363,17 +370,14 @@ class SnapshotStore:
     def rehydrate(
         self,
         digest: str,
-        acyclicity: Optional[str] = None,
         parsed: Optional[Tuple[DatalogQuery, Database]] = None,
     ) -> Optional[ProvenanceSession]:
         """Rebuild the live session for *digest*, or ``None`` on a miss.
 
         Salvages the log (truncating a torn tail), checks the base
-        against *digest* and against ``acyclicity`` when given (state
-        directories mixed across differently-configured registries),
-        checks that the deltas are stamped ``1, 2, ...``, applies them to
-        the base's database, sets the session version to the last stamp
-        and evaluates once.
+        against *digest* and :data:`ACYCLICITY`, checks that the deltas
+        are stamped ``1, 2, ...``, applies them to the base's database,
+        sets the session version to the last stamp and evaluates once.
 
         *parsed* is the ``(query, database)`` the caller already parsed
         from the admitted texts of *digest*; it spares parsing the base
@@ -392,7 +396,7 @@ class SnapshotStore:
         base = records[0]
         if base["digest"] != digest:
             return self._miss(digest, "log-wrong-digest")
-        if acyclicity is not None and base["acyclicity"] != acyclicity:
+        if base["acyclicity"] != ACYCLICITY:
             return self._miss(digest, "log-knob-mismatch")
         if any(record["v"] != stamp for stamp, record in enumerate(records)):
             # Some committed state is unreachable: serving the prefix
@@ -410,7 +414,7 @@ class SnapshotStore:
             else:
                 query, database = parsed
             deltas = [delta_from_lines(record["lines"]) for record in records[1:]]
-            session = ProvenanceSession(query, database, acyclicity=base["acyclicity"])
+            session = ProvenanceSession(query, database)
         except ValueError:
             return self._miss(digest, "log-replay-failed")
         edb = query.program.edb

@@ -94,7 +94,6 @@ class OracleConfig:
     #: router genuinely routes instead of degenerating to one shard).
     shard_workers: int = 2
     timeout_seconds: Optional[float] = None
-    acyclicity: str = "vertex-elimination"
 
     def __post_init__(self):
         unknown = [p for p in self.paths if p not in ALL_PATHS]
@@ -229,9 +228,7 @@ def _state_databases(instance: SyntheticInstance) -> List[Database]:
 
 def _run_cold(instance: SyntheticInstance, config: OracleConfig) -> List[str]:
     return [
-        _observe_session_state(
-            ProvenanceSession(instance.query, db, acyclicity=config.acyclicity), config
-        )
+        _observe_session_state(ProvenanceSession(instance.query, db), config)
         for db in _state_databases(instance)
     ]
 
@@ -239,18 +236,14 @@ def _run_cold(instance: SyntheticInstance, config: OracleConfig) -> List[str]:
 def _run_warm(instance: SyntheticInstance, config: OracleConfig) -> List[str]:
     return [
         _observe_session_state(
-            ProvenanceSession(instance.query, db, acyclicity=config.acyclicity),
-            config,
-            serve_twice=True,
+            ProvenanceSession(instance.query, db), config, serve_twice=True
         )
         for db in _state_databases(instance)
     ]
 
 
 def _run_parallel(instance: SyntheticInstance, config: OracleConfig) -> List[str]:
-    session = ProvenanceSession(
-        instance.query, instance.database.copy(), acyclicity=config.acyclicity
-    )
+    session = ProvenanceSession(instance.query, instance.database.copy())
     texts = [_observe_batch_state(session, config)]
     for delta in instance.deltas:
         session.update(delta)
@@ -259,9 +252,7 @@ def _run_parallel(instance: SyntheticInstance, config: OracleConfig) -> List[str
 
 
 def _run_incremental(instance: SyntheticInstance, config: OracleConfig) -> List[str]:
-    session = ProvenanceSession(
-        instance.query, instance.database.copy(), acyclicity=config.acyclicity
-    )
+    session = ProvenanceSession(instance.query, instance.database.copy())
     texts = [_observe_session_state(session, config)]
     for delta in instance.deltas:
         session.update(delta)
@@ -303,10 +294,8 @@ def _observe_wire_state(client, digest: str, config: OracleConfig) -> str:
 
 def _run_service(instance: SyntheticInstance, config: OracleConfig) -> List[str]:
     from ..service.client import local_service
-    from ..service.registry import SessionRegistry
 
-    registry = SessionRegistry(acyclicity=config.acyclicity)
-    with local_service(registry=registry) as client:
+    with local_service() as client:
         opened = client.open(
             instance.program_text(),
             instance.database_text(),
@@ -344,9 +333,7 @@ def _run_restart(instance: SyntheticInstance, config: OracleConfig) -> List[str]
     half = (len(delta_lines) + 1) // 2
     state_dir = tempfile.mkdtemp(prefix="repro-oracle-restart-")
     try:
-        registry = SessionRegistry(
-            acyclicity=config.acyclicity, store=SnapshotStore(state_dir)
-        )
+        registry = SessionRegistry(store=SnapshotStore(state_dir))
         with local_service(registry=registry) as client:
             opened = client.open(
                 instance.program_text(),
@@ -362,9 +349,7 @@ def _run_restart(instance: SyntheticInstance, config: OracleConfig) -> List[str]
         # writing anything — the store holds only what was fsync'd at
         # commit time, which is the whole durability claim under test.
         del registry
-        registry = SessionRegistry(
-            acyclicity=config.acyclicity, store=SnapshotStore(state_dir)
-        )
+        registry = SessionRegistry(store=SnapshotStore(state_dir))
         with local_service(registry=registry) as client:
             opened = client.open(
                 instance.program_text(),
@@ -415,9 +400,7 @@ def _run_sharded(instance: SyntheticInstance, config: OracleConfig) -> List[str]
     """
     from ..service.client import local_sharded_service
 
-    with local_sharded_service(
-        workers=max(2, config.shard_workers), acyclicity=config.acyclicity
-    ) as client:
+    with local_sharded_service(workers=max(2, config.shard_workers)) as client:
         opened = client.open(
             instance.program_text(),
             instance.database_text(),

@@ -414,6 +414,21 @@ class TestSessionUpdate:
         assert receipt.invalidated_closures >= 1
         assert session.closure_for(("a", "c")) is not stale
 
+    def test_warm_enumerators_fall_with_their_closure(self):
+        session = tc_session("e(a, b). e(b, c). e(x, y).")
+        tup = ("a", "c")
+        warm = session.enumerator(tup)
+        assert warm.members(limit=1)
+        session.update(Delta.insert(edge("y", "z")))  # misses tc(a, c)'s closure
+        assert session.enumerator(tup) is warm
+        session.update(Delta.insert(edge("a", "c")))
+        fresh = session.enumerator(tup)
+        assert fresh is not warm
+        cold = ProvenanceSession(TC_QUERY, session.database.copy())
+        members = fresh.members()
+        assert len(members) == 2
+        assert members == cold.enumerator(tup).members()
+
     def test_non_answer_verdict_invalidated_when_fact_appears(self):
         session = tc_session("e(a, b).")
         assert session.closure_or_none(Atom("tc", ("b", "c"))) is None

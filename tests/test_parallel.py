@@ -41,13 +41,6 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-class _NoPickle(str):
-    """A string that refuses to cross a process boundary by pickle."""
-
-    def __reduce__(self):
-        raise pickle.PicklingError("this value stays in its process")
-
-
 def _assert_batches_identical(serial: BatchResult, parallel: BatchResult):
     """Same tuples, same witnesses, same witness order, same flags."""
     assert len(serial.results) == len(parallel.results)
@@ -189,13 +182,12 @@ class TestParallelMatchesSerial:
         _assert_batches_identical(serial, parallel)
 
     def test_unpicklable_session_attribute_still_forks(self):
-        # Workers read the session's acyclicity; the fork hands it over
-        # in memory, so a value that cannot be pickled is no reason to
-        # serve serially.
+        # The fork hands the session to the workers in memory, so an
+        # attribute that cannot be pickled, such as its lock, is no
+        # reason to serve serially.
         session = ProvenanceSession(TC_QUERY, TC_DB)
-        session.acyclicity = _NoPickle(session.acyclicity)
-        with pytest.raises(pickle.PicklingError):
-            pickle.dumps(session.acyclicity)
+        with pytest.raises(TypeError):
+            pickle.dumps(session.lock)
         batch = session.explain_batch(workers=2)
         assert batch.parallel and batch.fallback_reason is None
         _assert_batches_identical(session.fork().explain_batch(workers=1), batch)

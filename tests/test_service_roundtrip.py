@@ -169,22 +169,3 @@ def test_service_with_batch_workers_still_identical():
     assert [entry["members"] for entry in batch["results"]] == [
         render_members(session.why(tup, limit=LIMIT)) for tup in tuples
     ]
-
-
-def test_service_honors_non_default_acyclicity():
-    """A daemon built with the transitive-closure encoding serves its members.
-
-    Andersen/D1 keeps this cheap (about a second per side): two of its
-    sampled tuples exhaust at one member and one reaches the member
-    limit.
-    """
-    report = run_oracle(
-        scenario_instance("Andersen", "D1", updates=False),
-        OracleConfig(
-            paths=("cold", "service"),
-            limit=LIMIT,
-            tuples_per_state=TUPLES,
-            acyclicity="transitive-closure",
-        ),
-    )
-    assert report.ok, [d.describe() for d in report.divergences]

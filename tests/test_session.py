@@ -340,22 +340,6 @@ class TestSessionAgreesWithFreeFunctions:
             direct = smallest_member(TC_QUERY, TC_DB, tup, session=session)
             assert len(direct) == min(len(m) for m in expected)
 
-    def test_session_acyclicity_flows_to_every_method(self):
-        # A session configured with a non-default acyclicity must use it
-        # consistently: decisions and minimal explanations follow the same
-        # encoding as enumeration, and the caches are shared (one key).
-        session = ProvenanceSession(TC_QUERY, TC_DB, acyclicity="transitive-closure")
-        tup = ("a", "c")
-        members = session.why(tup)
-        member = members[0]
-        assert session.decide(tup, member, "unambiguous")
-        assert session.smallest_member(tup) is not None
-        encodings = [key for key, enc in session._encodings.items() if enc is not None]
-        assert encodings == [(parse_atom("tc(a, c)"), 1, "transitive-closure")]
-        assert frozenset(members) == why_provenance_unambiguous(
-            TC_QUERY, TC_DB, tup, acyclicity="transitive-closure"
-        )
-
     def test_why_of_non_answer_is_empty(self):
         session = ProvenanceSession(TC_QUERY, TC_DB)
         assert session.why(("d", "a")) == []

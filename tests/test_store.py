@@ -51,6 +51,17 @@ def _reacquire(state_dir, instance):
     return store, entry
 
 
+def _forge_base(registry, entry, **fields):
+    """Rewrite the base record of *entry*'s log with *fields*; return the old one."""
+    path = registry.store.log_path(entry.digest)
+    with open(path, "rb") as handle:
+        base, *deltas = handle.read().splitlines(keepends=True)
+    record = _unframe(base.rstrip(b"\n"))
+    with open(path, "wb") as handle:
+        handle.write(_frame({**record, **fields}) + b"".join(deltas))
+    return record
+
+
 def _apply_deltas(registry, entry, deltas):
     """Commit *deltas* the way the server does: update, then log it."""
     for delta in deltas:
@@ -141,9 +152,16 @@ def test_wal_version_gap_degrades_to_cold_admission(tmp_path, instance, caplog):
 
 
 def test_knob_mismatch_is_a_counted_miss(tmp_path, instance):
+    """A base naming the transitive-closure encoding was written by a
+    daemon started with ``--acyclicity transitive-closure``; it misses."""
     registry, entry = _admit(tmp_path, instance)
-    store = SnapshotStore(str(tmp_path))
-    assert store.rehydrate(entry.digest, acyclicity="some-other-encoding") is None
+    expected = entry.session.answers()
+    record = _forge_base(registry, entry, acyclicity="transitive-closure")
+    assert record["acyclicity"] == "vertex-elimination"
+
+    store, recovered = _reacquire(tmp_path, instance)
+    assert not recovered.rehydrated
+    assert recovered.session.answers() == expected
     assert store.miss_reasons == {"log-knob-mismatch": 1}
 
 
@@ -154,13 +172,8 @@ def test_base_record_carrying_method_still_rehydrates(tmp_path, instance):
     _apply_deltas(registry, entry, instance.deltas)
     expected = entry.session.answers()
     version = entry.session.version
-    path = registry.store.log_path(entry.digest)
-    with open(path, "rb") as handle:
-        base, *deltas = handle.read().splitlines(keepends=True)
-    record = _unframe(base.rstrip(b"\n"))
+    record = _forge_base(registry, entry, method="seminaive")
     assert "method" not in record
-    with open(path, "wb") as handle:
-        handle.write(_frame({**record, "method": "seminaive"}) + b"".join(deltas))
 
     store, recovered = _reacquire(tmp_path, instance)
     assert recovered.rehydrated
@@ -209,7 +222,6 @@ def test_concurrent_double_snapshot_put_is_safe(tmp_path, instance):
                 instance.program_text(),
                 instance.database_text(),
                 entry.answer,
-                registry.acyclicity,
             )
         except Exception as exc:  # pragma: no cover - the failure under test
             errors.append(exc)

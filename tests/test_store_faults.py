@@ -36,7 +36,6 @@ BASE = {
     "program": "tc(X, Y) :- e(X, Y).",
     "database": "e(a, b).",
     "answer": "tc",
-    "acyclicity": "vertex-elimination",
 }
 
 
@@ -165,7 +164,6 @@ def test_session_workload_crash_sweep_rehydrates_consistently(tmp_path):
             instance.program_text(),
             instance.database_text(),
             answer,
-            session.acyclicity,
         )
         for delta in instance.deltas:
             receipt = session.update(delta)
