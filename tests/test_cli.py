@@ -371,6 +371,34 @@ class TestDimacs:
         cnf = CNF.from_dimacs(text)
         assert solve_cnf(cnf) is not None
 
+    def test_acyclicity_flag_selects_the_reference_layer(self, files, capsys):
+        """``--acyclicity`` still chooses the acyclicity layer of the export:
+        vertex elimination by default, transitive closure on request."""
+        from repro.core.encoder import encode_why_provenance
+        from repro.datalog.database import Database
+        from repro.datalog.parser import parse_database, parse_program
+        from repro.datalog.program import DatalogQuery
+        from repro.sat.cnf import CNF
+        from repro.sat.solver import solve_cnf
+
+        program, database = files
+        argv = ["dimacs", program, database, "--answer", "tc", "--tuple", "a,c"]
+        outputs = {}
+        for layer in (None, "vertex-elimination", "transitive-closure"):
+            flag = [] if layer is None else ["--acyclicity", layer]
+            assert main(argv + flag) == 0
+            outputs[layer] = capsys.readouterr().out
+        assert outputs[None] == outputs["vertex-elimination"]
+        assert outputs["transitive-closure"] != outputs["vertex-elimination"]
+        reference = encode_why_provenance(
+            DatalogQuery(parse_program(PROGRAM_TEXT), "tc"),
+            Database(parse_database(DATABASE_TEXT)),
+            ("a", "c"),
+            acyclicity="transitive-closure",
+        )
+        assert outputs["transitive-closure"] == reference.cnf.to_dimacs()
+        assert solve_cnf(CNF.from_dimacs(outputs["transitive-closure"])) is not None
+
     def test_output_does_not_depend_on_the_hash_seed(self, tmp_path, capsys):
         """The formula, acyclicity layer included, is numbered the same way.
 
@@ -582,6 +610,14 @@ class TestServeStdio:
         ]
         assert not response["ok"]
         assert response["error"]["code"] == "parse-error"
+
+    def test_acyclicity_is_not_a_serve_flag(self, capsys):
+        """Every daemon builds the vertex-elimination layer; asking for
+        another is a usage error, not a silently ignored flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--stdio", "--acyclicity", "transitive-closure"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --acyclicity" in capsys.readouterr().err
 
 
 class TestClientCommand:

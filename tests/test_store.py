@@ -165,6 +165,23 @@ def test_knob_mismatch_is_a_counted_miss(tmp_path, instance):
     assert store.miss_reasons == {"log-knob-mismatch": 1}
 
 
+def test_default_daemon_log_still_rehydrates(tmp_path, instance):
+    """Every log a daemon wrote while the acyclicity encoding was a knob,
+    run at its default, names ``"vertex-elimination"``; it still serves."""
+    registry, entry = _admit(tmp_path, instance)
+    _apply_deltas(registry, entry, instance.deltas)
+    expected = entry.session.answers()
+    version = entry.session.version
+    record = _forge_base(registry, entry, acyclicity="vertex-elimination")
+    assert record["acyclicity"] == "vertex-elimination"
+
+    store, recovered = _reacquire(tmp_path, instance)
+    assert recovered.rehydrated
+    assert recovered.session.version == version
+    assert recovered.session.answers() == expected
+    assert store.miss_reasons == {}
+
+
 def test_base_record_carrying_method_still_rehydrates(tmp_path, instance):
     """Every log written while the evaluation method was a registry knob
     has ``"method": "seminaive"`` in its base record; it still serves."""
