@@ -14,10 +14,9 @@ Run with:  python examples/render_proofs.py
 import os
 
 from repro import Database, DatalogQuery, parse_database, parse_program
-from repro.baselines import SouffleStyleProvenance
 from repro.core.encoder import encode_why_provenance
 from repro.datalog.parser import parse_atom
-from repro.provenance import downward_closure
+from repro.provenance import downward_closure, extract_minimal_depth_tree
 from repro.provenance.render import (
     circuit_to_dot,
     closure_to_dot,
@@ -50,8 +49,8 @@ def main() -> None:
         "s(a). t(a, a, b). t(a, a, c). t(a, a, d). t(b, c, a)."
     ))
 
-    # (1) A minimal-depth proof tree of a(d), Souffle-style.
-    tree = SouffleStyleProvenance(program, database).explain(parse_atom("a(d)"))
+    # (1) A minimal-depth proof tree of a(d), read off the engine's ranks.
+    tree = extract_minimal_depth_tree(program, database, parse_atom("a(d)"))
     _write("proof_tree.dot", proof_tree_to_dot(tree, database))
 
     # (2) The compressed DAG behind one member of whyUN((d), D, Q).

@@ -5,7 +5,7 @@ database server — and what is the *tightest* set of rules to audit?"
 The full why-provenance may be huge; this example extracts just the
 cardinality-minimum member and the subset-minimal members straight from
 the SAT encoding (Section 5 plus cardinality constraints), then contrasts
-them with a Souffle-style single witness and the full enumeration.
+them with a single minimal-depth witness and the full enumeration.
 
 Run with:  python examples/smallest_explanation.py
 """
@@ -17,9 +17,9 @@ from repro import (
     minimal_members,
     parse_database,
     parse_program,
-    single_witness_why,
     smallest_member,
 )
+from repro.provenance import extract_minimal_depth_tree
 
 
 def main() -> None:
@@ -57,8 +57,10 @@ def main() -> None:
         print(f"  {{{', '.join(sorted(map(str, member)))}}}")
 
     # --- What a single-witness engine would report ------------------------
-    witness = single_witness_why(query, database, tup)
-    print("\nSouffle-style single witness (one member, minimal depth):")
+    witness = extract_minimal_depth_tree(
+        program, database, query.answer_atom(tup)
+    ).support()
+    print("\nsingle minimal-depth witness (one member):")
     print(f"  {{{', '.join(sorted(map(str, witness)))}}}")
 
     # --- The full family, for contrast ------------------------------------

@@ -13,8 +13,9 @@ Beyond the paper, the library ships the surrounding ecosystem a user
 would expect: the full semiring-provenance framework
 (:mod:`repro.semiring` — the why semiring reproduces ``why(t, D, Q)``
 exactly), minimal-explanation extraction via cardinality constraints
-(:mod:`repro.core.minimal`), Souffle-style single-witness provenance and
-tabled top-down evaluation (:mod:`repro.baselines`), DOT rendering of
+(:mod:`repro.core.minimal`), minimal-depth witness trees read off the
+engine's ranks (:mod:`repro.provenance.extract`), the all-at-once
+comparator of Figure 5 (:mod:`repro.baselines`), DOT rendering of
 every proof object (:mod:`repro.provenance.render`), TSV fact I/O
 (:mod:`repro.datalog.io`), seeded synthetic workload families at
 arbitrary scale (:mod:`repro.scenarios.synthetic`) and the cross-stack
@@ -28,12 +29,7 @@ from importlib import import_module
 #: subpackage on first access (PEP 562), so ``import repro`` — and the
 #: daemon, which never touches the baselines or semirings — loads none.
 _EXPORTS = {
-    ".baselines": (
-        "all_at_once_why",
-        "answers_top_down",
-        "explain_answer",
-        "single_witness_why",
-    ),
+    ".baselines": ("all_at_once_why",),
     ".core": (
         "BatchResult",
         "FactResult",

@@ -1,52 +1,22 @@
-"""Baseline why-provenance computations used for comparison benchmarks.
+"""The baseline why-provenance computation used for comparison benchmarks.
 
-Three families of comparators:
+One comparator: :mod:`~repro.baselines.all_at_once` materializes the
+whole why-provenance in one shot (the existential-rules style of
+Elhalawati et al., the Figure 5 comparator). The single minimal-depth
+witness that the paper's introduction contrasts with comes from the
+engine's ranks, through
+:func:`~repro.provenance.extract.extract_minimal_depth_tree`.
 
-* :mod:`~repro.baselines.all_at_once` — materialize the whole
-  why-provenance in one shot (the existential-rules style of Elhalawati
-  et al., the Figure 5 comparator);
-* :mod:`~repro.baselines.souffle_style` — one minimal-height witness per
-  fact (Zhao/Subotic/Scholz's scalable under-approximation);
-* :mod:`~repro.baselines.top_down` — QSQR-style tabled goal-directed
-  evaluation, an independent oracle for query answering.
-
-All baselines deliberately bypass the caches of
-:class:`~repro.core.session.ProvenanceSession`: they are the *non-session
-foils* the benchmarks compare against, so they must pay the full cost of
-their own grounding and evaluation on every call. Do not thread a session
-through them.
+The baseline deliberately bypasses the caches of
+:class:`~repro.core.session.ProvenanceSession`: it is the *non-session
+foil* the benchmarks compare against, so it must pay the full cost of its
+own grounding on every call. Do not thread a session through it.
 """
 
 from .all_at_once import AllAtOnceReport, BaselineBudgetExceeded, all_at_once_why
-from .souffle_style import (
-    AnnotatedModel,
-    NotDerivableError,
-    SouffleStyleProvenance,
-    annotate,
-    explain_answer,
-    single_witness_why,
-)
-from .top_down import (
-    TopDownEngine,
-    TopDownStatistics,
-    answers_top_down,
-    call_pattern,
-    prove_top_down,
-)
 
 __all__ = [
     "AllAtOnceReport",
-    "AnnotatedModel",
     "BaselineBudgetExceeded",
-    "NotDerivableError",
-    "SouffleStyleProvenance",
-    "TopDownEngine",
-    "TopDownStatistics",
     "all_at_once_why",
-    "annotate",
-    "answers_top_down",
-    "call_pattern",
-    "explain_answer",
-    "prove_top_down",
-    "single_witness_why",
 ]

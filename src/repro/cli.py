@@ -385,12 +385,15 @@ def _cmd_semiring(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from .baselines.souffle_style import explain_answer
+    from .provenance.extract import extract_minimal_depth_tree
 
     query, database = _load_query(args)
     tup = _load_tuple(args, query)
-    tree = explain_answer(query, database, tup)
-    if tree is None:
+    try:
+        tree = extract_minimal_depth_tree(
+            query.program, database, query.answer_atom(tup)
+        )
+    except FactNotDerivable:
         print("% tuple is not an answer: nothing to explain", file=sys.stderr)
         return 1
     print(tree.pretty())
@@ -800,7 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_semiring.set_defaults(func=_cmd_semiring)
 
     p_explain = sub.add_parser(
-        "explain", help="print one minimal-depth proof tree (single witness)"
+        "explain",
+        help="print one minimal-depth proof tree, read off the engine's ranks",
     )
     common(p_explain)
     p_explain.set_defaults(func=_cmd_explain)

@@ -54,8 +54,8 @@ and cold GRIs, over random update sequences.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import FrozenSet, Set, TYPE_CHECKING
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Delta

@@ -59,7 +59,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..provenance.grounding import FactNotDerivable
 from .session import ProvenanceSession
@@ -162,10 +162,6 @@ class BatchResult:
         if self.total_seconds <= 0:
             return float("inf")
         return len(self.results) / self.total_seconds
-
-    def members_by_tuple(self) -> Dict[Tuple, List[FrozenSet]]:
-        """``tuple -> members`` for every successfully served tuple."""
-        return {r.tuple_value: r.members for r in self.results if r.ok}
 
     def failures(self) -> List[FactResult]:
         """Results that errored or were not answers."""

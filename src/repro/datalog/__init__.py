@@ -22,13 +22,6 @@ from .io import (
     save_facts_dir,
     save_facts_file,
 )
-from .magic import (
-    MagicEvaluation,
-    MagicRewriting,
-    magic_evaluate,
-    magic_holds,
-    magic_rewrite,
-)
 from .parser import (
     ParseError,
     parse_atom,
@@ -66,11 +59,6 @@ __all__ = [
     "save_csv",
     "save_facts_dir",
     "save_facts_file",
-    "MagicEvaluation",
-    "MagicRewriting",
-    "magic_evaluate",
-    "magic_holds",
-    "magic_rewrite",
     "maintain_evaluation",
     "immediate_consequences",
     "is_constant",

@@ -85,10 +85,6 @@ class Rule:
         """Return ``True`` iff no constant appears in the rule."""
         return not self.constants()
 
-    def body_predicates(self) -> Tuple[str, ...]:
-        """Predicates of the body atoms, in order."""
-        return tuple(a.pred for a in self.body)
-
     def predicates(self) -> set:
         """All predicates mentioned by the rule."""
         return {self.head.pred, *(a.pred for a in self.body)}

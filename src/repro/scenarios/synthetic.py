@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..datalog.atoms import Atom
@@ -369,10 +369,6 @@ class SyntheticInstance:
             num_rules=len(program.rules),
             description=f"synthetic {self.family} workload family",
         )
-
-    def with_deltas(self, deltas: Sequence[Delta]) -> "SyntheticInstance":
-        """A copy of this instance carrying a different delta sequence."""
-        return replace(self, deltas=tuple(deltas))
 
 
 def _generate_deltas(

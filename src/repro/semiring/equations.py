@@ -25,7 +25,7 @@ computes ``why(t, D, Q)`` itself; for the counting semiring it reports
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
@@ -187,15 +187,3 @@ def semiring_provenance(
         return system.leaves[fact]
     values = kleene_solve(system, semiring, max_rounds=max_rounds)
     return values[fact]
-
-
-def provenance_under(
-    query: DatalogQuery,
-    database: Database,
-    tup: Tuple,
-    values: Mapping[Atom, object],
-    semiring: Semiring,
-) -> object:
-    """Re-read a solved valuation at the answer atom (testing helper)."""
-    fact = query.answer_atom(tup)
-    return values.get(fact, semiring.zero())

@@ -10,6 +10,7 @@ import pytest
 from repro.cli import main, parse_tuple
 from repro.core.session import ProvenanceSession
 from repro.datalog.io import database_to_text, program_to_text
+from repro.provenance.extract import extract_minimal_depth_tree
 from repro.scenarios import get_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -525,6 +526,25 @@ class TestExplain:
         code = main(["explain", program, database, "--answer", "tc", "--tuple", "c,a"])
         assert code == 1
         assert "nothing to explain" in capsys.readouterr().err
+
+    def test_tree_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """``explain`` prints the canonical minimal-depth tree.
+
+        Each of these Andersen/D1 answers has several minimal-depth trees,
+        so expanding each fact with the first instance that fired printed
+        a tree that changed with the hash seed.
+        """
+        query, database, program, data = _andersen_d1_files(tmp_path)
+        for tup in [("obj4", "obj0"), ("obj4", "obj1"), ("obj4", "obj5")]:
+            tree = extract_minimal_depth_tree(
+                query.program, database, query.answer_atom(tup)
+            )
+            argv = [
+                "explain", program, data, "--answer", query.answer_predicate,
+                "--tuple", ",".join(tup),
+            ]
+            for lines in _stdout_under_hash_seeds(argv):
+                assert lines == tree.pretty().splitlines(), tup
 
 
 class TestWhyOrder:

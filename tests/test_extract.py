@@ -1,12 +1,19 @@
 """Tests for witness proof-tree extraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import DatalogQuery
-from repro.provenance.enumerate import enumerate_why_unambiguous
+from repro.provenance.enumerate import (
+    enumerate_why,
+    enumerate_why_minimal_depth,
+    enumerate_why_unambiguous,
+)
 from repro.provenance.extract import (
     enumerate_witness_trees,
     extract_minimal_depth_tree,
@@ -47,6 +54,8 @@ class TestMinimalDepthExtraction:
         [
             (PROGRAM, DB1, "a(d)"),
             (PROGRAM, DB1, "a(a)"),
+            (PROGRAM, DB1, "a(b)"),
+            (PROGRAM, DB1, "a(c)"),
             (PROGRAM, DB4, "a(d)"),
             (TC, TC_DB, "tc(a, d)"),
             (TC, TC_DB, "tc(a, c)"),
@@ -72,6 +81,37 @@ class TestMinimalDepthExtraction:
         tree = extract_minimal_depth_tree(TC, TC_DB, parse_atom("e(a, b)"))
         assert tree.depth() == 0
         assert tree.support() == frozenset({parse_atom("e(a, b)")})
+
+    def test_witness_is_one_of_example_2s_two_members(self):
+        """The single witness is a member; the SAT pipeline finds both."""
+        support = extract_minimal_depth_tree(PROGRAM, DB1, parse_atom("a(d)")).support()
+        family = enumerate_why(QUERY, DB1, ("d",))
+        assert len(family) == 2
+        assert support in family
+        assert support in enumerate_why_minimal_depth(QUERY, DB1, ("d",))
+
+    def test_witness_is_one_of_example_4s_two_members(self):
+        support = extract_minimal_depth_tree(PROGRAM, DB4, parse_atom("a(d)")).support()
+        member_a = frozenset(parse_database("s(a). t(a, a, c). t(c, c, d)."))
+        member_b = frozenset(parse_database("s(b). t(b, b, c). t(c, c, d)."))
+        assert support in (member_a, member_b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        edges=st.sets(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12
+        )
+    )
+    def test_random_graph_trees_are_valid_with_depth_equal_to_rank(self, edges):
+        database = Database([Atom("e", (f"n{u}", f"n{v}")) for u, v in edges])
+        evaluation = evaluate(TC, database, record_instances=True)
+        derived = sorted(
+            (fact for fact in evaluation.model if fact not in database), key=str
+        )
+        for fact in derived[:10]:
+            tree = extract_minimal_depth_tree(TC, database, fact, evaluation)
+            tree.validate(TC, database, expected_root=fact)
+            assert tree.depth() == evaluation.ranks[fact]
 
 
 class TestSupportDirectedExtraction:

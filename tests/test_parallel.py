@@ -23,7 +23,7 @@ from repro.datalog.atoms import Atom
 from repro.datalog.database import Database, Delta
 from repro.datalog.engine import TraceIndex, evaluate
 from repro.datalog.parser import parse_database, parse_program, parse_rule
-from repro.datalog.program import DatalogQuery, Program
+from repro.datalog.program import DatalogQuery
 from repro.datalog.terms import Variable
 
 TC = parse_program(

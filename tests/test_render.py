@@ -1,10 +1,9 @@
 """DOT rendering of proof objects."""
 
-from repro.baselines import SouffleStyleProvenance
 from repro.core.encoder import encode_why_provenance
 from repro.datalog import Database, DatalogQuery, parse_database, parse_program
 from repro.datalog.parser import parse_atom
-from repro.provenance import downward_closure
+from repro.provenance import downward_closure, extract_minimal_depth_tree
 from repro.provenance.render import (
     circuit_to_dot,
     closure_to_dot,
@@ -33,7 +32,7 @@ def _pap():
 
 def test_proof_tree_dot_shapes_and_edges():
     query, database = _pap()
-    tree = SouffleStyleProvenance(query.program, database).explain(parse_atom("a(d)"))
+    tree = extract_minimal_depth_tree(query.program, database, parse_atom("a(d)"))
     dot = proof_tree_to_dot(tree, database)
     assert dot.startswith("digraph proof_tree {")
     assert dot.rstrip().endswith("}")
@@ -45,7 +44,7 @@ def test_proof_tree_dot_shapes_and_edges():
 
 def test_proof_tree_dot_without_database_marks_everything_ellipse():
     query, database = _pap()
-    tree = SouffleStyleProvenance(query.program, database).explain(parse_atom("a(d)"))
+    tree = extract_minimal_depth_tree(query.program, database, parse_atom("a(d)"))
     dot = proof_tree_to_dot(tree)
     assert "shape=box" not in dot
 

@@ -3,17 +3,17 @@
 Three independent implementations of why-provenance exist in this
 repository: the brute-force oracles, the SAT pipeline, and the
 why-semiring fixpoint.  These tests make them vote on actual Table 1
-scenario databases (scaled), plus the Souffle-style witness and the
+scenario databases (scaled), plus the minimal-depth witness and the
 minimal-member extractors.
 """
 
 import pytest
 
-from repro.baselines import single_witness_why
 from repro.core.enumerator import WhyProvenanceEnumerator
 from repro.core.minimal import minimal_members, smallest_member
 from repro.datalog.engine import evaluate
 from repro.harness.runner import sample_answer_tuples
+from repro.provenance import extract_minimal_depth_tree
 from repro.semiring import (
     BooleanSemiring,
     MinWhySemiring,
@@ -59,7 +59,9 @@ def test_doctors_minimal_members_consistent(doctors_case):
 
 def test_doctors_witness_is_a_member(doctors_case):
     query, database, tup = doctors_case
-    witness = single_witness_why(query, database, tup)
+    witness = extract_minimal_depth_tree(
+        query.program, database, query.answer_atom(tup)
+    ).support()
     family = semiring_provenance(query, database, tup, WhySemiring())
     assert witness in family
 
@@ -86,7 +88,9 @@ def test_recursive_scenarios_minimal_agreement(scenario_name):
     for member in sat_minimal:
         for other in sat_minimal:
             assert not (member < other)  # an antichain
-    witness = single_witness_why(query, database, tup)
+    witness = extract_minimal_depth_tree(
+        query.program, database, query.answer_atom(tup)
+    ).support()
     if len(sat_minimal) < 50:
         # The witness is a member of why, so it contains a minimal member
         # (only checkable when the minimal family was not truncated).
